@@ -7,6 +7,7 @@
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
+#include "tglink/util/logging.h"
 #include "tglink/util/parallel.h"
 
 namespace tglink {
@@ -35,14 +36,33 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
         return sim_cache_.AggregateWithThreshold(cand.old_id, cand.new_id,
                                                  min_threshold);
       });
-  scored_pairs_.reserve(candidates.size() / 8);
+  // Candidates arrive sorted by (old, new), so appending the kept ones in
+  // candidate order fills each old record's row of the kept-pair index in
+  // ascending new id; the row offsets are a prefix sum of the row sizes.
+  const size_t num_kept = static_cast<size_t>(std::count_if(
+      sims.begin(), sims.end(),
+      [min_threshold](double sim) { return sim >= min_threshold; }));
+  scored_pairs_.reserve(num_kept);
+  kept_new_.reserve(num_kept);
+  kept_sim_.reserve(num_kept);
+  kept_row_.assign(old_dataset.num_records() + 1, 0);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const double sim = sims[i];
     if (sim >= min_threshold) {
+      const CandidatePair& cand = candidates[i];
+      TGLINK_DCHECK(i == 0 || candidates[i - 1].old_id < cand.old_id ||
+                    (candidates[i - 1].old_id == cand.old_id &&
+                     candidates[i - 1].new_id < cand.new_id))
+          << "blocking candidates not sorted by (old, new) at " << i;
       TGLINK_HISTOGRAM_SCORE("prematch.kept_pair_sim", sim);
-      scored_pairs_.push_back({candidates[i].old_id, candidates[i].new_id, sim});
-      pair_sim_.emplace(Key(candidates[i].old_id, candidates[i].new_id), sim);
+      scored_pairs_.push_back({cand.old_id, cand.new_id, sim});
+      kept_new_.push_back(cand.new_id);
+      kept_sim_.push_back(sim);
+      ++kept_row_[cand.old_id + 1];
     }
+  }
+  for (size_t o = 0; o < old_dataset.num_records(); ++o) {
+    kept_row_[o + 1] += kept_row_[o];
   }
   // Descending-sim order makes the pairs admissible at any δ a prefix, so
   // the per-iteration Cluster/CountPairsAtDelta never rescan pairs the
@@ -78,11 +98,17 @@ size_t PreMatcher::CountPairsAtDelta(double delta,
   return count;
 }
 
-double PreMatcher::PairSimilarity(RecordId old_id, RecordId new_id) const {
-  auto it = pair_sim_.find(Key(old_id, new_id));
-  if (it != pair_sim_.end()) return it->second;
+PreMatcher::PairSim PreMatcher::PairSimilarity(RecordId old_id,
+                                               RecordId new_id,
+                                               double min_sim) const {
+  const auto row_begin = kept_new_.begin() + kept_row_[old_id];
+  const auto row_end = kept_new_.begin() + kept_row_[old_id + 1];
+  const auto it = std::lower_bound(row_begin, row_end, new_id);
+  if (it != row_end && *it == new_id) {
+    return {kept_sim_[static_cast<size_t>(it - kept_new_.begin())], true};
+  }
   TGLINK_COUNTER_INC("simcache.prematch_miss");
-  return sim_cache_.Aggregate(old_id, new_id);
+  return {sim_cache_.AggregateWithThreshold(old_id, new_id, min_sim), false};
 }
 
 Clustering PreMatcher::Cluster(double delta,

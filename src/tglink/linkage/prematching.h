@@ -13,11 +13,20 @@
 // serial, uncached run. The kept pairs are then sorted by descending
 // similarity once, so each δ round touches only the prefix of pairs at or
 // above its threshold instead of rescanning everything.
+//
+// Subgraph construction also needs the direct similarity of equally
+// labelled pairs. Blocking candidates arrive sorted by (old, new), so the
+// keep loop also fills a flat row index over the kept pairs: one row of
+// ascending new ids and their similarities per old record. PairSimilarity
+// serves a kept pair by a binary search in its row. Any other pair — a
+// "prematch miss": not a blocking candidate, or one scored below
+// min_threshold — is scored on demand through the thresholded kernels,
+// which may answer SimCache::kPruned when the pair provably cannot reach
+// the caller's cutoff.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
 
-#include <unordered_map>
 #include <cstddef>
 #include <vector>
 
@@ -79,11 +88,22 @@ class PreMatcher {
       double delta, const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;
 
-  /// agg_sim for any record pair: cached when above min_threshold, computed
-  /// on demand otherwise (needed for transitively-clustered pairs). Misses
-  /// route through the similarity memo layer and are counted as
-  /// "simcache.prematch_miss". Safe to call concurrently.
-  double PairSimilarity(RecordId old_id, RecordId new_id) const;
+  /// A PairSimilarity answer and where it came from.
+  struct PairSim {
+    double sim;
+    bool kept;  // true: the cached value of a kept pair; false: a miss
+  };
+
+  /// agg_sim for any record pair. A kept pair (a blocking candidate with
+  /// sim >= min_threshold) returns its cached value, found by a binary
+  /// search in the old record's row of the kept-pair index. Any other pair
+  /// is a miss, counted as "simcache.prematch_miss" and scored through
+  /// SimCache::AggregateWithThreshold(old_id, new_id, min_sim): the exact
+  /// aggregate, or SimCache::kPruned when the batched bounds prove it is
+  /// below `min_sim`. With min_sim <= 0 every answer is exact. Safe to
+  /// call concurrently.
+  [[nodiscard]] PairSim PairSimilarity(RecordId old_id, RecordId new_id,
+                                       double min_sim) const;
 
   /// Clusters active records using pairs with sim >= delta (the
   /// `prematching` step of one Algorithm 1 iteration). `active_*[r]` is
@@ -92,15 +112,15 @@ class PreMatcher {
                      const std::vector<bool>& active_new) const;
 
  private:
-  static uint64_t Key(RecordId o, RecordId n) {
-    return (static_cast<uint64_t>(o) << 32) | n;
-  }
-
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
   SimCache sim_cache_;
   std::vector<ScoredPair> scored_pairs_;  // descending sim
-  std::unordered_map<uint64_t, double> pair_sim_;
+  // Kept pairs indexed by old record: row o spans [kept_row_[o],
+  // kept_row_[o + 1]) of kept_new_ / kept_sim_, in ascending new id.
+  std::vector<size_t> kept_row_;
+  std::vector<RecordId> kept_new_;
+  std::vector<double> kept_sim_;
 };
 
 }  // namespace tglink

@@ -1,7 +1,8 @@
 #include "tglink/linkage/subgraph.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <utility>
 
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
@@ -38,46 +39,71 @@ double EdgePropertySimilarity(const HouseholdGraph& old_graph,
   return 0.5;
 }
 
-}  // namespace
+/// Vertex admission for one equally labelled (old, new) record pair
+/// (§3.3): the recorded ages must be temporally plausible (footnote 2 of
+/// the paper) and the pair's *direct* similarity must reach δ. A pair
+/// pre-matching did not keep goes through the screened lookup with cutoff
+/// δ - 2e-12; a kPruned answer is then provably below δ - 2e-12 and fails
+/// the `sim + 1e-12 < δ` filter exactly as its true value would.
+class VertexGate {
+ public:
+  VertexGate(const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+             const PreMatcher& prematcher, const LinkageConfig& config,
+             double delta)
+      : old_dataset_(old_dataset),
+        new_dataset_(new_dataset),
+        prematcher_(prematcher),
+        gate_(config.vertex_age_tolerance),
+        year_gap_(new_dataset.year() - old_dataset.year()),
+        delta_(delta) {}
 
-GroupPairSubgraph BuildGroupPairSubgraph(
-    GroupId old_group, GroupId new_group, const HouseholdGraph& old_graph,
-    const HouseholdGraph& new_graph, const Clustering& clustering,
-    const PreMatcher& prematcher, const LinkageConfig& config,
-    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    double delta) {
+  /// Fills `*vertex` and returns true when (o, n) is a vertex candidate;
+  /// `*miss` tells whether its similarity came from a prematch miss.
+  bool Admit(RecordId o, RecordId n, SubgraphVertex* vertex,
+             bool* miss) const {
+    const PersonRecord& old_rec = old_dataset_.record(o);
+    const PersonRecord& new_rec = new_dataset_.record(n);
+    double age_sim = 0.5;
+    if (old_rec.has_age() && new_rec.has_age()) {
+      age_sim = TemporalAgeSimilarity(old_rec.age, new_rec.age, year_gap_,
+                                      gate_ > 0 ? gate_ : 7);
+      if (gate_ > 0 && age_sim <= 0.0) return false;  // implausible ageing
+    }
+    const PreMatcher::PairSim ps =
+        prematcher_.PairSimilarity(o, n, delta_ - 2e-12);
+    if (ps.sim + 1e-12 < delta_) return false;  // label by chaining only
+    *vertex = {o, n, ps.sim, age_sim};
+    *miss = !ps.kept;
+    return true;
+  }
+
+ private:
+  const CensusDataset& old_dataset_;
+  const CensusDataset& new_dataset_;
+  const PreMatcher& prematcher_;
+  const int gate_;
+  const int year_gap_;
+  const double delta_;
+};
+
+/// Steps 2-5 of subgraph construction over one group pair's vertex
+/// candidates (in any order): greedy 1:1 assignment, edges, pruning and
+/// the Eq. 4-7 scores.
+GroupPairSubgraph ScoreGroupPair(GroupId old_group, GroupId new_group,
+                                 const HouseholdGraph& old_graph,
+                                 const HouseholdGraph& new_graph,
+                                 const Clustering& clustering,
+                                 const LinkageConfig& config,
+                                 std::vector<SubgraphVertex> candidates) {
   GroupPairSubgraph subgraph;
   subgraph.old_group = old_group;
   subgraph.new_group = new_group;
-  const int year_gap = new_dataset.year() - old_dataset.year();
-
-  // 1. Candidate vertices: equally labeled (old, new) member pairs whose
-  // recorded ages are temporally plausible (footnote 2 of the paper).
-  std::vector<SubgraphVertex> candidates;
-  for (RecordId o : old_graph.members()) {
-    const uint32_t label = clustering.old_labels[o];
-    if (label == Clustering::kNoLabel) continue;
-    const PersonRecord& old_rec = old_dataset.record(o);
-    for (RecordId n : new_graph.members()) {
-      if (clustering.new_labels[n] != label) continue;
-      const PersonRecord& new_rec = new_dataset.record(n);
-      double age_sim = 0.5;
-      if (old_rec.has_age() && new_rec.has_age()) {
-        const int gate = config.vertex_age_tolerance;
-        age_sim = TemporalAgeSimilarity(old_rec.age, new_rec.age, year_gap,
-                                        gate > 0 ? gate : 7);
-        if (gate > 0 && age_sim <= 0.0) continue;  // implausible ageing
-      }
-      const double sim = prematcher.PairSimilarity(o, n);
-      if (sim + 1e-12 < delta) continue;  // label by chaining only
-      candidates.push_back({o, n, sim, age_sim});
-    }
-  }
   if (candidates.empty()) return subgraph;
 
   // 2. Resolve within-pair ambiguity (two equally named brothers, say) by a
   // greedy 1:1 assignment ordered by record similarity, breaking ties on
-  // the temporally stable evidence — age plausibility.
+  // the temporally stable evidence — age plausibility. The order is total,
+  // so the result does not depend on the order candidates arrive in.
   std::sort(candidates.begin(), candidates.end(),
             [](const SubgraphVertex& a, const SubgraphVertex& b) {
               if (a.sim != b.sim) return a.sim > b.sim;
@@ -85,13 +111,13 @@ GroupPairSubgraph BuildGroupPairSubgraph(
               if (a.old_id != b.old_id) return a.old_id < b.old_id;
               return a.new_id < b.new_id;
             });
-  std::unordered_set<RecordId> used_old, used_new;
   std::vector<SubgraphVertex> vertices;
   for (const SubgraphVertex& cand : candidates) {
-    if (used_old.count(cand.old_id) || used_new.count(cand.new_id)) continue;
-    used_old.insert(cand.old_id);
-    used_new.insert(cand.new_id);
-    vertices.push_back(cand);
+    const bool taken = std::any_of(
+        vertices.begin(), vertices.end(), [&cand](const SubgraphVertex& v) {
+          return v.old_id == cand.old_id || v.new_id == cand.new_id;
+        });
+    if (!taken) vertices.push_back(cand);
   }
 
   // 3. Edges: vertex pairs whose old and new records are connected by
@@ -147,6 +173,42 @@ GroupPairSubgraph BuildGroupPairSubgraph(
   return subgraph;
 }
 
+/// A vertex candidate keyed by its (old group, new group) pair.
+struct KeyedVertex {
+  uint64_t key;  // (old group << 32) | new group
+  SubgraphVertex vertex;
+};
+
+/// One label's vertex candidates and how many of them are prematch misses.
+struct LabelVertices {
+  std::vector<KeyedVertex> vertices;
+  uint64_t misses = 0;
+};
+
+}  // namespace
+
+GroupPairSubgraph BuildGroupPairSubgraph(
+    GroupId old_group, GroupId new_group, const HouseholdGraph& old_graph,
+    const HouseholdGraph& new_graph, const Clustering& clustering,
+    const PreMatcher& prematcher, const LinkageConfig& config,
+    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    double delta) {
+  const VertexGate gate(old_dataset, new_dataset, prematcher, config, delta);
+  std::vector<SubgraphVertex> candidates;
+  for (RecordId o : old_graph.members()) {
+    const uint32_t label = clustering.old_labels[o];
+    if (label == Clustering::kNoLabel) continue;
+    for (RecordId n : clustering.label_new_members[label]) {
+      if (new_dataset.record(n).group != new_group) continue;
+      SubgraphVertex vertex;
+      bool miss = false;
+      if (gate.Admit(o, n, &vertex, &miss)) candidates.push_back(vertex);
+    }
+  }
+  return ScoreGroupPair(old_group, new_group, old_graph, new_graph,
+                        clustering, config, std::move(candidates));
+}
+
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const std::vector<HouseholdGraph>& old_graphs,
@@ -155,37 +217,74 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const LinkageConfig& config, double delta) {
   TGLINK_TRACE_SPAN("subgraph.build_score", delta);
   TGLINK_MEM_STAGE("subgraph.build_score");
-  // Candidate group pairs: every (old household, new household) combination
-  // sharing at least one cluster label.
-  std::vector<uint64_t> group_pair_keys;
-  for (uint32_t label = 0; label < clustering.num_labels; ++label) {
-    const auto& old_members = clustering.label_old_members[label];
-    const auto& new_members = clustering.label_new_members[label];
-    if (old_members.empty() || new_members.empty()) continue;
-    for (RecordId o : old_members) {
-      const GroupId go = old_dataset.record(o).group;
-      for (RecordId n : new_members) {
-        const GroupId gn = new_dataset.record(n).group;
-        group_pair_keys.push_back((static_cast<uint64_t>(go) << 32) | gn);
-      }
-    }
-  }
-  std::sort(group_pair_keys.begin(), group_pair_keys.end());
-  group_pair_keys.erase(
-      std::unique(group_pair_keys.begin(), group_pair_keys.end()),
-      group_pair_keys.end());
+  const VertexGate gate(old_dataset, new_dataset, prematcher, config, delta);
 
-  // Each candidate group pair builds and scores independently; results
-  // come back in the sorted key order, so the kept-subgraph list below is
-  // identical to the serial path for any thread count.
+  // Vertex candidates straight from each label's old x new members, keyed
+  // by their group pair. Results merge in label order, so the list is the
+  // same for any thread count.
+  std::vector<LabelVertices> per_label = ParallelMap<LabelVertices>(
+      clustering.num_labels, "subgraph.vertex_chunk", [&](size_t label) {
+        LabelVertices out;
+        for (RecordId o : clustering.label_old_members[label]) {
+          const uint64_t go = old_dataset.record(o).group;
+          for (RecordId n : clustering.label_new_members[label]) {
+            KeyedVertex kv;
+            bool miss = false;
+            if (!gate.Admit(o, n, &kv.vertex, &miss)) continue;
+            kv.key = (go << 32) | new_dataset.record(n).group;
+            out.vertices.push_back(kv);
+            out.misses += miss ? 1 : 0;
+          }
+        }
+        return out;
+      });
+  size_t total = 0;
+  uint64_t miss_vertices = 0;
+  for (const LabelVertices& part : per_label) {
+    total += part.vertices.size();
+    miss_vertices += part.misses;
+  }
+  std::vector<KeyedVertex> keyed;
+  keyed.reserve(total);
+  for (LabelVertices& part : per_label) {
+    keyed.insert(keyed.end(), part.vertices.begin(), part.vertices.end());
+    std::vector<KeyedVertex>().swap(part.vertices);
+  }
+  // The order within one key is irrelevant: ScoreGroupPair sorts its
+  // candidates by a total order.
+  std::sort(keyed.begin(), keyed.end(),
+            [](const KeyedVertex& a, const KeyedVertex& b) {
+              return a.key < b.key;
+            });
+
+  // Group pairs holding one vertex candidate are always pruned (a single
+  // vertex has no edge), so only ranges of >= 2 candidates are built.
+  std::vector<std::pair<size_t, size_t>> ranges;  // [begin, end) of `keyed`
+  size_t group_pairs = 0;
+  for (size_t begin = 0; begin < keyed.size();) {
+    size_t end = begin + 1;
+    while (end < keyed.size() && keyed[end].key == keyed[begin].key) ++end;
+    ++group_pairs;
+    if (end - begin >= 2) ranges.emplace_back(begin, end);
+    begin = end;
+  }
+
+  // Each group pair builds and scores independently; results come back in
+  // the sorted key order, so the kept-subgraph list below is identical to
+  // the serial path for any thread count.
   std::vector<GroupPairSubgraph> built = ParallelMap<GroupPairSubgraph>(
-      group_pair_keys.size(), "subgraph.build_chunk", [&](size_t i) {
-        const uint64_t key = group_pair_keys[i];
+      ranges.size(), "subgraph.build_chunk", [&](size_t i) {
+        const auto [begin, end] = ranges[i];
+        const uint64_t key = keyed[begin].key;
         const GroupId go = static_cast<GroupId>(key >> 32);
         const GroupId gn = static_cast<GroupId>(key & 0xFFFFFFFFu);
-        return BuildGroupPairSubgraph(go, gn, old_graphs[go], new_graphs[gn],
-                                      clustering, prematcher, config,
-                                      old_dataset, new_dataset, delta);
+        std::vector<SubgraphVertex> candidates;
+        candidates.reserve(end - begin);
+        for (size_t k = begin; k < end; ++k) {
+          candidates.push_back(keyed[k].vertex);
+        }
+        return ScoreGroupPair(go, gn, old_graphs[go], new_graphs[gn],
+                              clustering, config, std::move(candidates));
       });
   std::vector<GroupPairSubgraph> subgraphs;
   for (GroupPairSubgraph& subgraph : built) {
@@ -194,10 +293,10 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
       subgraphs.push_back(std::move(subgraph));
     }
   }
-  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", group_pair_keys.size());
+  TGLINK_COUNTER_ADD("subgraph.miss_vertices", miss_vertices);
+  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", group_pairs);
   TGLINK_COUNTER_ADD("subgraph.built", subgraphs.size());
-  TGLINK_COUNTER_ADD("subgraph.pruned_empty",
-                     group_pair_keys.size() - subgraphs.size());
+  TGLINK_COUNTER_ADD("subgraph.pruned_empty", group_pairs - subgraphs.size());
   return subgraphs;
 }
 

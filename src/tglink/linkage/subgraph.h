@@ -1,7 +1,8 @@
-// Subgraph matching (Section 3.3): for every pair of households that share
-// at least one cluster label, construct the common subgraph of equally
-// labeled record pairs whose relationships agree in unified type and age
-// difference, and score it with the three criteria of Section 3.4.
+// Subgraph matching (Section 3.3): for every pair of households linked by
+// equally labeled record pairs whose direct similarity reaches δ, construct
+// the common subgraph of those pairs whose relationships agree in unified
+// type and age difference, and score it with the three criteria of
+// Section 3.4.
 
 #ifndef TGLINK_LINKAGE_SUBGRAPH_H_
 #define TGLINK_LINKAGE_SUBGRAPH_H_
@@ -52,15 +53,22 @@ struct GroupPairSubgraph {
 
 /// Builds and scores the common subgraph for one group pair. Only active
 /// records participate (inactive ones carry kNoLabel in the clustering).
-/// A vertex additionally requires the pair's *direct* aggregated similarity
-/// to reach `delta`, the current iteration's threshold — equal labels alone
-/// can be the product of transitive chaining through intermediate records
-/// and would otherwise let dissimilar records into the mapping. Records
-/// appearing in several equally-labeled pairs within the group pair are
-/// resolved greedily 1:1 by descending record similarity. Vertices without
-/// any matching incident edge are pruned (cf. Fig. 4 of the paper); a
-/// pruned-empty subgraph means the group pair yields no candidate —
-/// single-record overlaps are recovered later by residual matching.
+/// Vertex candidates are the equally labelled (old, new) member pairs whose
+/// recorded ages are temporally plausible and whose *direct* aggregated
+/// similarity reaches `delta`, the current iteration's threshold — equal
+/// labels alone can be the product of transitive chaining through
+/// intermediate records and would otherwise let dissimilar records into
+/// the mapping. A pair pre-matching kept takes its cached similarity; any
+/// other pair (a prematch miss) is scored through
+/// PreMatcher::PairSimilarity with cutoff delta - 2e-12, whose kPruned
+/// answer fails the delta filter exactly as the true value would. A miss
+/// that reaches `delta` is a vertex too: the vertex universe is not
+/// restricted to blocking candidates. Records appearing in several candidates within the group
+/// pair are resolved greedily 1:1 by descending record similarity.
+/// Vertices without any matching incident edge are pruned (cf. Fig. 4 of
+/// the paper); a pruned-empty subgraph means the group pair yields no
+/// candidate — single-record overlaps are recovered later by residual
+/// matching.
 GroupPairSubgraph BuildGroupPairSubgraph(
     GroupId old_group, GroupId new_group, const HouseholdGraph& old_graph,
     const HouseholdGraph& new_graph, const Clustering& clustering,
@@ -68,8 +76,19 @@ GroupPairSubgraph BuildGroupPairSubgraph(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     double delta);
 
-/// Enumerates candidate group pairs (pairs sharing >= 1 cluster label) and
-/// returns the non-empty scored subgraphs, deterministically ordered.
+/// All non-empty scored subgraphs at `delta`, ordered by ascending (old
+/// group, new group). Walks each label's old x new active members once
+/// (in parallel over labels), admits vertex candidates by the rule of
+/// BuildGroupPairSubgraph and keys them by group pair; only group pairs
+/// holding >= 2 candidates are built, since a lone vertex has no edge and
+/// is always pruned. Each built subgraph equals BuildGroupPairSubgraph's
+/// for the same pair, bit for bit, at any thread count.
+///
+/// Counters: "subgraph.candidate_group_pairs" counts group pairs holding
+/// >= 1 vertex candidate, "subgraph.pruned_empty" those of them that
+/// yield no subgraph, "subgraph.built" the rest, and
+/// "subgraph.miss_vertices" the vertex candidates whose pair pre-matching
+/// did not keep.
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const std::vector<HouseholdGraph>& old_graphs,

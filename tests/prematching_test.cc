@@ -1,9 +1,14 @@
 #include "tglink/linkage/prematching.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "tglink/linkage/config.h"
+#include "tglink/synth/generator.h"
+#include "tglink/synth/scenario.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -90,10 +95,14 @@ TEST_F(PreMatchingFig3Test, MemberListsConsistentWithLabels) {
 TEST_F(PreMatchingFig3Test, PairSimilarityCachedAndOnDemandAgree) {
   // Cached pair (john ashworth 0-0) and a non-cached pair must both return
   // the underlying similarity function's value.
-  EXPECT_DOUBLE_EQ(prematcher_.PairSimilarity(0, 0), 1.0);
+  const PreMatcher::PairSim cached = prematcher_.PairSimilarity(0, 0, 0.0);
+  EXPECT_TRUE(cached.kept);
+  EXPECT_DOUBLE_EQ(cached.sim, 1.0);
   const double direct =
       sim_func_.AggregateSimilarity(old_d_.record(2), new_d_.record(6));
-  EXPECT_DOUBLE_EQ(prematcher_.PairSimilarity(2, 6), direct);
+  const PreMatcher::PairSim on_demand = prematcher_.PairSimilarity(2, 6, 0.0);
+  EXPECT_FALSE(on_demand.kept);
+  EXPECT_DOUBLE_EQ(on_demand.sim, direct);
 }
 
 TEST_F(PreMatchingFig3Test, InactiveRecordsExcluded) {
@@ -147,6 +156,63 @@ TEST(PreMatchingTest, ScoredPairsRespectMinThreshold) {
   for (const ScoredPair& p : pm.scored_pairs()) {
     EXPECT_GE(p.sim, 0.6);
   }
+}
+
+TEST(PreMatchingTest, ScreenedLookupIsExactOrProvablyBelowCutoff) {
+  // Every same-label pair of a small preset, looked up the way subgraph
+  // construction does: a kept pair returns its cached value, any other
+  // pair its exact aggregate or kPruned — and kPruned only when the exact
+  // aggregate is below the cutoff.
+  auto scenario = ResolveScenario("extreme_missingness");
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  GeneratorConfig gen = scenario.value().config;
+  gen.seed = 3;
+  gen.scale = 0.03;
+  gen.num_censuses = 2;
+  const SyntheticPair pair = GenerateCensusPair(gen, 0);
+  const CensusDataset& old_d = pair.old_dataset;
+  const CensusDataset& new_d = pair.new_dataset;
+  const LinkageConfig config = configs::DefaultConfig();
+  SimilarityFunction f = config.sim_func;
+  f.set_year_gap(new_d.year() - old_d.year());
+  PreMatcher pm(old_d, new_d, f, config.blocking, config.delta_low);
+
+  std::map<std::pair<RecordId, RecordId>, double> kept;
+  for (const ScoredPair& p : pm.scored_pairs()) {
+    kept.emplace(std::make_pair(p.old_id, p.new_id), p.sim);
+  }
+  const Clustering clustering =
+      pm.Cluster(config.delta_low, std::vector<bool>(old_d.num_records(), true),
+                 std::vector<bool>(new_d.num_records(), true));
+  const double min_sim = config.delta_high;
+  size_t kept_seen = 0, exact_misses = 0, pruned = 0;
+  for (uint32_t label = 0; label < clustering.num_labels; ++label) {
+    for (RecordId o : clustering.label_old_members[label]) {
+      for (RecordId n : clustering.label_new_members[label]) {
+        const PreMatcher::PairSim got = pm.PairSimilarity(o, n, min_sim);
+        const auto it = kept.find({o, n});
+        ASSERT_EQ(got.kept, it != kept.end()) << o << "," << n;
+        if (got.kept) {
+          EXPECT_EQ(got.sim, it->second) << o << "," << n;
+          ++kept_seen;
+          continue;
+        }
+        const double direct =
+            f.AggregateSimilarity(old_d.record(o), new_d.record(n));
+        if (got.sim == SimCache::kPruned) {
+          EXPECT_LT(direct, min_sim) << o << "," << n;
+          ++pruned;
+        } else {
+          EXPECT_EQ(got.sim, direct) << o << "," << n;
+          ++exact_misses;
+        }
+      }
+    }
+  }
+  // The fixture must exercise all three answers.
+  EXPECT_GT(kept_seen, 0u);
+  EXPECT_GT(exact_misses, 0u);
+  EXPECT_GT(pruned, 0u);
 }
 
 }  // namespace

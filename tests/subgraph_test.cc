@@ -1,19 +1,32 @@
 #include "tglink/linkage/subgraph.h"
 
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "tglink/graph/enrichment.h"
 #include "tglink/linkage/subgraph_export.h"
+#include "tglink/obs/metrics.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
 namespace {
 
 using namespace testing_example;
+
+/// First name + surname, bigram Dice, equally weighted (Fig. 3's function).
+SimilarityFunction Fig3NameSimilarity() {
+  return SimilarityFunction(
+      {
+          {Field::kFirstName, Measure::kQGramDice, 0.5},
+          {Field::kSurname, Measure::kQGramDice, 0.5},
+      },
+      1.0);
+}
 
 /// Fixture reproducing the exact setting of the paper's Fig. 4 / Eq. 8.
 class SubgraphPaperExampleTest : public ::testing::Test {
@@ -179,6 +192,164 @@ TEST_F(SubgraphPaperExampleTest, GSimIsConvexCombination) {
               w.alpha * aa.avg_sim + w.beta * aa.e_sim +
                   w.uniqueness_weight() * aa.uniqueness,
               1e-12);
+}
+
+/// A hand-built census pair clustered at one δ, for pinning which
+/// equally labelled record pairs become vertices.
+struct TinyLinkage {
+  TinyLinkage(CensusDataset old_dataset, CensusDataset new_dataset,
+              SimilarityFunction sim_func, const BlockingConfig& blocking,
+              double delta)
+      : old_d(std::move(old_dataset)),
+        new_d(std::move(new_dataset)),
+        old_graphs(EnrichAllHouseholds(old_d)),
+        new_graphs(EnrichAllHouseholds(new_d)),
+        config(WithSimFunc(std::move(sim_func))),
+        prematcher(old_d, new_d, config.sim_func, blocking, delta),
+        clustering(prematcher.Cluster(
+            delta, std::vector<bool>(old_d.num_records(), true),
+            std::vector<bool>(new_d.num_records(), true))),
+        delta(delta) {}
+
+  static LinkageConfig WithSimFunc(SimilarityFunction sim_func) {
+    LinkageConfig config;
+    config.sim_func = std::move(sim_func);
+    return config;
+  }
+
+  GroupPairSubgraph Build(GroupId old_g, GroupId new_g) const {
+    return BuildGroupPairSubgraph(old_g, new_g, old_graphs[old_g],
+                                  new_graphs[new_g], clustering, prematcher,
+                                  config, old_d, new_d, delta);
+  }
+
+  CensusDataset old_d;
+  CensusDataset new_d;
+  std::vector<HouseholdGraph> old_graphs;
+  std::vector<HouseholdGraph> new_graphs;
+  LinkageConfig config;  // owns the function the pre-matcher refers to
+  PreMatcher prematcher;
+  Clustering clustering;
+  double delta;
+};
+
+bool HasVertex(const GroupPairSubgraph& sub, RecordId o, RecordId n) {
+  for (const SubgraphVertex& v : sub.vertices) {
+    if (v.old_id == o && v.new_id == n) return true;
+  }
+  return false;
+}
+
+/// A blocking pass that keys each record by a fixed table on its external
+/// id; records absent from the table get their own id, which no record of
+/// the other census shares.
+BlockKeyFn KeyTable(std::map<std::string, std::string> keys) {
+  return [keys = std::move(keys)](const PersonRecord& r) {
+    const auto it = keys.find(r.external_id);
+    return it == keys.end() ? r.external_id : it->second;
+  };
+}
+
+TEST(SubgraphVertexRuleTest, SameLabelNonCandidateAtDeltaIsAVertex) {
+  // Old g0 = {john 39, elizabeth 37}, g1 = {john 60}; new h0 = {john 49,
+  // elizabeth 47}, h1 = {john 70}; all Johns share one name. Blocking
+  // pairs g0's John with h1's, h1's with g1's and g1's with h0's, but never
+  // g0's John with h0's: the pair is equally labelled only through that
+  // chain, yet its direct similarity (1.0) reaches δ, so §3.3 makes it a
+  // vertex.
+  CensusDataset old_d(1871);
+  old_d.AddHousehold(
+      "g0", {MakeRecord("o_john0", "john", "ashworth", Sex::kMale, 39,
+                        Role::kHead, "", "weaver"),
+             MakeRecord("o_eliz0", "elizabeth", "ashworth", Sex::kFemale, 37,
+                        Role::kWife, "", "")});
+  old_d.AddHousehold("g1", {MakeRecord("o_john1", "john", "ashworth",
+                                       Sex::kMale, 60, Role::kHead, "", "")});
+  CensusDataset new_d(1881);
+  new_d.AddHousehold(
+      "h0", {MakeRecord("n_john0", "john", "ashworth", Sex::kMale, 49,
+                        Role::kHead, "", "weaver"),
+             MakeRecord("n_eliz0", "elizabeth", "ashworth", Sex::kFemale, 47,
+                        Role::kWife, "", "")});
+  new_d.AddHousehold("h1", {MakeRecord("n_john1", "john", "ashworth",
+                                       Sex::kMale, 70, Role::kHead, "", "")});
+  BlockingConfig blocking;
+  blocking.passes = {
+      KeyTable({{"o_john0", "p"}, {"n_john1", "p"},
+                {"o_eliz0", "e"}, {"n_eliz0", "e"}}),
+      KeyTable({{"o_john1", "q"}, {"n_john1", "q"}, {"n_john0", "q"}}),
+  };
+  const TinyLinkage t(old_d, new_d, Fig3NameSimilarity(), blocking, 1.0);
+  const RecordId o_john0 = 0, o_eliz0 = 1, n_john0 = 0, n_eliz0 = 1;
+  ASSERT_EQ(t.clustering.old_labels[o_john0], t.clustering.new_labels[n_john0]);
+  ASSERT_FALSE(t.prematcher.PairSimilarity(o_john0, n_john0, 0.0).kept)
+      << "fixture: the pair must not be a kept blocking candidate";
+
+  const GroupPairSubgraph sub = t.Build(0, 0);
+  ASSERT_EQ(sub.vertices.size(), 2u);
+  EXPECT_TRUE(HasVertex(sub, o_john0, n_john0));
+  EXPECT_TRUE(HasVertex(sub, o_eliz0, n_eliz0));
+  EXPECT_EQ(sub.edges.size(), 1u);  // the spouse edge
+
+  obs::Counter& misses =
+      obs::GlobalMetrics().GetCounter("subgraph.miss_vertices");
+  const uint64_t misses0 = misses.Value();
+  const std::vector<GroupPairSubgraph> all =
+      BuildAllSubgraphs(t.old_d, t.new_d, t.old_graphs, t.new_graphs,
+                        t.clustering, t.prematcher, t.config, t.delta);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].old_group, 0u);
+  EXPECT_EQ(all[0].new_group, 0u);
+  EXPECT_TRUE(HasVertex(all[0], o_john0, n_john0));
+  // (o_john0, n_john0) is the only miss; g1's John is a blocking
+  // candidate of both new Johns.
+  EXPECT_EQ(misses.Value() - misses0, 1u);
+}
+
+TEST(SubgraphVertexRuleTest, SameLabelPairBelowDeltaIsNotAVertex) {
+  // Exact first name, surname and occupation, equally weighted; δ = 0.6
+  // accepts pairs agreeing on two of three. Old John Ashworth (weaver) and
+  // new John Riley (miner) agree only on "john" (1/3) but share a label
+  // through new John Ashworth (miner) and old John Riley (miner). The pair
+  // must not become a vertex of its group pair; the mother-daughter pair
+  // of the same households does.
+  CensusDataset old_d(1871);
+  old_d.AddHousehold(
+      "g0", {MakeRecord("o0", "john", "ashworth", Sex::kMale, 39, Role::kHead,
+                        "", "weaver"),
+             MakeRecord("o1", "mary", "ashworth", Sex::kFemale, 37,
+                        Role::kWife, "", "housewife"),
+             MakeRecord("o2", "alice", "ashworth", Sex::kFemale, 8,
+                        Role::kDaughter, "", "scholar")});
+  old_d.AddHousehold("g1", {MakeRecord("o3", "john", "riley", Sex::kMale, 45,
+                                       Role::kHead, "", "miner")});
+  CensusDataset new_d(1881);
+  new_d.AddHousehold(
+      "h0", {MakeRecord("n0", "john", "riley", Sex::kMale, 49, Role::kHead, "",
+                        "miner"),
+             MakeRecord("n1", "mary", "ashworth", Sex::kFemale, 47,
+                        Role::kWife, "", "housewife"),
+             MakeRecord("n2", "alice", "ashworth", Sex::kFemale, 18,
+                        Role::kDaughter, "", "scholar")});
+  new_d.AddHousehold("h1", {MakeRecord("n3", "john", "ashworth", Sex::kMale,
+                                       55, Role::kHead, "", "miner")});
+  const SimilarityFunction exact3(
+      {
+          {Field::kFirstName, Measure::kExact, 1.0},
+          {Field::kSurname, Measure::kExact, 1.0},
+          {Field::kOccupation, Measure::kExact, 1.0},
+      },
+      0.6);
+  const TinyLinkage t(old_d, new_d, exact3, BlockingConfig::MakeExhaustive(),
+                      0.6);
+  ASSERT_EQ(t.clustering.old_labels[0], t.clustering.new_labels[0]);
+  ASSERT_LT(t.prematcher.PairSimilarity(0, 0, 0.0).sim, t.delta);
+
+  const GroupPairSubgraph sub = t.Build(0, 0);
+  EXPECT_FALSE(HasVertex(sub, 0, 0));
+  EXPECT_TRUE(HasVertex(sub, 1, 1));
+  EXPECT_TRUE(HasVertex(sub, 2, 2));
+  EXPECT_EQ(sub.vertices.size(), 2u);
 }
 
 }  // namespace

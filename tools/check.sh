@@ -159,9 +159,10 @@ if [ "$quick" -eq 0 ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
     --target obs_threads_test parallel_test parallel_determinism_test \
-             thread_annotations_test tsan_hammer_test
+             thread_annotations_test tsan_hammer_test \
+             subgraph_equivalence_test
   stage "ctest: tsan (threaded tests)"
-  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test)$'
+  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_equivalence_test)$'
   note ran "tsan hammers"
 
   # Line-coverage floor over the blocking and similarity layers (gcov only —
