@@ -34,7 +34,8 @@ class UnionFind {
 
   /// Dense relabeling: returns labels[i] in [0, num_components) such that
   /// labels[i] == labels[j] iff i and j are connected. Label values are
-  /// assigned in order of first appearance, so they are deterministic.
+  /// assigned in order of first appearance by node index, so they depend
+  /// only on the partition, never on the order of the unions.
   [[nodiscard]] std::vector<uint32_t> ComponentLabels();
 
  private:

@@ -60,8 +60,11 @@ struct LinkageConfig {
   /// tests reproducing Fig. 4 literally).
   int vertex_age_tolerance = 6;
 
-  /// Candidate-pair generation for pre-matching.
-  BlockingConfig blocking = BlockingConfig::MakeDefault();
+  /// Candidate-pair generation, once per census pair: pre-matching scores
+  /// the candidates and the global residual pass reuses them. The inverted
+  /// index emits the same candidate set as BlockingConfig::MakeDefault()'s
+  /// hash blocking (pinned by candidate_index_property_test), faster.
+  BlockingConfig blocking = BlockingConfig::MakeInvertedIndex();
 
   /// Ablation switch: when false, households are compared on the raw
   /// head-relative role edges without enrichment (no implicit edges between

@@ -185,9 +185,10 @@ LinkageResult LinkCensusPair(const CensusDataset& old_dataset,
         {LinkPhase::kContextResidual, config.context_residual_threshold});
   }
 
-  // Residual attribute-only matching for the leftovers (lines 17-19).
+  // Residual attribute-only matching for the leftovers (lines 17-19), over
+  // the candidates pre-matching already generated.
   result.residual_record_links = MatchResidualRecords(
-      old_dataset, new_dataset, sim_func_rem, config.blocking,
+      old_dataset, new_dataset, sim_func_rem, prematcher.candidates(),
       &result.record_mapping, &result.group_mapping, &active_old, &active_new);
   result.provenance.resize(result.record_mapping.size(),
                            {LinkPhase::kGlobalResidual,

@@ -21,79 +21,57 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
       sim_cache_(sim_func, old_dataset, new_dataset) {
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
-  const std::vector<CandidatePair> candidates =
-      GenerateCandidatePairs(old_dataset, new_dataset, blocking);
+  candidates_ = GenerateCandidatePairs(old_dataset, new_dataset, blocking);
   // Score chunks in parallel; the per-candidate results come back in
-  // candidate order, so the serial keep/merge below is bit-identical to
+  // candidate order, so the serial keep loop below is bit-identical to
   // the single-threaded path. Passing min_threshold down lets the batched
   // kernels reject provably-losing pairs in O(1); the SimCache::kPruned
   // sentinel (-1) is below every admissible threshold, so the keep filter
   // needs no extra branch and the kept set equals the exact one.
   const std::vector<double> sims = ParallelMap<double>(
-      candidates.size(), "prematch.score_chunk",
-      [this, &candidates, min_threshold](size_t i) {
-        const CandidatePair& cand = candidates[i];
+      candidates_.size(), "prematch.score_chunk",
+      [this, min_threshold](size_t i) {
+        const CandidatePair& cand = candidates_[i];
         return sim_cache_.AggregateWithThreshold(cand.old_id, cand.new_id,
                                                  min_threshold);
       });
   // Candidates arrive sorted by (old, new), so appending the kept ones in
-  // candidate order fills each old record's row of the kept-pair index in
-  // ascending new id; the row offsets are a prefix sum of the row sizes.
-  const size_t num_kept = static_cast<size_t>(std::count_if(
+  // candidate order fills each old record's row in ascending new id; the
+  // row offsets are a prefix sum of the row sizes.
+  scored_pairs_.reserve(static_cast<size_t>(std::count_if(
       sims.begin(), sims.end(),
-      [min_threshold](double sim) { return sim >= min_threshold; }));
-  scored_pairs_.reserve(num_kept);
-  kept_new_.reserve(num_kept);
-  kept_sim_.reserve(num_kept);
+      [min_threshold](double sim) { return sim >= min_threshold; })));
   kept_row_.assign(old_dataset.num_records() + 1, 0);
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  for (size_t i = 0; i < candidates_.size(); ++i) {
     const double sim = sims[i];
     if (sim >= min_threshold) {
-      const CandidatePair& cand = candidates[i];
-      TGLINK_DCHECK(i == 0 || candidates[i - 1].old_id < cand.old_id ||
-                    (candidates[i - 1].old_id == cand.old_id &&
-                     candidates[i - 1].new_id < cand.new_id))
+      const CandidatePair& cand = candidates_[i];
+      TGLINK_DCHECK(i == 0 || candidates_[i - 1].old_id < cand.old_id ||
+                    (candidates_[i - 1].old_id == cand.old_id &&
+                     candidates_[i - 1].new_id < cand.new_id))
           << "blocking candidates not sorted by (old, new) at " << i;
       TGLINK_HISTOGRAM_SCORE("prematch.kept_pair_sim", sim);
       scored_pairs_.push_back({cand.old_id, cand.new_id, sim});
-      kept_new_.push_back(cand.new_id);
-      kept_sim_.push_back(sim);
       ++kept_row_[cand.old_id + 1];
     }
   }
   for (size_t o = 0; o < old_dataset.num_records(); ++o) {
     kept_row_[o + 1] += kept_row_[o];
   }
-  // Descending-sim order makes the pairs admissible at any δ a prefix, so
-  // the per-iteration Cluster/CountPairsAtDelta never rescan pairs the
-  // current threshold already excludes. Ties break on (old, new) for
-  // deterministic union-find label assignment.
-  std::sort(scored_pairs_.begin(), scored_pairs_.end(),
-            [](const ScoredPair& a, const ScoredPair& b) {
-              if (a.sim != b.sim) return a.sim > b.sim;
-              if (a.old_id != b.old_id) return a.old_id < b.old_id;
-              return a.new_id < b.new_id;
-            });
-  TGLINK_COUNTER_ADD("prematch.pairs_scored", candidates.size());
+  TGLINK_COUNTER_ADD("prematch.pairs_scored", candidates_.size());
   TGLINK_COUNTER_ADD("prematch.pairs_kept", scored_pairs_.size());
-}
-
-size_t PreMatcher::PrefixAtDelta(double delta) const {
-  const auto it = std::partition_point(
-      scored_pairs_.begin(), scored_pairs_.end(),
-      [delta](const ScoredPair& p) { return p.sim + 1e-12 >= delta; });
-  return static_cast<size_t>(it - scored_pairs_.begin());
 }
 
 size_t PreMatcher::CountPairsAtDelta(double delta,
                                      const std::vector<bool>& active_old,
                                      const std::vector<bool>& active_new)
     const {
-  const size_t prefix = PrefixAtDelta(delta);
   size_t count = 0;
-  for (size_t i = 0; i < prefix; ++i) {
-    const ScoredPair& p = scored_pairs_[i];
-    if (active_old[p.old_id] && active_new[p.new_id]) ++count;
+  for (const ScoredPair& p : scored_pairs_) {
+    if (p.sim + 1e-12 >= delta && active_old[p.old_id] &&
+        active_new[p.new_id]) {
+      ++count;
+    }
   }
   return count;
 }
@@ -101,12 +79,12 @@ size_t PreMatcher::CountPairsAtDelta(double delta,
 PreMatcher::PairSim PreMatcher::PairSimilarity(RecordId old_id,
                                                RecordId new_id,
                                                double min_sim) const {
-  const auto row_begin = kept_new_.begin() + kept_row_[old_id];
-  const auto row_end = kept_new_.begin() + kept_row_[old_id + 1];
-  const auto it = std::lower_bound(row_begin, row_end, new_id);
-  if (it != row_end && *it == new_id) {
-    return {kept_sim_[static_cast<size_t>(it - kept_new_.begin())], true};
-  }
+  const auto row_begin = scored_pairs_.begin() + kept_row_[old_id];
+  const auto row_end = scored_pairs_.begin() + kept_row_[old_id + 1];
+  const auto it = std::lower_bound(
+      row_begin, row_end, new_id,
+      [](const ScoredPair& p, RecordId id) { return p.new_id < id; });
+  if (it != row_end && it->new_id == new_id) return {it->sim, true};
   TGLINK_COUNTER_INC("simcache.prematch_miss");
   return {sim_cache_.AggregateWithThreshold(old_id, new_id, min_sim), false};
 }
@@ -120,13 +98,13 @@ Clustering PreMatcher::Cluster(double delta,
   assert(active_old.size() == n_old && active_new.size() == n_new);
 
   // Transitive closure over accepted pairs; node space is old records
-  // followed by new records. Only the δ prefix of the descending-sim
-  // order can contribute unions.
-  const size_t prefix = PrefixAtDelta(delta);
+  // followed by new records.
   UnionFind uf(n_old + n_new);
-  for (size_t i = 0; i < prefix; ++i) {
-    const ScoredPair& pair = scored_pairs_[i];
-    if (!active_old[pair.old_id] || !active_new[pair.new_id]) continue;
+  for (const ScoredPair& pair : scored_pairs_) {
+    if (pair.sim + 1e-12 < delta || !active_old[pair.old_id] ||
+        !active_new[pair.new_id]) {
+      continue;
+    }
     uf.Union(pair.old_id, n_old + pair.new_id);
   }
   std::vector<uint32_t> labels = uf.ComponentLabels();

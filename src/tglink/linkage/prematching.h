@@ -8,21 +8,18 @@
 // scores each candidate pair exactly once — at the lowest threshold the
 // schedule will ever use — and each iteration's clustering is a cheap filter
 // over the cached scores. Scoring fans out over the shared thread pool
-// (util/parallel.h) with an ordered merge, and individual string-measure
-// results are memoized in a SimCache, so the output is bit-identical to a
-// serial, uncached run. The kept pairs are then sorted by descending
-// similarity once, so each δ round touches only the prefix of pairs at or
-// above its threshold instead of rescanning everything.
+// (util/parallel.h) with an ordered merge, so the output is bit-identical
+// to a serial run.
 //
-// Subgraph construction also needs the direct similarity of equally
-// labelled pairs. Blocking candidates arrive sorted by (old, new), so the
-// keep loop also fills a flat row index over the kept pairs: one row of
-// ascending new ids and their similarities per old record. PairSimilarity
-// serves a kept pair by a binary search in its row. Any other pair — a
+// Blocking candidates arrive sorted by (old, new), and the kept pairs stay
+// in that order: one row of ascending new ids per old record, which is both
+// the per-δ clustering input and the index behind PairSimilarity. A kept
+// pair is served by a binary search in its row. Any other pair — a
 // "prematch miss": not a blocking candidate, or one scored below
 // min_threshold — is scored on demand through the thresholded kernels,
 // which may answer SimCache::kPruned when the pair provably cannot reach
-// the caller's cutoff.
+// the caller's cutoff. The candidate list itself is kept for the global
+// residual pass, so a census pair is blocked once.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
@@ -73,17 +70,16 @@ class PreMatcher {
              const SimilarityFunction& sim_func, const BlockingConfig& blocking,
              double min_threshold);
 
-  /// Cached pairs with sim >= min_threshold, sorted by descending sim
-  /// (ties by ascending (old, new)) so that the pairs admissible at any δ
-  /// form a prefix — see PrefixAtDelta.
+  /// Cached pairs with sim >= min_threshold, in ascending (old, new)
+  /// order.
   const std::vector<ScoredPair>& scored_pairs() const { return scored_pairs_; }
 
-  /// Number of leading scored_pairs() entries with sim >= delta (within
-  /// the usual 1e-12 tolerance). O(log n).
-  [[nodiscard]] size_t PrefixAtDelta(double delta) const;
+  /// Every blocking candidate, sorted by (old, new) — the list the global
+  /// residual pass scores with its own matcher.
+  const std::vector<CandidatePair>& candidates() const { return candidates_; }
 
-  /// Pairs admissible at `delta` between still-active records — the
-  /// per-iteration "scored pairs" diagnostic. Walks only the δ prefix.
+  /// Pairs admissible at `delta` (sim within 1e-12 of it or above) between
+  /// still-active records — the per-iteration "scored pairs" diagnostic.
   [[nodiscard]] size_t CountPairsAtDelta(
       double delta, const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;
@@ -96,7 +92,7 @@ class PreMatcher {
 
   /// agg_sim for any record pair. A kept pair (a blocking candidate with
   /// sim >= min_threshold) returns its cached value, found by a binary
-  /// search in the old record's row of the kept-pair index. Any other pair
+  /// search in the old record's row of scored_pairs(). Any other pair
   /// is a miss, counted as "simcache.prematch_miss" and scored through
   /// SimCache::AggregateWithThreshold(old_id, new_id, min_sim): the exact
   /// aggregate, or SimCache::kPruned when the batched bounds prove it is
@@ -107,7 +103,9 @@ class PreMatcher {
 
   /// Clusters active records using pairs with sim >= delta (the
   /// `prematching` step of one Algorithm 1 iteration). `active_*[r]` is
-  /// false for records already matched.
+  /// false for records already matched. Labels do not depend on the order
+  /// of the unions (UnionFind::ComponentLabels numbers components by node
+  /// index), so walking the pairs in (old, new) order is exact.
   Clustering Cluster(double delta, const std::vector<bool>& active_old,
                      const std::vector<bool>& active_new) const;
 
@@ -115,12 +113,11 @@ class PreMatcher {
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
   SimCache sim_cache_;
-  std::vector<ScoredPair> scored_pairs_;  // descending sim
-  // Kept pairs indexed by old record: row o spans [kept_row_[o],
-  // kept_row_[o + 1]) of kept_new_ / kept_sim_, in ascending new id.
+  std::vector<CandidatePair> candidates_;
+  // Kept pairs in (old, new) order: row o spans [kept_row_[o],
+  // kept_row_[o + 1]) of scored_pairs_.
+  std::vector<ScoredPair> scored_pairs_;
   std::vector<size_t> kept_row_;
-  std::vector<RecordId> kept_new_;
-  std::vector<double> kept_sim_;
 };
 
 }  // namespace tglink

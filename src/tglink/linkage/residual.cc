@@ -13,7 +13,8 @@ namespace tglink {
 
 std::vector<ScoredPair> GreedyOneToOneMatch(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    const SimilarityFunction& sim_func, const BlockingConfig& blocking,
+    const SimilarityFunction& sim_func,
+    const std::vector<CandidatePair>& candidates,
     const std::vector<bool>& active_old, const std::vector<bool>& active_new) {
   // Filter to active candidates serially, fan the scoring out over the
   // shared pool, then keep threshold survivors in candidate order — the
@@ -21,23 +22,21 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
   // through the batched kernel substrate with the accept threshold as the
   // pruning cutoff; kPruned (-1) never survives the keep filter and
   // pruning is sound, so the kept set equals the exact one.
-  std::vector<CandidatePair> candidates;
-  for (const CandidatePair& cand :
-       GenerateCandidatePairs(old_dataset, new_dataset, blocking)) {
+  std::vector<CandidatePair> active;
+  for (const CandidatePair& cand : candidates) {
     if (!active_old[cand.old_id] || !active_new[cand.new_id]) continue;
-    candidates.push_back(cand);
+    active.push_back(cand);
   }
   const SimCache sim_cache(sim_func, old_dataset, new_dataset);
   const std::vector<double> sims = ParallelMap<double>(
-      candidates.size(), "residual.score_chunk", [&](size_t i) {
-        return sim_cache.AggregateWithThreshold(candidates[i].old_id,
-                                                candidates[i].new_id,
-                                                sim_func.threshold());
+      active.size(), "residual.score_chunk", [&](size_t i) {
+        return sim_cache.AggregateWithThreshold(
+            active[i].old_id, active[i].new_id, sim_func.threshold());
       });
   std::vector<ScoredPair> scored;
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  for (size_t i = 0; i < active.size(); ++i) {
     if (sims[i] >= sim_func.threshold()) {
-      scored.push_back({candidates[i].old_id, candidates[i].new_id, sims[i]});
+      scored.push_back({active[i].old_id, active[i].new_id, sims[i]});
     }
   }
   std::sort(scored.begin(), scored.end(),
@@ -56,6 +55,16 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
     accepted.push_back(pair);
   }
   return accepted;
+}
+
+std::vector<ScoredPair> GreedyOneToOneMatch(
+    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const SimilarityFunction& sim_func, const BlockingConfig& blocking,
+    const std::vector<bool>& active_old, const std::vector<bool>& active_new) {
+  return GreedyOneToOneMatch(
+      old_dataset, new_dataset, sim_func,
+      GenerateCandidatePairs(old_dataset, new_dataset, blocking), active_old,
+      active_new);
 }
 
 size_t MatchWithinLinkedHouseholds(const CensusDataset& old_dataset,
@@ -105,15 +114,16 @@ size_t MatchWithinLinkedHouseholds(const CensusDataset& old_dataset,
 size_t MatchResidualRecords(const CensusDataset& old_dataset,
                             const CensusDataset& new_dataset,
                             const SimilarityFunction& sim_func,
-                            const BlockingConfig& blocking,
+                            const std::vector<CandidatePair>& candidates,
                             RecordMapping* record_mapping,
                             GroupMapping* group_mapping,
                             std::vector<bool>* active_old,
                             std::vector<bool>* active_new) {
   TGLINK_TRACE_SPAN("residual.global");
   TGLINK_MEM_STAGE("residual.global");
-  const std::vector<ScoredPair> links = GreedyOneToOneMatch(
-      old_dataset, new_dataset, sim_func, blocking, *active_old, *active_new);
+  const std::vector<ScoredPair> links =
+      GreedyOneToOneMatch(old_dataset, new_dataset, sim_func, candidates,
+                          *active_old, *active_new);
   for (const ScoredPair& link : links) {
     const Status st = record_mapping->Add(link.old_id, link.new_id);
     assert(st.ok());
@@ -125,6 +135,20 @@ size_t MatchResidualRecords(const CensusDataset& old_dataset,
   }
   TGLINK_COUNTER_ADD("residual.global_links", links.size());
   return links.size();
+}
+
+size_t MatchResidualRecords(const CensusDataset& old_dataset,
+                            const CensusDataset& new_dataset,
+                            const SimilarityFunction& sim_func,
+                            const BlockingConfig& blocking,
+                            RecordMapping* record_mapping,
+                            GroupMapping* group_mapping,
+                            std::vector<bool>* active_old,
+                            std::vector<bool>* active_new) {
+  return MatchResidualRecords(
+      old_dataset, new_dataset, sim_func,
+      GenerateCandidatePairs(old_dataset, new_dataset, blocking),
+      record_mapping, group_mapping, active_old, active_new);
 }
 
 }  // namespace tglink

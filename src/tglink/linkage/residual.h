@@ -21,7 +21,16 @@ namespace tglink {
 /// Greedy 1:1 matching: scores every candidate pair of active records with
 /// `sim_func`, keeps pairs at or above its threshold, and accepts them in
 /// descending similarity order while both endpoints are free. Returns the
-/// accepted links (old, new, sim), deterministically ordered.
+/// accepted links (old, new, sim), deterministically ordered. `candidates`
+/// must be deduplicated and sorted by (old, new), as GenerateCandidatePairs
+/// and PreMatcher::candidates() return them.
+std::vector<ScoredPair> GreedyOneToOneMatch(
+    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const SimilarityFunction& sim_func,
+    const std::vector<CandidatePair>& candidates,
+    const std::vector<bool>& active_old, const std::vector<bool>& active_new);
+
+/// As above over GenerateCandidatePairs(old_dataset, new_dataset, blocking).
 std::vector<ScoredPair> GreedyOneToOneMatch(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const SimilarityFunction& sim_func, const BlockingConfig& blocking,
@@ -31,6 +40,16 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
 /// group mappings (lines 17-19 of Algorithm 1): each accepted record link
 /// also links the owning households. Newly matched records are deactivated.
 /// Returns the number of record links added.
+size_t MatchResidualRecords(const CensusDataset& old_dataset,
+                            const CensusDataset& new_dataset,
+                            const SimilarityFunction& sim_func,
+                            const std::vector<CandidatePair>& candidates,
+                            RecordMapping* record_mapping,
+                            GroupMapping* group_mapping,
+                            std::vector<bool>* active_old,
+                            std::vector<bool>* active_new);
+
+/// As above over GenerateCandidatePairs(old_dataset, new_dataset, blocking).
 size_t MatchResidualRecords(const CensusDataset& old_dataset,
                             const CensusDataset& new_dataset,
                             const SimilarityFunction& sim_func,

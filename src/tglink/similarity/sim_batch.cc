@@ -47,6 +47,26 @@ PairScratch& ThreadPairScratch() {
   return scratch;
 }
 
+/// Source of SimBatch generations. A new batch can reuse a destroyed
+/// batch's address, so memo entries name their batch by generation, which
+/// is never reused; 0 marks an empty slot.
+std::atomic<uint64_t> g_next_generation{1};
+
+/// One slot of a value-pair memo: the exact kernel value of (old value
+/// id, the slot's new value id) under one batch generation.
+struct MemoSlot {
+  uint64_t key = 0;  // (generation << 32) | old value id; 0 = empty
+  double value = 0.0;
+};
+
+// The per-thread value-pair memo of the string-kernel plans: per spec
+// index, a direct-mapped table indexed by the new value id. Thread-owned
+// like the scratch above, so no capability annotation applies.
+std::vector<std::vector<MemoSlot>>& ThreadValuePairMemo() {
+  thread_local std::vector<std::vector<MemoSlot>> memo;
+  return memo;
+}
+
 }  // namespace
 
 bool BatchKernelsEnabled() {
@@ -60,7 +80,12 @@ void SetBatchKernelsEnabled(bool enabled) {
 SimBatch::SimBatch(const SimilarityFunction& fn,
                    const CensusDataset& old_dataset,
                    const CensusDataset& new_dataset)
-    : fn_(fn), old_dataset_(old_dataset), new_dataset_(new_dataset) {
+    : fn_(fn),
+      old_dataset_(old_dataset),
+      new_dataset_(new_dataset),
+      generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {
+  TGLINK_CHECK(generation_ <= UINT32_MAX)
+      << "SimBatch generation " << generation_ << " overflows the memo key";
   TGLINK_TRACE_SPAN("simkernel.build_batch");
   TGLINK_MEM_STAGE("simkernel.build_batch");
   const std::vector<AttributeSpec>& specs = fn.specs();
@@ -214,50 +239,66 @@ double SimBatch::PresentValue(size_t spec_index, uint32_t va, uint32_t vb,
       const FieldTable& t = tables_[plan.table];
       return t.soundex_codes[va] == t.soundex_codes[vb] ? 1.0 : 0.0;
     }
-    case Plan::kBigramDice: {
-      if (va == vb) return 1.0;
-      const FieldTable& t = tables_[plan.table];
-      return simkernel::DiceProfileKernel(
-          t.gram2_data.data() + t.gram2_starts[va],
-          t.gram2_starts[va + 1] - t.gram2_starts[va],
-          t.gram2_data.data() + t.gram2_starts[vb],
-          t.gram2_starts[vb + 1] - t.gram2_starts[vb], kernel_min);
-    }
-    case Plan::kTrigramDice: {
-      if (va == vb) return 1.0;
-      const FieldTable& t = tables_[plan.table];
-      return simkernel::DiceProfileKernel(
-          t.gram3_data.data() + t.gram3_starts[va],
-          t.gram3_starts[va + 1] - t.gram3_starts[va],
-          t.gram3_data.data() + t.gram3_starts[vb],
-          t.gram3_starts[vb + 1] - t.gram3_starts[vb], kernel_min);
-    }
-    case Plan::kLevenshtein: {
-      if (va == vb) return 1.0;
-      const FieldTable& t = tables_[plan.table];
-      return simkernel::LevenshteinKernel(t.Ref(va), t.Ref(vb), kernel_min);
-    }
-    case Plan::kDamerau: {
-      if (va == vb) return 1.0;
-      const FieldTable& t = tables_[plan.table];
-      return simkernel::DamerauKernel(t.Ref(va), t.Ref(vb), kernel_min);
-    }
-    case Plan::kJaro: {
-      if (va == vb) return 1.0;
-      const FieldTable& t = tables_[plan.table];
-      return simkernel::JaroKernel(t.Ref(va), t.Ref(vb), kernel_min);
-    }
-    case Plan::kJaroWinkler: {
-      if (va == vb) return 1.0;
-      const FieldTable& t = tables_[plan.table];
-      return simkernel::JaroWinklerKernel(t.Ref(va), t.Ref(vb), kernel_min);
-    }
     case Plan::kFallback: {
       const FieldTable& t = tables_[plan.table];
       return fallback(spec_index, va, vb, t.Ref(va).view(), t.Ref(vb).view());
     }
+    case Plan::kBigramDice:
+    case Plan::kTrigramDice:
+    case Plan::kLevenshtein:
+    case Plan::kDamerau:
+    case Plan::kJaro:
+    case Plan::kJaroWinkler:
+      break;  // string kernels, through the value-pair memo below
   }
-  return 0.0;
+  if (va == vb) return 1.0;
+  const FieldTable& t = tables_[plan.table];
+  // The memo holds exact results only: a hit where the kernel would have
+  // pruned returns the exact value, which the caller's running-cutoff
+  // check then rejects as before.
+  std::vector<std::vector<MemoSlot>>& memo = ThreadValuePairMemo();
+  if (memo.size() <= spec_index) memo.resize(spec_index + 1);
+  std::vector<MemoSlot>& slots = memo[spec_index];
+  if (slots.size() < t.num_values()) slots.resize(t.num_values());
+  MemoSlot& slot = slots[vb];
+  const uint64_t key = (generation_ << 32) | va;
+  if (slot.key == key) return slot.value;
+  double s = 0.0;
+  switch (plan.plan) {
+    case Plan::kBigramDice:
+      s = simkernel::DiceProfileKernel(
+          t.gram2_data.data() + t.gram2_starts[va],
+          t.gram2_starts[va + 1] - t.gram2_starts[va],
+          t.gram2_data.data() + t.gram2_starts[vb],
+          t.gram2_starts[vb + 1] - t.gram2_starts[vb], kernel_min);
+      break;
+    case Plan::kTrigramDice:
+      s = simkernel::DiceProfileKernel(
+          t.gram3_data.data() + t.gram3_starts[va],
+          t.gram3_starts[va + 1] - t.gram3_starts[va],
+          t.gram3_data.data() + t.gram3_starts[vb],
+          t.gram3_starts[vb + 1] - t.gram3_starts[vb], kernel_min);
+      break;
+    case Plan::kLevenshtein:
+      s = simkernel::LevenshteinKernel(t.Ref(va), t.Ref(vb), kernel_min);
+      break;
+    case Plan::kDamerau:
+      s = simkernel::DamerauKernel(t.Ref(va), t.Ref(vb), kernel_min);
+      break;
+    case Plan::kJaro:
+      s = simkernel::JaroKernel(t.Ref(va), t.Ref(vb), kernel_min);
+      break;
+    case Plan::kJaroWinkler:
+      s = simkernel::JaroWinklerKernel(t.Ref(va), t.Ref(vb), kernel_min);
+      break;
+    case Plan::kAge:
+    case Plan::kExactId:
+    case Plan::kSoundex:
+    case Plan::kFallback:
+      break;  // answered above
+  }
+  if (s != simkernel::kBelowMinSim) slot = {key, s};
+  return s;
 }
 
 double SimBatch::Aggregate(RecordId old_id, RecordId new_id,

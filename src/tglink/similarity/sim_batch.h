@@ -29,9 +29,22 @@
 // Smith-Waterman, LCS) are delegated to a caller-supplied fallback — in
 // practice SimCache's memo — and never prune.
 //
+// Value-pair memo: the string-kernel plans (Dice, edit and Jaro family —
+// not exact, Soundex, age or fallback) consult a per-thread direct-mapped
+// table per spec index, indexed by the new value id, before running the
+// kernel. A slot holds the exact kernel result for one (batch generation,
+// old value id) key; the generation is unique per process, so a batch
+// built at a destroyed batch's address never sees its entries. Only exact
+// results are stored, never kBelowMinSim: a hit where the kernel would
+// have pruned yields the exact value, which the running-cutoff check then
+// rejects, so pruning stays sound and every result is unchanged.
+// Candidates sorted by old record make the memo pay: household members
+// are adjacent and share surname, address and often occupation.
+//
 // Thread safety: construction is single-threaded; Aggregate and
 // AggregateWithThreshold are lock-free over immutable tables (plus
-// thread-local scratch) and safe to call concurrently from pool workers.
+// thread-local scratch and memo) and safe to call concurrently from pool
+// workers.
 
 #ifndef TGLINK_SIMILARITY_SIM_BATCH_H_
 #define TGLINK_SIMILARITY_SIM_BATCH_H_
@@ -197,6 +210,8 @@ class SimBatch {
   const SimilarityFunction& fn_;
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
+  // Names this batch in the per-thread value-pair memo; unique per process.
+  const uint64_t generation_;
   std::vector<FieldTable> tables_;
   std::vector<SpecPlan> plans_;  // parallel to fn.specs()
   int field_table_[6] = {-1, -1, -1, -1, -1, -1};  // Field -> tables_ index

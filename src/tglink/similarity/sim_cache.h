@@ -7,10 +7,12 @@
 // Batched mode (default): components with an allocation-free kernel
 // (exact, q-gram Dice, edit/Jaro family, Soundex — see
 // simkernel::HasBatchKernel) are evaluated directly against SimBatch's
-// interned arena + precomputed profiles; they are cheap enough that a memo
-// lookup would cost more than the kernel. Only the heavyweight measures
-// without a kernel (Monge-Elkan, double-metaphone, Smith-Waterman, LCS) go
-// through the sharded memo. AggregateWithThreshold additionally applies the
+// interned arena + precomputed profiles; they are cheap enough that a
+// locked memo lookup would cost more than the kernel, so the string
+// kernels use SimBatch's lock-free per-thread value-pair memo instead (see
+// sim_batch.h). Only the heavyweight measures without a kernel
+// (Monge-Elkan, double-metaphone, Smith-Waterman, LCS) go through the
+// sharded memo. AggregateWithThreshold additionally applies the
 // bound-pruning screen and returns kPruned for pairs provably below the
 // cutoff.
 //

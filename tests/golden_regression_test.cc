@@ -114,14 +114,14 @@ TEST(GoldenRegressionTest, FullLinkageMatchesCheckedInGolden) {
       << "linkage quality drifted from the golden fingerprint; if the "
          "change is intentional, regenerate with TGLINK_REGEN_GOLDEN=1";
 
-  // End-to-end equivalence: the inverted-index blocking path must yield the
-  // byte-identical quality fingerprint.
-  LinkageConfig index_config = config;
-  index_config.blocking = BlockingConfig::MakeInvertedIndex();
-  const LinkageResult index_result =
-      LinkCensusPair(pair.old_dataset, pair.new_dataset, index_config);
-  EXPECT_EQ(QualityJson(index_result, gold.value()), actual)
-      << "inverted-index blocking changed end-to-end linkage output";
+  // End-to-end equivalence: hash blocking must yield the byte-identical
+  // quality fingerprint of the default inverted-index path.
+  LinkageConfig hash_config = config;
+  hash_config.blocking = BlockingConfig::MakeDefault();
+  const LinkageResult hash_result =
+      LinkCensusPair(pair.old_dataset, pair.new_dataset, hash_config);
+  EXPECT_EQ(QualityJson(hash_result, gold.value()), actual)
+      << "hash blocking changed end-to-end linkage output";
 }
 
 // The scenario grid's coordinates: small enough to keep the whole preset

@@ -1,14 +1,18 @@
 #include "tglink/linkage/prematching.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tglink/linkage/config.h"
 #include "tglink/synth/generator.h"
 #include "tglink/synth/scenario.h"
+#include "tglink/util/parallel.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -214,6 +218,156 @@ TEST(PreMatchingTest, ScreenedLookupIsExactOrProvablyBelowCutoff) {
   EXPECT_GT(exact_misses, 0u);
   EXPECT_GT(pruned, 0u);
 }
+
+/// The clustering of §3.2 computed the slow, obvious way: a parent-array
+/// forest without ranks or path compression over the kept pairs that clear
+/// δ between active records, then one label per component numbered in
+/// order of its first node (old records first, then new records).
+struct ReferenceClustering {
+  std::vector<uint32_t> old_labels;
+  std::vector<uint32_t> new_labels;
+  size_t num_labels = 0;
+  size_t pairs = 0;  // kept pairs that clear δ between active records
+};
+
+ReferenceClustering ReferenceCluster(
+    const std::vector<ScoredPair>& kept, size_t n_old, size_t n_new,
+    double delta, const std::vector<bool>& active_old,
+    const std::vector<bool>& active_new) {
+  std::vector<size_t> parent(n_old + n_new);
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  const auto root = [&parent](size_t x) {
+    while (parent[x] != x) x = parent[x];
+    return x;
+  };
+  ReferenceClustering ref;
+  for (const ScoredPair& p : kept) {
+    if (p.sim + 1e-12 < delta) continue;
+    if (!active_old[p.old_id] || !active_new[p.new_id]) continue;
+    ++ref.pairs;
+    const size_t a = root(p.old_id);
+    const size_t b = root(n_old + p.new_id);
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  }
+  std::vector<uint32_t> label_of_root(parent.size(), Clustering::kNoLabel);
+  std::vector<uint32_t> labels(parent.size());
+  for (size_t x = 0; x < parent.size(); ++x) {
+    uint32_t& label = label_of_root[root(x)];
+    if (label == Clustering::kNoLabel) {
+      label = static_cast<uint32_t>(ref.num_labels++);
+    }
+    labels[x] = label;
+  }
+  ref.old_labels.assign(n_old, Clustering::kNoLabel);
+  ref.new_labels.assign(n_new, Clustering::kNoLabel);
+  for (size_t r = 0; r < n_old; ++r) {
+    if (active_old[r]) ref.old_labels[r] = labels[r];
+  }
+  for (size_t r = 0; r < n_new; ++r) {
+    if (active_new[r]) ref.new_labels[r] = labels[n_old + r];
+  }
+  return ref;
+}
+
+/// Roughly a third of the records inactive, as after an iteration's
+/// selection; a fixed function of the record id.
+std::vector<bool> PartlyActive(size_t n, uint64_t salt) {
+  std::vector<bool> active(n);
+  for (size_t r = 0; r < n; ++r) {
+    active[r] = ((r + 1) * 0x9E3779B97F4A7C15ULL + salt) % 3 != 0;
+  }
+  return active;
+}
+
+class PreMatchingClusterOracleTest : public ::testing::TestWithParam<int> {
+ protected:
+  void TearDown() override { SetParallelThreadCount(1); }
+};
+
+// Cluster and CountPairsAtDelta walk the kept pairs in (old, new) order;
+// the reference rescans them per δ with its own forest. Labels, member
+// lists and pair counts must agree exactly at every δ of the default
+// schedule, on every scenario preset, with all records active and with a
+// third of them inactive.
+TEST_P(PreMatchingClusterOracleTest, MatchesBruteForceUnionFind) {
+  SetParallelThreadCount(GetParam());
+  const LinkageConfig config = configs::DefaultConfig();
+  for (const ScenarioPreset& preset : ScenarioPresets()) {
+    SCOPED_TRACE(std::string(preset.name));
+    auto scenario = ParseScenario(preset.json);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    GeneratorConfig gen = scenario.value().config;
+    gen.seed = 42;
+    gen.scale = 0.05;
+    gen.num_censuses = 4;
+    const SyntheticPair pair = GenerateCensusPair(gen, 2);
+    const CensusDataset& old_d = pair.old_dataset;
+    const CensusDataset& new_d = pair.new_dataset;
+    SimilarityFunction f = config.sim_func;
+    f.set_year_gap(new_d.year() - old_d.year());
+    const PreMatcher pm(old_d, new_d, f, config.blocking, config.delta_low);
+
+    // The kept pairs themselves: every blocking candidate whose exact
+    // aggregate reaches δ_low, in (old, new) order.
+    std::vector<ScoredPair> kept;
+    for (const CandidatePair& c : GenerateCandidatePairs(
+             old_d, new_d, BlockingConfig::MakeDefault())) {
+      const double sim =
+          f.AggregateSimilarity(old_d.record(c.old_id), new_d.record(c.new_id));
+      if (sim >= config.delta_low) kept.push_back({c.old_id, c.new_id, sim});
+    }
+    ASSERT_EQ(pm.scored_pairs().size(), kept.size());
+    for (size_t i = 0; i < kept.size(); ++i) {
+      ASSERT_EQ(pm.scored_pairs()[i].old_id, kept[i].old_id) << i;
+      ASSERT_EQ(pm.scored_pairs()[i].new_id, kept[i].new_id) << i;
+      ASSERT_EQ(pm.scored_pairs()[i].sim, kept[i].sim) << i;
+    }
+
+    const size_t n_old = old_d.num_records();
+    const size_t n_new = new_d.num_records();
+    const std::vector<std::vector<bool>> old_masks = {
+        std::vector<bool>(n_old, true), PartlyActive(n_old, 1)};
+    const std::vector<std::vector<bool>> new_masks = {
+        std::vector<bool>(n_new, true), PartlyActive(n_new, 2)};
+    int rounds = 0;
+    for (double delta = config.delta_high;
+         delta + 1e-9 >= config.delta_low; delta -= config.delta_step) {
+      ++rounds;
+      for (size_t m = 0; m < old_masks.size(); ++m) {
+        SCOPED_TRACE("delta=" + std::to_string(delta) +
+                     " mask=" + std::to_string(m));
+        const std::vector<bool>& active_old = old_masks[m];
+        const std::vector<bool>& active_new = new_masks[m];
+        const Clustering got = pm.Cluster(delta, active_old, active_new);
+        const ReferenceClustering ref = ReferenceCluster(
+            kept, n_old, n_new, delta, active_old, active_new);
+        EXPECT_EQ(got.num_labels, ref.num_labels);
+        EXPECT_EQ(got.old_labels, ref.old_labels);
+        EXPECT_EQ(got.new_labels, ref.new_labels);
+        EXPECT_EQ(pm.CountPairsAtDelta(delta, active_old, active_new),
+                  ref.pairs);
+        // Member lists: each label's active records, ascending.
+        std::vector<std::vector<RecordId>> old_members(ref.num_labels);
+        std::vector<std::vector<RecordId>> new_members(ref.num_labels);
+        for (RecordId r = 0; r < n_old; ++r) {
+          if (active_old[r]) old_members[ref.old_labels[r]].push_back(r);
+        }
+        for (RecordId r = 0; r < n_new; ++r) {
+          if (active_new[r]) new_members[ref.new_labels[r]].push_back(r);
+        }
+        EXPECT_EQ(got.label_old_members, old_members);
+        EXPECT_EQ(got.label_new_members, new_members);
+      }
+    }
+    EXPECT_EQ(rounds, 5);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PreMatchingClusterOracleTest,
+                         ::testing::Values(1, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace tglink

@@ -1,10 +1,15 @@
 #include "tglink/linkage/residual.h"
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tglink/linkage/config.h"
+#include "tglink/linkage/prematching.h"
+#include "tglink/synth/generator.h"
+#include "tglink/synth/scenario.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -85,6 +90,85 @@ TEST(ResidualTest, MatchResidualExtendsGroupMapping) {
                                 new_d.record(link.second).group));
     EXPECT_FALSE(active_old[link.first]);
     EXPECT_FALSE(active_new[link.second]);
+  }
+}
+
+/// The global residual pass on one activity mask, over `candidates`.
+struct ResidualOutcome {
+  size_t added = 0;
+  std::vector<RecordLink> records;
+  std::vector<GroupLink> groups;
+  std::vector<bool> active_old;
+  std::vector<bool> active_new;
+};
+
+template <typename Candidates>
+ResidualOutcome RunResidual(const CensusDataset& old_d,
+                            const CensusDataset& new_d,
+                            const SimilarityFunction& f,
+                            const Candidates& candidates,
+                            std::vector<bool> active_old,
+                            std::vector<bool> active_new) {
+  RecordMapping records(old_d.num_records(), new_d.num_records());
+  GroupMapping groups;
+  ResidualOutcome out;
+  out.added = MatchResidualRecords(old_d, new_d, f, candidates, &records,
+                                   &groups, &active_old, &active_new);
+  out.records = records.links();
+  out.groups = groups.SortedLinks();
+  out.active_old = std::move(active_old);
+  out.active_new = std::move(active_new);
+  return out;
+}
+
+// LinkCensusPair hands the pre-matching candidates to the global residual
+// pass instead of blocking again; on every scenario preset that must give
+// exactly the links of the BlockingConfig form, with hash blocking and
+// with the configured default, for all records active and for a third of
+// them already matched.
+TEST(ResidualTest, PreMatcherCandidatesGiveTheBlockingConfigLinks) {
+  const LinkageConfig config = configs::DefaultConfig();
+  for (const ScenarioPreset& preset : ScenarioPresets()) {
+    SCOPED_TRACE(std::string(preset.name));
+    auto scenario = ParseScenario(preset.json);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    GeneratorConfig gen = scenario.value().config;
+    gen.seed = 42;
+    gen.scale = 0.05;
+    gen.num_censuses = 4;
+    const SyntheticPair pair = GenerateCensusPair(gen, 2);
+    const CensusDataset& old_d = pair.old_dataset;
+    const CensusDataset& new_d = pair.new_dataset;
+    SimilarityFunction f = config.sim_func;
+    f.set_year_gap(new_d.year() - old_d.year());
+    const PreMatcher pm(old_d, new_d, f, config.blocking, config.delta_low);
+    SimilarityFunction f_rem = config.sim_func_rem;
+    f_rem.set_year_gap(new_d.year() - old_d.year());
+
+    std::vector<bool> partly_old(old_d.num_records());
+    std::vector<bool> partly_new(new_d.num_records());
+    for (size_t r = 0; r < partly_old.size(); ++r) partly_old[r] = r % 3 != 0;
+    for (size_t r = 0; r < partly_new.size(); ++r) partly_new[r] = r % 3 != 1;
+    const std::vector<std::vector<bool>> old_masks = {
+        std::vector<bool>(old_d.num_records(), true), partly_old};
+    const std::vector<std::vector<bool>> new_masks = {
+        std::vector<bool>(new_d.num_records(), true), partly_new};
+    for (size_t m = 0; m < old_masks.size(); ++m) {
+      SCOPED_TRACE("mask " + std::to_string(m));
+      const ResidualOutcome got = RunResidual(
+          old_d, new_d, f_rem, pm.candidates(), old_masks[m], new_masks[m]);
+      EXPECT_GT(got.added, 0u);
+      for (const BlockingConfig& blocking :
+           {BlockingConfig::MakeDefault(), config.blocking}) {
+        const ResidualOutcome want = RunResidual(
+            old_d, new_d, f_rem, blocking, old_masks[m], new_masks[m]);
+        EXPECT_EQ(got.added, want.added);
+        EXPECT_EQ(got.records, want.records);
+        EXPECT_EQ(got.groups, want.groups);
+        EXPECT_EQ(got.active_old, want.active_old);
+        EXPECT_EQ(got.active_new, want.active_new);
+      }
+    }
   }
 }
 

@@ -12,7 +12,10 @@
 //     only ever returned when the true similarity is < min_sim;
 //   * aggregate identity: SimCache in batched mode reproduces the scalar
 //     mode bit-for-bit on full synthetic census pairs from every corruption
-//     preset, and AggregateWithThreshold keeps exactly the scalar keep-set.
+//     preset, and AggregateWithThreshold keeps exactly the scalar keep-set;
+//   * memo isolation: the per-thread value-pair memo of the string kernels
+//     never serves one batch's value to another, including a batch rebuilt
+//     in a destroyed batch's storage.
 //
 // Runs serially by default; TGLINK_TEST_THREADS=0 (a second ctest entry)
 // reruns everything on one worker per hardware thread — outputs must be
@@ -20,8 +23,11 @@
 
 #include "tglink/similarity/batch_kernels.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +36,7 @@
 #include "tglink/linkage/config.h"
 #include "tglink/similarity/sim_batch.h"
 #include "tglink/similarity/sim_cache.h"
+#include "tglink/synth/presets.h"
 #include "tglink/util/parallel.h"
 #include "tests/proptest.h"
 
@@ -295,6 +302,116 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
   });
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
   EXPECT_GE(runner.iterations_ran(), 10);
+}
+
+/// One small census pair per generator profile and seed, with the
+/// all-plan function at its year gap. SimBatch keeps references to all
+/// three, so the fixture owns them.
+struct MemoFixture {
+  SyntheticPair pair;
+  SimilarityFunction fn = AllPlanFunction();
+  std::vector<CandidatePair> candidates;
+
+  MemoFixture(GeneratorConfig gen, uint64_t seed) {
+    gen.seed = seed;
+    gen.scale = 0.03;
+    gen.num_censuses = 2;
+    pair = GenerateCensusPair(gen, 0);
+    fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
+    candidates = GenerateCandidatePairs(pair.old_dataset, pair.new_dataset,
+                                        BlockingConfig::MakeDefault());
+  }
+
+  double Exact(const CandidatePair& c) const {
+    return fn.AggregateSimilarity(pair.old_dataset.record(c.old_id),
+                                  pair.new_dataset.record(c.new_id));
+  }
+};
+
+/// The measures without a batched kernel, unmemoized.
+SimBatch::FallbackFn DirectFallback(const SimilarityFunction& fn) {
+  return [&fn](size_t spec_index, uint32_t, uint32_t, std::string_view a,
+               std::string_view b) {
+    return ComputeMeasure(fn.specs()[spec_index].measure, a, b);
+  };
+}
+
+/// Scores candidate i of `fx` through `batch` twice — exactly, then under
+/// `min_sim` with the memo warm — and checks both against the scalar path.
+void ExpectExactAndPrunedOrExact(const SimBatch& batch, const MemoFixture& fx,
+                                 size_t i, double min_sim,
+                                 const std::string& what) {
+  const SimBatch::FallbackFn fallback = DirectFallback(fx.fn);
+  const CandidatePair& c = fx.candidates[i];
+  const double exact = fx.Exact(c);
+  EXPECT_EQ(batch.Aggregate(c.old_id, c.new_id, fallback), exact)
+      << what << " pair " << i;
+  const double got =
+      batch.AggregateWithThreshold(c.old_id, c.new_id, min_sim, fallback);
+  if (got == SimBatch::kPruned) {
+    EXPECT_LT(exact, min_sim) << what << " pair " << i;
+  } else {
+    EXPECT_EQ(got, exact) << what << " pair " << i;
+  }
+}
+
+// Two batches with different vocabularies scored alternately on one
+// thread share the thread's memo slots (same spec indices, colliding value
+// ids). Then the second batch is destroyed and a third built in its
+// storage: a memo keyed on the batch address would serve stale values.
+TEST_F(SimilarityKernelPropertyTest, ValuePairMemoNeverCrossesBatches) {
+  SetParallelThreadCount(1);
+  const MemoFixture fx_a(presets::Rawtenstall(), 11);
+  const MemoFixture fx_b(presets::PoorTranscription(), 12);
+  const MemoFixture fx_c(presets::HighMobilityTown(), 13);
+  const SimBatch batch_a(fx_a.fn, fx_a.pair.old_dataset,
+                         fx_a.pair.new_dataset);
+  std::optional<SimBatch> other;
+  other.emplace(fx_b.fn, fx_b.pair.old_dataset, fx_b.pair.new_dataset);
+  const SimBatch* const storage = &*other;
+
+  const auto interleave = [&](const MemoFixture& fx_other,
+                              const std::string& name) {
+    const size_t n =
+        std::max(fx_a.candidates.size(), fx_other.candidates.size());
+    for (size_t i = 0; i < n; ++i) {
+      const double min_sim = 0.5 + 0.05 * static_cast<double>(i % 8);
+      if (i < fx_a.candidates.size()) {
+        ExpectExactAndPrunedOrExact(batch_a, fx_a, i, min_sim, "a");
+      }
+      if (i < fx_other.candidates.size()) {
+        ExpectExactAndPrunedOrExact(*other, fx_other, i, min_sim, name);
+      }
+    }
+  };
+  interleave(fx_b, "b");
+  other.reset();
+  other.emplace(fx_c.fn, fx_c.pair.old_dataset, fx_c.pair.new_dataset);
+  ASSERT_EQ(&*other, storage) << "the rebuilt batch must reuse the storage";
+  interleave(fx_c, "c (rebuilt in b's storage)");
+
+  // Scored in parallel the thresholded values must not depend on which
+  // worker's memo served them.
+  const SimBatch::FallbackFn fallback = DirectFallback(fx_c.fn);
+  const auto score = [&](int threads) {
+    SetParallelThreadCount(threads);
+    return ParallelMap<double>(
+        fx_c.candidates.size(), "proptest.memo_chunk", [&](size_t i) {
+          const CandidatePair& c = fx_c.candidates[i];
+          return other->AggregateWithThreshold(c.old_id, c.new_id, 0.6,
+                                               fallback);
+        });
+  };
+  const std::vector<double> serial = score(1);
+  EXPECT_EQ(score(4), serial);
+  for (size_t i = 0; i < serial.size(); ++i) {
+    const double exact = fx_c.Exact(fx_c.candidates[i]);
+    if (serial[i] == SimBatch::kPruned) {
+      EXPECT_LT(exact, 0.6) << "pair " << i;
+    } else {
+      EXPECT_EQ(serial[i], exact) << "pair " << i;
+    }
+  }
 }
 
 // Deterministic Myers word-size boundary pins: 64-char patterns take the

@@ -1,5 +1,8 @@
 #include "tglink/graph/union_find.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tglink/util/random.h"
@@ -77,6 +80,35 @@ TEST(UnionFindTest, LargeRandomisedInvariant) {
   for (uint32_t l : labels) ++class_size[l];
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(uf.ComponentSize(i), class_size[labels[i]]);
+  }
+}
+
+TEST(UnionFindTest, ComponentLabelsDoNotDependOnUnionOrder) {
+  // Pre-matching unions its pairs in (old, new) order rather than by
+  // similarity; that is exact only because labels are numbered by node
+  // index. Any permutation of the same edges, with either endpoint first,
+  // must give identical labels.
+  const size_t n = 500;
+  uint64_t state = 7;
+  std::vector<std::pair<size_t, size_t>> edges;
+  for (int i = 0; i < 400; ++i) {
+    edges.emplace_back(SplitMix64(&state) % n, SplitMix64(&state) % n);
+  }
+  const auto labels_for = [n](const std::vector<std::pair<size_t, size_t>>& e) {
+    UnionFind uf(n);
+    for (const auto& [a, b] : e) uf.Union(a, b);
+    return uf.ComponentLabels();
+  };
+  const std::vector<uint32_t> expected = labels_for(edges);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::pair<size_t, size_t>> shuffled = edges;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[SplitMix64(&state) % i]);
+    }
+    for (auto& [a, b] : shuffled) {
+      if (SplitMix64(&state) % 2 == 0) std::swap(a, b);
+    }
+    EXPECT_EQ(labels_for(shuffled), expected) << "trial " << trial;
   }
 }
 

@@ -154,15 +154,18 @@ if [ "$quick" -eq 0 ]; then
 
   # The multi-threaded surface — pool, sim-cache, obs — under TSan. Scoped
   # to the thread-hammer tests so the stage stays bounded; the full suite
-  # already runs under release and asan above.
+  # already runs under release and asan above. The kernel property suite
+  # runs as its _mt twin (one worker per hardware thread, and its memo test
+  # at 4), prematching_test's cluster oracle at 1 and 2 threads.
   stage "configure+build: tsan (threaded tests)"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
     --target obs_threads_test parallel_test parallel_determinism_test \
              thread_annotations_test tsan_hammer_test \
-             subgraph_equivalence_test
+             subgraph_equivalence_test similarity_kernel_property_test \
+             prematching_test
   stage "ctest: tsan (threaded tests)"
-  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_equivalence_test)$'
+  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_equivalence_test|similarity_kernel_property_test_mt|prematching_test)$'
   note ran "tsan hammers"
 
   # Line-coverage floor over the blocking and similarity layers (gcov only —

@@ -295,11 +295,13 @@ int CmdStats(const Args& args) {
 LinkageConfig ConfigFromArgs(const Args& args) {
   LinkageConfig config = configs::DefaultConfig();
   const std::string blocking = args.Get("blocking", "hash");
-  if (blocking == "index") {
+  if (blocking == "hash") {
+    config.blocking = BlockingConfig::MakeDefault();
+  } else if (blocking == "index") {
     config.blocking = BlockingConfig::MakeInvertedIndex();
   } else if (blocking == "exhaustive") {
     config.blocking = BlockingConfig::MakeExhaustive();
-  } else if (blocking != "hash") {
+  } else {
     std::fprintf(stderr,
                  "bad value '%s' for --blocking (expected hash, index or "
                  "exhaustive)\n",
