@@ -173,16 +173,216 @@ GroupPairSubgraph ScoreGroupPair(GroupId old_group, GroupId new_group,
   return subgraph;
 }
 
-/// A vertex candidate keyed by its (old group, new group) pair.
-struct KeyedVertex {
-  uint64_t key;  // (old group << 32) | new group
-  SubgraphVertex vertex;
+/// An active, labelled new record in the per-label age index.
+struct AgedNewRecord {
+  int age;  // -1 = missing, so unaged records sort first
+  GroupId group;
+  RecordId id;
 };
 
-/// One label's vertex candidates and how many of them are prematch misses.
-struct LabelVertices {
-  std::vector<KeyedVertex> vertices;
-  uint64_t misses = 0;
+/// The active, labelled new records sorted by (label, age, id): label L
+/// spans [begin[L], begin[L + 1]) of `records`, its unaged records first,
+/// then its aged ones from aged_begin[L].
+struct NewLabelIndex {
+  std::vector<AgedNewRecord> records;
+  std::vector<size_t> begin;
+  std::vector<size_t> aged_begin;
+};
+
+NewLabelIndex BuildNewLabelIndex(const CensusDataset& new_dataset,
+                                 const Clustering& clustering) {
+  NewLabelIndex index;
+  index.begin.reserve(clustering.num_labels + 1);
+  index.aged_begin.reserve(clustering.num_labels);
+  index.begin.push_back(0);
+  for (const std::vector<RecordId>& members : clustering.label_new_members) {
+    for (RecordId n : members) {
+      const PersonRecord& rec = new_dataset.record(n);
+      index.records.push_back({rec.age, rec.group, n});
+    }
+    const auto first = index.records.begin() + index.begin.back();
+    std::sort(first, index.records.end(),
+              [](const AgedNewRecord& a, const AgedNewRecord& b) {
+                return a.age != b.age ? a.age < b.age : a.id < b.id;
+              });
+    index.aged_begin.push_back(static_cast<size_t>(
+        std::partition_point(first, index.records.end(),
+                             [](const AgedNewRecord& r) { return r.age < 0; }) -
+        index.records.begin()));
+    index.begin.push_back(index.records.size());
+  }
+  return index;
+}
+
+/// An equally labelled (old, new) pair whose ages pass the vertex gate's
+/// age test, tagged with the new record's group.
+struct PotentialPair {
+  GroupId new_group;
+  RecordId old_id;
+  RecordId new_id;
+};
+
+/// Appends old record `o`'s potential pairs within `label`: every unaged
+/// new record, plus the aged ones inside VertexGate's age window
+/// |age(o) + year_gap - age(n)| <= tolerance — all aged ones when `o` is
+/// unaged or the gate is off (tolerance <= 0).
+void AppendPotentialPairs(const NewLabelIndex& index, uint32_t label,
+                          RecordId o, int old_age, int year_gap, int tolerance,
+                          std::vector<PotentialPair>* out) {
+  const auto unaged = index.records.begin() + index.begin[label];
+  const auto aged = index.records.begin() + index.aged_begin[label];
+  auto window_first = aged;
+  auto window_last = index.records.begin() + index.begin[label + 1];
+  if (old_age >= 0 && tolerance > 0) {
+    const int expected = old_age + year_gap;
+    window_first = std::lower_bound(
+        aged, window_last, expected - tolerance,
+        [](const AgedNewRecord& r, int age) { return r.age < age; });
+    window_last = std::upper_bound(
+        window_first, window_last, expected + tolerance,
+        [](int age, const AgedNewRecord& r) { return age < r.age; });
+  }
+  for (auto it = unaged; it != aged; ++it) {
+    out->push_back({it->group, o, it->id});
+  }
+  for (auto it = window_first; it != window_last; ++it) {
+    out->push_back({it->group, o, it->id});
+  }
+}
+
+/// What one old household's potential pairs into one new group span;
+/// valid while `stamp` is that household's index + 1 (0: never set).
+struct GroupTally {
+  size_t stamp = 0;
+  RecordId first_old = 0;
+  RecordId first_new = 0;
+  bool two_old = false;
+  bool two_new = false;
+  size_t size = 0;  // potential pairs into the group
+  size_t end = 0;   // end of the group's slice of HouseholdScratch::grouped
+};
+
+/// Working memory one chunk of old households reuses.
+struct HouseholdScratch {
+  explicit HouseholdScratch(size_t num_new_groups) : tally(num_new_groups) {}
+
+  std::vector<PotentialPair> potential;
+  std::vector<GroupTally> tally;  // indexed by new group
+  std::vector<GroupId> groups;  // new groups reached, then those evaluated
+  std::vector<PotentialPair> grouped;  // evaluated pairs by new group
+};
+
+/// A group pair with >= 2 vertex candidates; they span [begin, end) of
+/// its chunk's `candidates`.
+struct CandidateRange {
+  GroupId old_group;
+  GroupId new_group;
+  size_t begin;
+  size_t end;
+};
+
+/// What the vertex pass found in one chunk of old households.
+struct ChunkCandidates {
+  std::vector<SubgraphVertex> candidates;
+  std::vector<CandidateRange> ranges;  // ascending (old group, new group)
+  uint64_t potential_pairs = 0;
+  uint64_t evaluated = 0;  // group pairs whose potential pairs were admitted
+  uint64_t miss_vertices = 0;
+};
+
+/// The vertex pass of one δ round, one old household at a time.
+class VertexPass {
+ public:
+  VertexPass(const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+             const std::vector<HouseholdGraph>& old_graphs,
+             const Clustering& clustering, const PreMatcher& prematcher,
+             const LinkageConfig& config, double delta)
+      : old_dataset_(old_dataset),
+        old_graphs_(old_graphs),
+        clustering_(clustering),
+        gate_(old_dataset, new_dataset, prematcher, config, delta),
+        index_(BuildNewLabelIndex(new_dataset, clustering)),
+        year_gap_(new_dataset.year() - old_dataset.year()),
+        tolerance_(config.vertex_age_tolerance) {}
+
+  /// Appends old household `og`'s group pairs with >= 2 vertex candidates
+  /// to `*out`, in ascending new group order.
+  void Run(size_t og, HouseholdScratch* scratch, ChunkCandidates* out) const {
+    std::vector<PotentialPair>& potential = scratch->potential;
+    potential.clear();
+    for (RecordId o : old_graphs_[og].members()) {
+      const uint32_t label = clustering_.old_labels[o];
+      if (label == Clustering::kNoLabel) continue;
+      AppendPotentialPairs(index_, label, o, old_dataset_.record(o).age,
+                           year_gap_, tolerance_, &potential);
+    }
+    out->potential_pairs += potential.size();
+
+    // The greedy 1:1 step keeps vertices on distinct records, and a single
+    // vertex has no edge: a group pair whose potential pairs share one old
+    // or one new record always prunes to empty. Only group pairs spanning
+    // two old and two new records are evaluated.
+    std::vector<GroupTally>& tally = scratch->tally;
+    std::vector<GroupId>& groups = scratch->groups;
+    groups.clear();
+    for (const PotentialPair& p : potential) {
+      GroupTally& t = tally[p.new_group];
+      if (t.stamp != og + 1) {
+        t = {og + 1, p.old_id, p.new_id, false, false, 0, 0};
+        groups.push_back(p.new_group);
+      }
+      t.two_old = t.two_old || p.old_id != t.first_old;
+      t.two_new = t.two_new || p.new_id != t.first_new;
+      ++t.size;
+    }
+    const auto evaluated = [&tally](GroupId ng) {
+      return tally[ng].two_old && tally[ng].two_new;
+    };
+    groups.erase(std::remove_if(groups.begin(), groups.end(),
+                                [&](GroupId ng) { return !evaluated(ng); }),
+                 groups.end());
+    std::sort(groups.begin(), groups.end());
+    // Counting sort of the evaluated pairs into ascending new group slices.
+    size_t filled = 0;
+    for (GroupId ng : groups) {
+      tally[ng].end = filled;  // advanced to the slice's end by the scatter
+      filled += tally[ng].size;
+    }
+    std::vector<PotentialPair>& grouped = scratch->grouped;
+    grouped.resize(filled);
+    for (const PotentialPair& p : potential) {
+      if (evaluated(p.new_group)) grouped[tally[p.new_group].end++] = p;
+    }
+
+    for (GroupId ng : groups) {
+      const auto end = grouped.begin() + tally[ng].end;
+      const auto begin = end - tally[ng].size;
+      ++out->evaluated;
+      const size_t first = out->candidates.size();
+      for (auto it = begin; it != end; ++it) {
+        SubgraphVertex vertex;
+        bool miss = false;
+        if (!gate_.Admit(it->old_id, it->new_id, &vertex, &miss)) continue;
+        out->candidates.push_back(vertex);
+        out->miss_vertices += miss ? 1 : 0;
+      }
+      if (out->candidates.size() - first >= 2) {
+        out->ranges.push_back({static_cast<GroupId>(og), ng, first,
+                               out->candidates.size()});
+      } else {
+        out->candidates.resize(first);  // a lone vertex is always pruned
+      }
+    }
+  }
+
+ private:
+  const CensusDataset& old_dataset_;
+  const std::vector<HouseholdGraph>& old_graphs_;
+  const Clustering& clustering_;
+  const VertexGate gate_;
+  const NewLabelIndex index_;
+  const int year_gap_;
+  const int tolerance_;
 };
 
 }  // namespace
@@ -217,74 +417,44 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const LinkageConfig& config, double delta) {
   TGLINK_TRACE_SPAN("subgraph.build_score", delta);
   TGLINK_MEM_STAGE("subgraph.build_score");
-  const VertexGate gate(old_dataset, new_dataset, prematcher, config, delta);
+  const VertexPass pass(old_dataset, new_dataset, old_graphs, clustering,
+                        prematcher, config, delta);
 
-  // Vertex candidates straight from each label's old x new members, keyed
-  // by their group pair. Results merge in label order, so the list is the
-  // same for any thread count.
-  std::vector<LabelVertices> per_label = ParallelMap<LabelVertices>(
-      clustering.num_labels, "subgraph.vertex_chunk", [&](size_t label) {
-        LabelVertices out;
-        for (RecordId o : clustering.label_old_members[label]) {
-          const uint64_t go = old_dataset.record(o).group;
-          for (RecordId n : clustering.label_new_members[label]) {
-            KeyedVertex kv;
-            bool miss = false;
-            if (!gate.Admit(o, n, &kv.vertex, &miss)) continue;
-            kv.key = (go << 32) | new_dataset.record(n).group;
-            out.vertices.push_back(kv);
-            out.misses += miss ? 1 : 0;
-          }
-        }
-        return out;
-      });
-  size_t total = 0;
+  // Each chunk of old households fills the slot of its first household, so
+  // reading the slots in order lists the group pairs in ascending (old
+  // group, new group) order for any thread count.
+  std::vector<ChunkCandidates> found(old_graphs.size());
+  ParallelFor(old_graphs.size(), "subgraph.vertex_chunk",
+              [&](size_t first, size_t last) {
+                HouseholdScratch scratch(new_graphs.size());
+                for (size_t og = first; og < last; ++og) {
+                  pass.Run(og, &scratch, &found[first]);
+                }
+              });
+  std::vector<std::pair<const ChunkCandidates*, CandidateRange>> work;
+  uint64_t potential_pairs = 0;
+  uint64_t evaluated = 0;
   uint64_t miss_vertices = 0;
-  for (const LabelVertices& part : per_label) {
-    total += part.vertices.size();
-    miss_vertices += part.misses;
-  }
-  std::vector<KeyedVertex> keyed;
-  keyed.reserve(total);
-  for (LabelVertices& part : per_label) {
-    keyed.insert(keyed.end(), part.vertices.begin(), part.vertices.end());
-    std::vector<KeyedVertex>().swap(part.vertices);
-  }
-  // The order within one key is irrelevant: ScoreGroupPair sorts its
-  // candidates by a total order.
-  std::sort(keyed.begin(), keyed.end(),
-            [](const KeyedVertex& a, const KeyedVertex& b) {
-              return a.key < b.key;
-            });
-
-  // Group pairs holding one vertex candidate are always pruned (a single
-  // vertex has no edge), so only ranges of >= 2 candidates are built.
-  std::vector<std::pair<size_t, size_t>> ranges;  // [begin, end) of `keyed`
-  size_t group_pairs = 0;
-  for (size_t begin = 0; begin < keyed.size();) {
-    size_t end = begin + 1;
-    while (end < keyed.size() && keyed[end].key == keyed[begin].key) ++end;
-    ++group_pairs;
-    if (end - begin >= 2) ranges.emplace_back(begin, end);
-    begin = end;
+  for (const ChunkCandidates& chunk : found) {
+    for (const CandidateRange& range : chunk.ranges) {
+      work.emplace_back(&chunk, range);
+    }
+    potential_pairs += chunk.potential_pairs;
+    evaluated += chunk.evaluated;
+    miss_vertices += chunk.miss_vertices;
   }
 
   // Each group pair builds and scores independently; results come back in
-  // the sorted key order, so the kept-subgraph list below is identical to
-  // the serial path for any thread count.
+  // `work` order.
   std::vector<GroupPairSubgraph> built = ParallelMap<GroupPairSubgraph>(
-      ranges.size(), "subgraph.build_chunk", [&](size_t i) {
-        const auto [begin, end] = ranges[i];
-        const uint64_t key = keyed[begin].key;
-        const GroupId go = static_cast<GroupId>(key >> 32);
-        const GroupId gn = static_cast<GroupId>(key & 0xFFFFFFFFu);
-        std::vector<SubgraphVertex> candidates;
-        candidates.reserve(end - begin);
-        for (size_t k = begin; k < end; ++k) {
-          candidates.push_back(keyed[k].vertex);
-        }
-        return ScoreGroupPair(go, gn, old_graphs[go], new_graphs[gn],
-                              clustering, config, std::move(candidates));
+      work.size(), "subgraph.build_chunk", [&](size_t i) {
+        const auto& [chunk, range] = work[i];
+        return ScoreGroupPair(
+            range.old_group, range.new_group, old_graphs[range.old_group],
+            new_graphs[range.new_group], clustering, config,
+            std::vector<SubgraphVertex>(
+                chunk->candidates.begin() + range.begin,
+                chunk->candidates.begin() + range.end));
       });
   std::vector<GroupPairSubgraph> subgraphs;
   for (GroupPairSubgraph& subgraph : built) {
@@ -293,10 +463,11 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
       subgraphs.push_back(std::move(subgraph));
     }
   }
+  TGLINK_COUNTER_ADD("subgraph.potential_pairs", potential_pairs);
+  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", evaluated);
   TGLINK_COUNTER_ADD("subgraph.miss_vertices", miss_vertices);
-  TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", group_pairs);
   TGLINK_COUNTER_ADD("subgraph.built", subgraphs.size());
-  TGLINK_COUNTER_ADD("subgraph.pruned_empty", group_pairs - subgraphs.size());
+  TGLINK_COUNTER_ADD("subgraph.pruned_empty", evaluated - subgraphs.size());
   return subgraphs;
 }
 

@@ -77,18 +77,34 @@ GroupPairSubgraph BuildGroupPairSubgraph(
     double delta);
 
 /// All non-empty scored subgraphs at `delta`, ordered by ascending (old
-/// group, new group). Walks each label's old x new active members once
-/// (in parallel over labels), admits vertex candidates by the rule of
-/// BuildGroupPairSubgraph and keys them by group pair; only group pairs
-/// holding >= 2 candidates are built, since a lone vertex has no edge and
-/// is always pruned. Each built subgraph equals BuildGroupPairSubgraph's
-/// for the same pair, bit for bit, at any thread count.
+/// group, new group). Each built subgraph equals BuildGroupPairSubgraph's
+/// for the same pair, bit for bit, at any thread count; the pairs left out
+/// are exactly those whose subgraph is empty.
 ///
-/// Counters: "subgraph.candidate_group_pairs" counts group pairs holding
-/// >= 1 vertex candidate, "subgraph.pruned_empty" those of them that
-/// yield no subgraph, "subgraph.built" the rest, and
-/// "subgraph.miss_vertices" the vertex candidates whose pair pre-matching
-/// did not keep.
+/// Enumeration, per old household (in parallel over chunks of households):
+///  1. Potential pairs. For each active, labelled member o, every new
+///     record of label(o) that is unaged, plus the aged ones with
+///     |age(o) + year gap - age(n)| <= vertex_age_tolerance — the window
+///     is exactly the vertex gate's age test. When o is unaged or the gate
+///     is off (tolerance <= 0), every new record of the label. The new
+///     side comes from an index of each label's active records sorted by
+///     age, built once per call.
+///  2. Skip rule. Potential pairs are grouped by new group; a group pair
+///     is evaluated only when they span >= 2 distinct old and >= 2 distinct
+///     new records. Otherwise the greedy 1:1 step leaves at most one
+///     vertex, which has no edge and is always pruned.
+///  3. Admission. Each potential pair of an evaluated group pair goes
+///     through the vertex rule of BuildGroupPairSubgraph (kept-pair
+///     binary search or screened miss lookup); group pairs with >= 2
+///     admitted candidates are built and scored.
+///
+/// Counters: "subgraph.potential_pairs" counts the potential pairs of
+/// step 1; "subgraph.candidate_group_pairs" the group pairs evaluated in
+/// step 3; "subgraph.built" those yielding a non-empty subgraph and
+/// "subgraph.pruned_empty" the rest of the evaluated ones;
+/// "subgraph.miss_vertices" the admitted candidates of evaluated group
+/// pairs whose pair pre-matching did not keep. "simcache.prematch_miss"
+/// counts every miss lookup made, admitted or not.
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const std::vector<HouseholdGraph>& old_graphs,

@@ -3,16 +3,20 @@
 // each cluster label to list the candidate group pairs, then rebuild each
 // group pair from its households — with the cached similarity for kept
 // pairs and the unscreened SimilarityFunction::AggregateSimilarity for
-// every other pair. The library enumerates vertex candidates per label,
-// screens misses against δ and builds only group pairs with >= 2
-// candidates; both must agree bit for bit over every δ round of a real
-// LinkCensusPair schedule, on every scenario preset, at 1 and 2 threads.
-// Runs under the `tsan` preset too (tools/check.sh).
+// every other pair. The library lists each old household's potential
+// pairs through an age window, evaluates only group pairs whose potential
+// pairs span two old and two new records, screens misses against δ and
+// builds only group pairs with >= 2 candidates; both must agree bit for bit
+// over every δ round of a real LinkCensusPair schedule, on every scenario
+// preset, at 1 and 2 threads, with the default vertex age gate and with the
+// gate off (the paper regime, which takes whole label ranges). Runs under
+// the `tsan` preset too (tools/check.sh).
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -221,9 +225,11 @@ constexpr int kPair = 2;
 constexpr uint64_t kSeed = 42;
 
 /// Replays LinkCensusPair's subgraph rounds (linkage/iterative.cc) on one
-/// preset, checking each round against the reference before selecting from
-/// it. Returns the number of miss vertices the library reported.
-uint64_t CheckPreset(const ScenarioPreset& preset) {
+/// preset under `config`, checking each round against the reference before
+/// selecting from it. Returns the number of miss vertices the library
+/// reported.
+uint64_t CheckPreset(const ScenarioPreset& preset,
+                     const LinkageConfig& config) {
   auto scenario = ParseScenario(preset.json);
   EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
   if (!scenario.ok()) return 0;
@@ -234,7 +240,6 @@ uint64_t CheckPreset(const ScenarioPreset& preset) {
   const SyntheticPair pair = GenerateCensusPair(gen, kPair);
   const CensusDataset& old_d = pair.old_dataset;
   const CensusDataset& new_d = pair.new_dataset;
-  const LinkageConfig config = configs::DefaultConfig();
 
   const std::vector<HouseholdGraph> old_graphs = EnrichAllHouseholds(old_d);
   const std::vector<HouseholdGraph> new_graphs = EnrichAllHouseholds(new_d);
@@ -277,27 +282,36 @@ uint64_t CheckPreset(const ScenarioPreset& preset) {
   return misses.Value() - misses0;
 }
 
-class SubgraphEquivalenceTest : public ::testing::TestWithParam<int> {
+/// (threads, gate off): gate off sets vertex_age_tolerance to 0.
+using EquivalenceParam = std::tuple<int, bool>;
+
+class SubgraphEquivalenceTest
+    : public ::testing::TestWithParam<EquivalenceParam> {
  protected:
   void TearDown() override { SetParallelThreadCount(1); }
 };
 
 TEST_P(SubgraphEquivalenceTest, EveryPresetMatchesTheCrossProductReference) {
-  SetParallelThreadCount(GetParam());
+  const auto [threads, gate_off] = GetParam();
+  SetParallelThreadCount(threads);
+  LinkageConfig config = configs::DefaultConfig();
+  if (gate_off) config.vertex_age_tolerance = 0;
   uint64_t miss_vertices = 0;
   for (const ScenarioPreset& preset : ScenarioPresets()) {
     SCOPED_TRACE(std::string(preset.name));
-    miss_vertices += CheckPreset(preset);
+    miss_vertices += CheckPreset(preset, config);
   }
   // The grid must exercise the miss path, or the screen goes untested.
   EXPECT_GT(miss_vertices, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, SubgraphEquivalenceTest,
-                         ::testing::Values(1, 2),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "threads" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Threads, SubgraphEquivalenceTest,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<EquivalenceParam>& info) {
+      return "threads" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_gate_off" : "_gate_on");
+    });
 
 }  // namespace
 }  // namespace tglink

@@ -223,6 +223,11 @@ struct TinyLinkage {
                                   config, old_d, new_d, delta);
   }
 
+  std::vector<GroupPairSubgraph> BuildAll() const {
+    return BuildAllSubgraphs(old_d, new_d, old_graphs, new_graphs, clustering,
+                             prematcher, config, delta);
+  }
+
   CensusDataset old_d;
   CensusDataset new_d;
   std::vector<HouseholdGraph> old_graphs;
@@ -294,9 +299,7 @@ TEST(SubgraphVertexRuleTest, SameLabelNonCandidateAtDeltaIsAVertex) {
   obs::Counter& misses =
       obs::GlobalMetrics().GetCounter("subgraph.miss_vertices");
   const uint64_t misses0 = misses.Value();
-  const std::vector<GroupPairSubgraph> all =
-      BuildAllSubgraphs(t.old_d, t.new_d, t.old_graphs, t.new_graphs,
-                        t.clustering, t.prematcher, t.config, t.delta);
+  const std::vector<GroupPairSubgraph> all = t.BuildAll();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].old_group, 0u);
   EXPECT_EQ(all[0].new_group, 0u);
@@ -350,6 +353,171 @@ TEST(SubgraphVertexRuleTest, SameLabelPairBelowDeltaIsNotAVertex) {
   EXPECT_TRUE(HasVertex(sub, 1, 1));
   EXPECT_TRUE(HasVertex(sub, 2, 2));
   EXPECT_EQ(sub.vertices.size(), 2u);
+}
+
+/// Adds household `id`: John Ashworth (head) and his wife Elizabeth at
+/// the given ages (-1 = not recorded).
+void AddCouple(CensusDataset* d, const std::string& id, int john_age,
+               int eliz_age) {
+  d->AddHousehold(
+      id, {MakeRecord(id + "_john", "john", "ashworth", Sex::kMale, john_age,
+                      Role::kHead, "", ""),
+           MakeRecord(id + "_eliz", "elizabeth", "ashworth", Sex::kFemale,
+                      eliz_age, Role::kWife, "", "")});
+}
+
+/// Change of a global counter across one BuildAllSubgraphs call.
+struct CounterDelta {
+  explicit CounterDelta(const char* name)
+      : counter(obs::GlobalMetrics().GetCounter(name)),
+        start(counter.Value()) {}
+  uint64_t Get() const { return counter.Value() - start; }
+  obs::Counter& counter;
+  const uint64_t start;
+};
+
+std::set<std::pair<GroupId, GroupId>> GroupPairs(
+    const std::vector<GroupPairSubgraph>& subgraphs) {
+  std::set<std::pair<GroupId, GroupId>> pairs;
+  for (const GroupPairSubgraph& s : subgraphs) {
+    pairs.emplace(s.old_group, s.new_group);
+  }
+  return pairs;
+}
+
+TEST(SubgraphAgeWindowTest, WindowEdgeIsInclusive) {
+  // The gap is 10 years and the default tolerance 6: new couples aged
+  // exactly 6 years off the expected 49/47 are vertices, 7 years off not.
+  CensusDataset old_d(1871);
+  AddCouple(&old_d, "g0", 39, 37);
+  CensusDataset new_d(1881);
+  AddCouple(&new_d, "h0", 55, 53);  // +6
+  AddCouple(&new_d, "h1", 56, 54);  // +7
+  AddCouple(&new_d, "h2", 43, 41);  // -6
+  AddCouple(&new_d, "h3", 42, 40);  // -7
+  const TinyLinkage t(old_d, new_d, Fig3NameSimilarity(),
+                      BlockingConfig::MakeExhaustive(), 1.0);
+  ASSERT_EQ(t.config.vertex_age_tolerance, 6);
+
+  const CounterDelta potential("subgraph.potential_pairs");
+  const std::vector<GroupPairSubgraph> all = t.BuildAll();
+  EXPECT_EQ(potential.Get(), 4u);  // John and Elizabeth, each to h0 and h2
+  EXPECT_EQ(GroupPairs(all),
+            (std::set<std::pair<GroupId, GroupId>>{{0, 0}, {0, 2}}));
+  for (const GroupPairSubgraph& sub : all) EXPECT_EQ(sub.vertices.size(), 2u);
+  EXPECT_TRUE(t.Build(0, 1).empty());
+  EXPECT_TRUE(t.Build(0, 3).empty());
+}
+
+TEST(SubgraphAgeWindowTest, UnagedOldRecordPairsWithEveryNewLabelMember) {
+  CensusDataset old_d(1871);
+  AddCouple(&old_d, "g0", -1, -1);
+  CensusDataset new_d(1881);
+  AddCouple(&new_d, "h0", 49, 47);
+  AddCouple(&new_d, "h1", 80, 78);
+  AddCouple(&new_d, "h2", -1, 20);
+  const TinyLinkage t(old_d, new_d, Fig3NameSimilarity(),
+                      BlockingConfig::MakeExhaustive(), 1.0);
+
+  const CounterDelta potential("subgraph.potential_pairs");
+  const std::vector<GroupPairSubgraph> all = t.BuildAll();
+  EXPECT_EQ(potential.Get(), 6u);
+  EXPECT_EQ(GroupPairs(all), (std::set<std::pair<GroupId, GroupId>>{
+                                 {0, 0}, {0, 1}, {0, 2}}));
+  for (const GroupPairSubgraph& sub : all) EXPECT_EQ(sub.vertices.size(), 2u);
+}
+
+TEST(SubgraphAgeWindowTest, UnagedNewRecordPairsWithEveryAgedOldMember) {
+  CensusDataset old_d(1871);
+  AddCouple(&old_d, "g0", 39, 37);
+  AddCouple(&old_d, "g1", 70, 68);
+  AddCouple(&old_d, "g2", 5, -1);
+  CensusDataset new_d(1881);
+  AddCouple(&new_d, "h0", -1, -1);
+  const TinyLinkage t(old_d, new_d, Fig3NameSimilarity(),
+                      BlockingConfig::MakeExhaustive(), 1.0);
+
+  const CounterDelta potential("subgraph.potential_pairs");
+  const std::vector<GroupPairSubgraph> all = t.BuildAll();
+  EXPECT_EQ(potential.Get(), 6u);
+  EXPECT_EQ(GroupPairs(all), (std::set<std::pair<GroupId, GroupId>>{
+                                 {0, 0}, {1, 0}, {2, 0}}));
+  for (const GroupPairSubgraph& sub : all) EXPECT_EQ(sub.vertices.size(), 2u);
+}
+
+TEST(SubgraphSkipRuleTest, PotentialPairsSharingOneOldRecordMakeNoLookups) {
+  // One label of five Johns. Old g0's John has two plausible matches in
+  // new h0 (brothers both recorded at 49), neither a blocking candidate: at most one can become a vertex, and one vertex has no
+  // edge, so the group pair is skipped without a similarity lookup.
+  CensusDataset old_d(1871);
+  old_d.AddHousehold("g0", {MakeRecord("o_a", "john", "ashworth", Sex::kMale,
+                                       39, Role::kHead, "", "")});
+  old_d.AddHousehold("g1", {MakeRecord("o_b", "john", "ashworth", Sex::kMale,
+                                       39, Role::kHead, "", "")});
+  CensusDataset new_d(1881);
+  new_d.AddHousehold(
+      "h0", {MakeRecord("n_a", "john", "ashworth", Sex::kMale, 49,
+                        Role::kHead, "", ""),
+             MakeRecord("n_b", "john", "ashworth", Sex::kMale, 49,
+                        Role::kBrother, "", "")});
+  new_d.AddHousehold("h1", {MakeRecord("n_c", "john", "ashworth", Sex::kMale,
+                                       49, Role::kHead, "", "")});
+  BlockingConfig blocking;
+  blocking.passes = {
+      KeyTable({{"o_a", "p"}, {"n_c", "p"}}),
+      KeyTable({{"o_b", "q"}, {"n_a", "q"}, {"n_b", "q"}, {"n_c", "q"}}),
+  };
+  const TinyLinkage t(old_d, new_d, Fig3NameSimilarity(), blocking, 1.0);
+  const RecordId o_a = 0, n_a = 0, n_b = 1;
+  ASSERT_EQ(t.clustering.old_labels[o_a], t.clustering.new_labels[n_a]);
+  ASSERT_FALSE(t.prematcher.PairSimilarity(o_a, n_a, 0.0).kept);
+  ASSERT_FALSE(t.prematcher.PairSimilarity(o_a, n_b, 0.0).kept);
+
+  const CounterDelta lookups("simcache.prematch_miss");
+  const CounterDelta evaluated("subgraph.candidate_group_pairs");
+  const CounterDelta potential("subgraph.potential_pairs");
+  EXPECT_TRUE(t.BuildAll().empty());
+  EXPECT_EQ(lookups.Get(), 0u);
+  EXPECT_EQ(evaluated.Get(), 0u);
+  EXPECT_EQ(potential.Get(), 6u);
+  EXPECT_TRUE(t.Build(0, 0).empty());
+}
+
+TEST(SubgraphSkipRuleTest, PotentialPairsSharingOneNewRecordMakeNoLookups) {
+  // The mirror image: old g0 holds two plausible matches of new h0's John,
+  // neither a blocking candidate of it.
+  CensusDataset old_d(1871);
+  old_d.AddHousehold(
+      "g0", {MakeRecord("o_a", "john", "ashworth", Sex::kMale, 39,
+                        Role::kHead, "", ""),
+             MakeRecord("o_b", "john", "ashworth", Sex::kMale, 41,
+                        Role::kBrother, "", "")});
+  old_d.AddHousehold("g1", {MakeRecord("o_c", "john", "ashworth", Sex::kMale,
+                                       39, Role::kHead, "", "")});
+  CensusDataset new_d(1881);
+  new_d.AddHousehold("h0", {MakeRecord("n_a", "john", "ashworth", Sex::kMale,
+                                       49, Role::kHead, "", "")});
+  new_d.AddHousehold("h1", {MakeRecord("n_c", "john", "ashworth", Sex::kMale,
+                                       49, Role::kHead, "", "")});
+  BlockingConfig blocking;
+  blocking.passes = {
+      KeyTable({{"o_a", "p"}, {"o_b", "p"}, {"o_c", "p"}, {"n_c", "p"}}),
+      KeyTable({{"o_c", "q"}, {"n_a", "q"}}),
+  };
+  const TinyLinkage t(old_d, new_d, Fig3NameSimilarity(), blocking, 1.0);
+  const RecordId o_a = 0, o_b = 1, n_a = 0;
+  ASSERT_EQ(t.clustering.old_labels[o_a], t.clustering.new_labels[n_a]);
+  ASSERT_FALSE(t.prematcher.PairSimilarity(o_a, n_a, 0.0).kept);
+  ASSERT_FALSE(t.prematcher.PairSimilarity(o_b, n_a, 0.0).kept);
+
+  const CounterDelta lookups("simcache.prematch_miss");
+  const CounterDelta evaluated("subgraph.candidate_group_pairs");
+  const CounterDelta potential("subgraph.potential_pairs");
+  EXPECT_TRUE(t.BuildAll().empty());
+  EXPECT_EQ(lookups.Get(), 0u);
+  EXPECT_EQ(evaluated.Get(), 0u);
+  EXPECT_EQ(potential.Get(), 6u);
+  EXPECT_TRUE(t.Build(0, 0).empty());
 }
 
 }  // namespace

@@ -85,7 +85,8 @@ python3 tools/check_report.py "$smoke_dir/report.json" \
   --expect-counter linkage.iterations \
   --expect-counter blocking.candidate_pairs \
   --expect-counter similarity.agg_calls \
-  --expect-counter simkernel.screened
+  --expect-counter simkernel.screened \
+  --expect-counter subgraph.potential_pairs
 note ran "perf smoke"
 
 # Perf gate: re-run the smoke-scale table5 bench under the memory profiler
@@ -162,10 +163,10 @@ if [ "$quick" -eq 0 ]; then
   cmake --build --preset tsan -j "$jobs" \
     --target obs_threads_test parallel_test parallel_determinism_test \
              thread_annotations_test tsan_hammer_test \
-             subgraph_equivalence_test similarity_kernel_property_test \
-             prematching_test
+             subgraph_equivalence_test subgraph_test \
+             similarity_kernel_property_test prematching_test
   stage "ctest: tsan (threaded tests)"
-  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_equivalence_test|similarity_kernel_property_test_mt|prematching_test)$'
+  ctest --preset tsan -R '^(obs_threads_test|parallel_test|parallel_determinism_test|thread_annotations_test|tsan_hammer_test|subgraph_equivalence_test|subgraph_test|similarity_kernel_property_test_mt|prematching_test)$'
   note ran "tsan hammers"
 
   # Line-coverage floor over the blocking and similarity layers (gcov only —
