@@ -131,8 +131,7 @@ LinkageResult LinkCensusPair(const CensusDataset& old_dataset,
 
     IterationStats stats;
     stats.delta = delta;
-    stats.scored_pairs =
-        prematcher.CountPairsAtDelta(delta, active_old, active_new);
+    stats.scored_pairs = clustering.admissible_pairs;
     stats.candidate_subgraphs = subgraphs.size();
 
 #ifndef NDEBUG

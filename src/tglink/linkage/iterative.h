@@ -22,6 +22,7 @@ namespace tglink {
 struct IterationStats {
   double delta = 0.0;
   size_t scored_pairs = 0;          // pre-match pairs accepted at this δ
+                                    // (Clustering::admissible_pairs)
   size_t candidate_subgraphs = 0;   // non-empty common subgraphs built
   size_t accepted_subgraphs = 0;    // subgraphs accepted by Algorithm 2
   size_t new_group_links = 0;

@@ -1,7 +1,9 @@
 #include "tglink/linkage/prematching.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <span>
 
 #include "tglink/graph/union_find.h"
 #include "tglink/obs/memprof.h"
@@ -22,25 +24,42 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
   candidates_ = GenerateCandidatePairs(old_dataset, new_dataset, blocking);
-  // Score chunks in parallel; the per-candidate results come back in
-  // candidate order, so the serial keep loop below is bit-identical to
-  // the single-threaded path. Passing min_threshold down lets the batched
-  // kernels reject provably-losing pairs in O(1); the SimCache::kPruned
-  // sentinel (-1) is below every admissible threshold, so the keep filter
-  // needs no extra branch and the kept set equals the exact one.
-  const std::vector<double> sims = ParallelMap<double>(
-      candidates_.size(), "prematch.score_chunk",
-      [this, min_threshold](size_t i) {
-        const CandidatePair& cand = candidates_[i];
-        return sim_cache_.AggregateWithThreshold(cand.old_id, cand.new_id,
-                                                 min_threshold);
-      });
+  // Score chunks in parallel, one old-record row at a time: each chunk
+  // writes its own slice of `sims`, so the serial keep loop below is
+  // bit-identical to the single-threaded path (a chunk may split a row; the
+  // next chunk reloads the old side). Pairs below min_threshold come back
+  // as SimCache::kPruned (-1), below every admissible threshold, so the
+  // keep filter needs no extra branch and the kept set equals the exact
+  // one. Each chunk tallies its kept similarities locally and adds them to
+  // the histogram once.
+  std::vector<double> sims(candidates_.size());
+  std::atomic<size_t> num_kept{0};
+  {
+    TGLINK_TRACE_SPAN("prematch.score");
+    const std::span<const CandidatePair> all(candidates_);
+    ParallelFor(candidates_.size(), "prematch.score_chunk",
+                [&](size_t begin, size_t end) {
+                  const std::span<double> out(sims.data() + begin,
+                                              end - begin);
+                  sim_cache_.AggregateRowsWithThreshold(
+                      all.subspan(begin, end - begin), min_threshold, out);
+                  static obs::Histogram& kept_sim_histogram =
+                      obs::GlobalMetrics().GetHistogram(
+                          "prematch.kept_pair_sim",
+                          obs::Histogram::UnitIntervalBounds());
+                  obs::HistogramTally kept_sims(kept_sim_histogram);
+                  for (const double sim : out) {
+                    if (sim >= min_threshold) kept_sims.Observe(sim);
+                  }
+                  num_kept.fetch_add(kept_sims.count(),
+                                     std::memory_order_relaxed);
+                });
+  }
   // Candidates arrive sorted by (old, new), so appending the kept ones in
   // candidate order fills each old record's row in ascending new id; the
   // row offsets are a prefix sum of the row sizes.
-  scored_pairs_.reserve(static_cast<size_t>(std::count_if(
-      sims.begin(), sims.end(),
-      [min_threshold](double sim) { return sim >= min_threshold; })));
+  TGLINK_TRACE_SPAN("prematch.keep");
+  scored_pairs_.reserve(num_kept.load(std::memory_order_relaxed));
   kept_row_.assign(old_dataset.num_records() + 1, 0);
   for (size_t i = 0; i < candidates_.size(); ++i) {
     const double sim = sims[i];
@@ -50,7 +69,6 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                     (candidates_[i - 1].old_id == cand.old_id &&
                      candidates_[i - 1].new_id < cand.new_id))
           << "blocking candidates not sorted by (old, new) at " << i;
-      TGLINK_HISTOGRAM_SCORE("prematch.kept_pair_sim", sim);
       scored_pairs_.push_back({cand.old_id, cand.new_id, sim});
       ++kept_row_[cand.old_id + 1];
     }
@@ -99,17 +117,18 @@ Clustering PreMatcher::Cluster(double delta,
 
   // Transitive closure over accepted pairs; node space is old records
   // followed by new records.
+  Clustering clustering;
   UnionFind uf(n_old + n_new);
   for (const ScoredPair& pair : scored_pairs_) {
     if (pair.sim + 1e-12 < delta || !active_old[pair.old_id] ||
         !active_new[pair.new_id]) {
       continue;
     }
+    ++clustering.admissible_pairs;
     uf.Union(pair.old_id, n_old + pair.new_id);
   }
   std::vector<uint32_t> labels = uf.ComponentLabels();
 
-  Clustering clustering;
   clustering.old_labels.assign(n_old, Clustering::kNoLabel);
   clustering.new_labels.assign(n_new, Clustering::kNoLabel);
   clustering.num_labels = uf.num_components();

@@ -11,6 +11,10 @@
 // (util/parallel.h) with an ordered merge, so the output is bit-identical
 // to a serial run.
 //
+// Scoring runs one old-record row at a time through the row scorer
+// (SimCache::AggregateRowsWithThreshold) in parallel chunks, under the
+// span "prematch.score"; the serial keep loop is "prematch.keep".
+//
 // Blocking candidates arrive sorted by (old, new), and the kept pairs stay
 // in that order: one row of ascending new ids per old record, which is both
 // the per-δ clustering input and the index behind PairSimilarity. A kept
@@ -49,6 +53,9 @@ struct Clustering {
   std::vector<uint32_t> old_labels;  // per old record
   std::vector<uint32_t> new_labels;  // per new record
   size_t num_labels = 0;
+  /// Kept pairs admissible at this round's δ between active records — the
+  /// pairs the clustering unions; equals PreMatcher::CountPairsAtDelta.
+  size_t admissible_pairs = 0;
 
   /// Active records per label, per side. Indexed by label.
   std::vector<std::vector<RecordId>> label_old_members;
@@ -80,6 +87,8 @@ class PreMatcher {
 
   /// Pairs admissible at `delta` (sim within 1e-12 of it or above) between
   /// still-active records — the per-iteration "scored pairs" diagnostic.
+  /// Equals Cluster(delta, active_old, active_new).admissible_pairs, which
+  /// LinkCensusPair reads instead of scanning the kept pairs again.
   [[nodiscard]] size_t CountPairsAtDelta(
       double delta, const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
@@ -18,21 +19,26 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
     const std::vector<bool>& active_old, const std::vector<bool>& active_new) {
   // Filter to active candidates serially, fan the scoring out over the
   // shared pool, then keep threshold survivors in candidate order — the
-  // same list the serial loop builds, for any thread count. Scoring goes
-  // through the batched kernel substrate with the accept threshold as the
-  // pruning cutoff; kPruned (-1) never survives the keep filter and
-  // pruning is sound, so the kept set equals the exact one.
+  // same list the serial loop builds, for any thread count. The active
+  // candidates stay in (old, new) order, so each chunk scores them one
+  // old-record row at a time through the batched row scorer; pairs below
+  // the accept threshold come back as kPruned (-1), which never survives
+  // the keep filter, so the kept set equals the exact one.
   std::vector<CandidatePair> active;
   for (const CandidatePair& cand : candidates) {
     if (!active_old[cand.old_id] || !active_new[cand.new_id]) continue;
     active.push_back(cand);
   }
   const SimCache sim_cache(sim_func, old_dataset, new_dataset);
-  const std::vector<double> sims = ParallelMap<double>(
-      active.size(), "residual.score_chunk", [&](size_t i) {
-        return sim_cache.AggregateWithThreshold(
-            active[i].old_id, active[i].new_id, sim_func.threshold());
-      });
+  std::vector<double> sims(active.size());
+  ParallelFor(active.size(), "residual.score_chunk",
+              [&](size_t begin, size_t end) {
+                sim_cache.AggregateRowsWithThreshold(
+                    std::span<const CandidatePair>(active).subspan(
+                        begin, end - begin),
+                    sim_func.threshold(),
+                    std::span<double>(sims).subspan(begin, end - begin));
+              });
   std::vector<ScoredPair> scored;
   for (size_t i = 0; i < active.size(); ++i) {
     if (sims[i] >= sim_func.threshold()) {

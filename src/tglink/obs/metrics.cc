@@ -61,19 +61,58 @@ Histogram::Histogram(std::vector<double> bounds)
   for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
-void Histogram::Observe(double value) {
+size_t Histogram::BucketIndex(double value) const {
   const size_t bucket =
       std::upper_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin();
   // upper_bound finds the first bound strictly greater; bounds are
   // inclusive upper limits, so step back onto an exactly-hit bound.
-  const size_t index =
-      (bucket > 0 && bounds_[bucket - 1] == value) ? bucket - 1 : bucket;
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
+  return (bucket > 0 && bounds_[bucket - 1] == value) ? bucket - 1 : bucket;
+}
+
+void Histogram::Observe(double value) {
+  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.Add(value);  // tglink-lint: disable=ignored-status (returns void)
   min_.Min(value);
   max_.Max(value);
+}
+
+void Histogram::AddTally(const std::vector<uint64_t>& bucket_counts,
+                         uint64_t count, double sum, double min, double max) {
+  TGLINK_CHECK(bucket_counts.size() == bounds_.size() + 1)
+      << "tally has " << bucket_counts.size() << " buckets, histogram "
+      << bounds_.size() + 1;
+  if (count == 0) return;
+  for (size_t i = 0; i < bucket_counts.size(); ++i) {
+    if (bucket_counts[i] != 0) {
+      buckets_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(count, std::memory_order_relaxed);
+  sum_.Add(sum);  // tglink-lint: disable=ignored-status (returns void)
+  min_.Min(min);
+  max_.Max(max);
+}
+
+// --- HistogramTally --------------------------------------------------------
+
+HistogramTally::HistogramTally(Histogram& target)
+    : target_(target),
+      buckets_(target.bounds().size() + 1, 0),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {}
+
+HistogramTally::~HistogramTally() {
+  target_.AddTally(buckets_, count_, sum_, min_, max_);
+}
+
+void HistogramTally::Observe(double value) {
+  ++buckets_[target_.BucketIndex(value)];
+  ++count_;
+  sum_ += value;
+  min_ = std::min(min_, value);
+  max_ = std::max(max_, value);
 }
 
 uint64_t Histogram::BucketCount(size_t i) const {

@@ -87,6 +87,15 @@ class Histogram {
 
   void Observe(double value);
 
+  /// The bucket Observe(value) counts into.
+  [[nodiscard]] size_t BucketIndex(double value) const;
+
+  /// Adds a batch of observations in one step: per-bucket counts (one per
+  /// bucket, overflow last) and their count, sum, min and max. See
+  /// HistogramTally.
+  void AddTally(const std::vector<uint64_t>& bucket_counts, uint64_t count,
+                double sum, double min, double max);
+
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   [[nodiscard]] uint64_t Count() const {
     return count_.load(std::memory_order_relaxed);
@@ -119,6 +128,30 @@ class Histogram {
   AtomicDouble sum_{0.0};
   AtomicDouble min_;
   AtomicDouble max_;
+};
+
+/// Unsynchronized observations for one Histogram, added to it in one step
+/// when the tally is destroyed — for loops where a relaxed RMW per
+/// observation costs more than the work observed. Owned by one thread
+/// (e.g. per ParallelFor chunk); the target sees the same buckets, count,
+/// min and max as with Observe per value (the sum may round differently).
+class HistogramTally {
+ public:
+  explicit HistogramTally(Histogram& target);
+  ~HistogramTally();
+  HistogramTally(const HistogramTally&) = delete;
+  HistogramTally& operator=(const HistogramTally&) = delete;
+
+  void Observe(double value);
+  [[nodiscard]] uint64_t count() const { return count_; }
+
+ private:
+  Histogram& target_;
+  std::vector<uint64_t> buckets_;
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_;
+  double max_;
 };
 
 /// One serializable point-in-time view of a registry. Entries are sorted by
@@ -227,15 +260,6 @@ MetricsRegistry& GlobalMetrics();
     static ::tglink::obs::Histogram& tglink_obs_hist_ =              \
         ::tglink::obs::GlobalMetrics().GetHistogram(                 \
             name, ::tglink::obs::Histogram::SizeBounds());           \
-    tglink_obs_hist_.Observe(static_cast<double>(value));            \
-  } while (0)
-
-/// Histogram over [0,1] scores (similarities).
-#define TGLINK_HISTOGRAM_SCORE(name, value)                          \
-  do {                                                               \
-    static ::tglink::obs::Histogram& tglink_obs_hist_ =              \
-        ::tglink::obs::GlobalMetrics().GetHistogram(                 \
-            name, ::tglink::obs::Histogram::UnitIntervalBounds());   \
     tglink_obs_hist_.Observe(static_cast<double>(value));            \
   } while (0)
 

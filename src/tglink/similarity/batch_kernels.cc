@@ -286,17 +286,16 @@ double DiceProfileKernel(const uint32_t* a, size_t na, const uint32_t* b,
     TGLINK_COUNTER_INC("simkernel.pruned_by_profile");
     return kBelowMinSim;
   }
+  // Branchless merge: the order of two profile codes is unpredictable, so
+  // each step advances by comparison results instead of branching on them.
+  // The steps (and so the count) are those of the three-way merge.
   size_t i = 0, j = 0, common = 0;
   while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++common;
-      ++i;
-      ++j;
-    }
+    const uint32_t x = a[i];
+    const uint32_t y = b[j];
+    common += x == y;
+    i += x <= y;
+    j += y <= x;
   }
   // Same expression as qgram.cc: 2|A∩B| / (|A|+|B|).
   return 2.0 * static_cast<double>(common) / static_cast<double>(na + nb);
@@ -308,8 +307,9 @@ void BuildPaddedGramProfile(std::string_view s, int q,
   // Virtual padded string (q-1)*'#' + s + (q-1)*'$', no materialization.
   const size_t pad = static_cast<size_t>(q - 1);
   const size_t num_grams = s.size() + pad;  // (|s| + 2*pad) - q + 1
+  // No reserve here: callers append many profiles to one arena, and an
+  // exact-size reserve per profile would defeat geometric growth.
   const size_t start = out->size();
-  out->reserve(start + num_grams);
   const auto at = [&](size_t v) -> uint32_t {
     if (v < pad) return '#';
     if (v >= pad + s.size()) return '$';

@@ -105,8 +105,8 @@ inline constexpr double kPruneMargin = 1e-9;
                                        double min_sim);
 
 /// Dice coefficient from two precomputed sorted gram profiles (see
-/// BuildPaddedGramProfile) via sorted merge. Both profiles must be
-/// non-empty (padded grams of non-empty strings always are).
+/// BuildPaddedGramProfile) via a branchless sorted merge. Both profiles
+/// must be non-empty (padded grams of non-empty strings always are).
 [[nodiscard]] double DiceProfileKernel(const uint32_t* a, size_t na,
                                        const uint32_t* b, size_t nb,
                                        double min_sim);
@@ -118,6 +118,8 @@ inline constexpr double kPruneMargin = 1e-9;
 /// big-endian byte packing, one uint32_t per gram) to `*out`. The multiset
 /// of codes corresponds 1:1 to QGrams(s, {q, padded=true}), so sorted-merge
 /// intersection counts are identical to the scalar string-gram counts.
+/// Appends without reserving, so building many profiles into one arena
+/// keeps the vector's geometric growth.
 void BuildPaddedGramProfile(std::string_view s, int q,
                             std::vector<uint32_t>* out);
 

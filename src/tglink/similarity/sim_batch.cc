@@ -19,38 +19,14 @@ namespace {
 
 std::atomic<bool> g_batch_kernels_enabled{true};
 
-/// Per-thread pair-evaluation scratch for AggregateWithThreshold, sized to
-/// the spec count once and reused — no per-pair heap work.
-struct SpecState {
-  double contrib_ub = 0.0;  // this spec's weighted contribution bound
-  double value = 0.0;       // exact value when `known`
-  uint32_t va = 0;
-  uint32_t vb = 0;
-  bool present = false;
-  bool known = false;
-  bool missing_one = false;
-  bool missing_both = false;
-};
-
-struct PairScratch {
-  std::vector<SpecState> state;
-  std::vector<double> rem_after;  // suffix sums of contrib_ub
-};
-
-// Concurrency contract: the scratch is thread-owned, never shared — each
-// pool worker mutates only its own copy, so no capability annotation
-// applies (thread_local IS the discipline). The batch tables it reads are
-// frozen after single-threaded construction; any future mutable sharing
-// here must move behind an annotated lock from util/thread_annotations.h.
-PairScratch& ThreadPairScratch() {
-  thread_local PairScratch scratch;
-  return scratch;
-}
-
 /// Source of SimBatch generations. A new batch can reuse a destroyed
 /// batch's address, so memo entries name their batch by generation, which
 /// is never reused; 0 marks an empty slot.
 std::atomic<uint64_t> g_next_generation{1};
+
+/// O1Value's answer for a present component whose value needs a kernel or
+/// the fallback; real values are in [0, 1].
+constexpr double kNeedsKernel = -2.0;
 
 /// One slot of a value-pair memo: the exact kernel value of (old value
 /// id, the slot's new value id) under one batch generation.
@@ -60,14 +36,50 @@ struct MemoSlot {
 };
 
 // The per-thread value-pair memo of the string-kernel plans: per spec
-// index, a direct-mapped table indexed by the new value id. Thread-owned
-// like the scratch above, so no capability annotation applies.
+// index, a direct-mapped table indexed by the new value id.
+//
+// Concurrency contract: the memo (like the row state in BindRowScratch) is
+// thread-owned, never shared — each pool worker mutates only its own copy,
+// so no capability annotation applies (thread_local IS the discipline).
+// The batch tables it caches are frozen after single-threaded
+// construction; any future mutable sharing here must move behind an
+// annotated lock from util/thread_annotations.h.
 std::vector<std::vector<MemoSlot>>& ThreadValuePairMemo() {
   thread_local std::vector<std::vector<MemoSlot>> memo;
   return memo;
 }
 
 }  // namespace
+
+struct SimBatch::OldSide {
+  uint32_t va = 0;  // value id (table specs)
+  bool missing = false;
+  simkernel::StringRef ref;  // the value (table specs)
+  GramSpan grams;            // Dice plans
+  uint64_t soundex = 0;      // kSoundex
+  // String-kernel plans: this thread's memo row for the spec and the key a
+  // slot holds when it caches (this batch, va, the slot's new value id).
+  MemoSlot* memo = nullptr;
+  uint64_t memo_key = 0;
+};
+
+struct SimBatch::RowScratch {
+  /// One spec's evaluation state for the pair being scored.
+  struct PairState {
+    double contrib_ub = 0.0;  // this spec's weighted contribution bound
+    double value = 0.0;       // exact value when `known`
+    uint32_t vb = 0;
+    bool present = false;
+    bool known = false;
+    bool missing_one = false;
+    bool missing_both = false;
+  };
+
+  const PersonRecord* old_record = nullptr;
+  std::vector<OldSide> old_side;  // per spec
+  std::vector<PairState> pair;    // per spec
+  std::vector<double> rem_after;  // suffix sums of pair[].contrib_ub
+};
 
 bool BatchKernelsEnabled() {
   return g_batch_kernels_enabled.load(std::memory_order_relaxed);
@@ -89,6 +101,7 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
   TGLINK_TRACE_SPAN("simkernel.build_batch");
   TGLINK_MEM_STAGE("simkernel.build_batch");
   const std::vector<AttributeSpec>& specs = fn.specs();
+  for (const AttributeSpec& spec : specs) weight_total_ += spec.weight;
   plans_.resize(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     const AttributeSpec& spec = specs[i];
@@ -140,25 +153,28 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     if (plan.table < 0) continue;
     FieldTable& table = tables_[plan.table];
     const size_t n = table.num_values();
-    if (plan.plan == Plan::kBigramDice && table.gram2_starts.empty()) {
-      table.gram2_starts.reserve(n + 1);
-      table.gram2_starts.push_back(0);
+    // One exact reserve per profile arena (a value of length l has l + q - 1
+    // padded grams), so the arena is allocated once and carries no growth
+    // slack for the batch's lifetime.
+    const auto build_profiles = [&table, n](int q, std::vector<uint32_t>* data,
+                                            std::vector<uint32_t>* starts) {
+      size_t grams = 0;
       for (uint32_t vid = 0; vid < n; ++vid) {
-        simkernel::BuildPaddedGramProfile(table.Ref(vid).view(), 2,
-                                          &table.gram2_data);
-        table.gram2_starts.push_back(
-            static_cast<uint32_t>(table.gram2_data.size()));
+        grams += table.Ref(vid).len + static_cast<size_t>(q - 1);
       }
+      data->reserve(grams);
+      starts->reserve(n + 1);
+      starts->push_back(0);
+      for (uint32_t vid = 0; vid < n; ++vid) {
+        simkernel::BuildPaddedGramProfile(table.Ref(vid).view(), q, data);
+        starts->push_back(static_cast<uint32_t>(data->size()));
+      }
+    };
+    if (plan.plan == Plan::kBigramDice && table.gram2_starts.empty()) {
+      build_profiles(2, &table.gram2_data, &table.gram2_starts);
     }
     if (plan.plan == Plan::kTrigramDice && table.gram3_starts.empty()) {
-      table.gram3_starts.reserve(n + 1);
-      table.gram3_starts.push_back(0);
-      for (uint32_t vid = 0; vid < n; ++vid) {
-        simkernel::BuildPaddedGramProfile(table.Ref(vid).view(), 3,
-                                          &table.gram3_data);
-        table.gram3_starts.push_back(
-            static_cast<uint32_t>(table.gram3_data.size()));
-      }
+      build_profiles(3, &table.gram3_data, &table.gram3_starts);
     }
     if (plan.plan == Plan::kSoundex && table.soundex_codes.empty()) {
       table.soundex_codes.reserve(n);
@@ -224,259 +240,183 @@ size_t SimBatch::num_interned_values() const {
   return total;
 }
 
-double SimBatch::PresentValue(size_t spec_index, uint32_t va, uint32_t vb,
-                              const PersonRecord& ra, const PersonRecord& rb,
-                              double kernel_min,
-                              const FallbackFn& fallback) const {
-  const SpecPlan& plan = plans_[spec_index];
-  switch (plan.plan) {
-    case Plan::kAge:
-      return TemporalAgeSimilarity(ra.age, rb.age, fn_.year_gap(),
-                                   fn_.age_tolerance());
-    case Plan::kExactId:
-      return va == vb ? 1.0 : 0.0;
-    case Plan::kSoundex: {
-      const FieldTable& t = tables_[plan.table];
-      return t.soundex_codes[va] == t.soundex_codes[vb] ? 1.0 : 0.0;
-    }
-    case Plan::kFallback: {
-      const FieldTable& t = tables_[plan.table];
-      return fallback(spec_index, va, vb, t.Ref(va).view(), t.Ref(vb).view());
-    }
-    case Plan::kBigramDice:
-    case Plan::kTrigramDice:
-    case Plan::kLevenshtein:
-    case Plan::kDamerau:
-    case Plan::kJaro:
-    case Plan::kJaroWinkler:
-      break;  // string kernels, through the value-pair memo below
-  }
-  if (va == vb) return 1.0;
-  const FieldTable& t = tables_[plan.table];
-  // The memo holds exact results only: a hit where the kernel would have
-  // pruned returns the exact value, which the caller's running-cutoff
-  // check then rejects as before.
+SimBatch::RowScratch& SimBatch::BindRowScratch() const {
+  thread_local RowScratch row;
+  const size_t n = plans_.size();
+  row.old_record = nullptr;
+  row.old_side.resize(n);
+  row.pair.resize(n);
+  row.rem_after.resize(n);
   std::vector<std::vector<MemoSlot>>& memo = ThreadValuePairMemo();
-  if (memo.size() <= spec_index) memo.resize(spec_index + 1);
-  std::vector<MemoSlot>& slots = memo[spec_index];
-  if (slots.size() < t.num_values()) slots.resize(t.num_values());
-  MemoSlot& slot = slots[vb];
-  const uint64_t key = (generation_ << 32) | va;
-  if (slot.key == key) return slot.value;
-  double s = 0.0;
-  switch (plan.plan) {
-    case Plan::kBigramDice:
-      s = simkernel::DiceProfileKernel(
-          t.gram2_data.data() + t.gram2_starts[va],
-          t.gram2_starts[va + 1] - t.gram2_starts[va],
-          t.gram2_data.data() + t.gram2_starts[vb],
-          t.gram2_starts[vb + 1] - t.gram2_starts[vb], kernel_min);
-      break;
-    case Plan::kTrigramDice:
-      s = simkernel::DiceProfileKernel(
-          t.gram3_data.data() + t.gram3_starts[va],
-          t.gram3_starts[va + 1] - t.gram3_starts[va],
-          t.gram3_data.data() + t.gram3_starts[vb],
-          t.gram3_starts[vb + 1] - t.gram3_starts[vb], kernel_min);
-      break;
-    case Plan::kLevenshtein:
-      s = simkernel::LevenshteinKernel(t.Ref(va), t.Ref(vb), kernel_min);
-      break;
-    case Plan::kDamerau:
-      s = simkernel::DamerauKernel(t.Ref(va), t.Ref(vb), kernel_min);
-      break;
-    case Plan::kJaro:
-      s = simkernel::JaroKernel(t.Ref(va), t.Ref(vb), kernel_min);
-      break;
-    case Plan::kJaroWinkler:
-      s = simkernel::JaroWinklerKernel(t.Ref(va), t.Ref(vb), kernel_min);
-      break;
-    case Plan::kAge:
-    case Plan::kExactId:
-    case Plan::kSoundex:
-    case Plan::kFallback:
-      break;  // answered above
+  if (memo.size() < n) memo.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    MemoSlot*& slots = row.old_side[i].memo;
+    slots = nullptr;
+    switch (plans_[i].plan) {
+      case Plan::kAge:
+      case Plan::kExactId:
+      case Plan::kSoundex:
+      case Plan::kFallback:
+        continue;  // O(1) or caller-memoized: no value-pair memo
+      case Plan::kBigramDice:
+      case Plan::kTrigramDice:
+      case Plan::kLevenshtein:
+      case Plan::kDamerau:
+      case Plan::kJaro:
+      case Plan::kJaroWinkler:
+        break;
+    }
+    const size_t values = tables_[plans_[i].table].num_values();
+    if (memo[i].size() < values) memo[i].resize(values);
+    slots = memo[i].data();
   }
-  if (s != simkernel::kBelowMinSim) slot = {key, s};
-  return s;
+  return row;
 }
 
-double SimBatch::Aggregate(RecordId old_id, RecordId new_id,
-                           const FallbackFn& fallback) const {
-  const PersonRecord& ra = old_dataset_.record(old_id);
+void SimBatch::LoadOldRecord(RecordId old_id, RowScratch* row) const {
+  const PersonRecord& record = old_dataset_.record(old_id);
+  row->old_record = &record;
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    const SpecPlan& plan = plans_[i];
+    OldSide& side = row->old_side[i];
+    if (plan.table < 0) {
+      side.missing = !record.has_age();
+      continue;
+    }
+    const FieldTable& t = tables_[plan.table];
+    side.va = t.old_ids[old_id];
+    side.missing = t.Missing(side.va);
+    side.ref = t.Ref(side.va);
+    side.memo_key = (generation_ << 32) | side.va;
+    if (plan.plan == Plan::kBigramDice || plan.plan == Plan::kTrigramDice) {
+      side.grams = t.Profile(plan.plan, side.va);
+    } else if (plan.plan == Plan::kSoundex) {
+      side.soundex = t.soundex_codes[side.va];
+    }
+  }
+}
+
+double SimBatch::O1Value(size_t spec_index, const RowScratch& row,
+                         RecordId new_id, const PersonRecord& rb,
+                         uint32_t* vb, bool* missing_one,
+                         bool* missing_both) const {
+  const SpecPlan& plan = plans_[spec_index];
+  const OldSide& a = row.old_side[spec_index];
+  const FieldTable* t = nullptr;
+  bool mb = false;
+  if (plan.table < 0) {
+    mb = !rb.has_age();
+  } else {
+    t = &tables_[plan.table];
+    *vb = t->new_ids[new_id];
+    mb = t->Missing(*vb);
+  }
+  // ComponentSimilarity's missing-value protocol, verbatim.
+  *missing_both = a.missing && mb;
+  *missing_one = (a.missing || mb) && !*missing_both;
+  if (a.missing || mb) return 0.0;
+  switch (plan.plan) {
+    case Plan::kAge:
+      return TemporalAgeSimilarity(row.old_record->age, rb.age,
+                                   fn_.year_gap(), fn_.age_tolerance());
+    case Plan::kExactId:
+      return a.va == *vb ? 1.0 : 0.0;
+    case Plan::kSoundex:
+      return a.soundex == t->soundex_codes[*vb] ? 1.0 : 0.0;
+    case Plan::kBigramDice:
+    case Plan::kTrigramDice:
+    case Plan::kLevenshtein:
+    case Plan::kDamerau:
+    case Plan::kJaro:
+    case Plan::kJaroWinkler:
+      // Every string kernel scores a value against itself as 1.
+      if (a.va == *vb) return 1.0;
+      break;
+    case Plan::kFallback:
+      break;
+  }
+  return kNeedsKernel;
+}
+
+double SimBatch::ExactInRow(const RowScratch& row, RecordId new_id,
+                            const FallbackFn& fallback) const {
   const PersonRecord& rb = new_dataset_.record(new_id);
   return fn_.AggregateWith([&](size_t i, bool* missing_one,
                                bool* missing_both) -> double {
-    const SpecPlan& plan = plans_[i];
-    bool ma = false, mb = false;
-    uint32_t va = 0, vb = 0;
-    if (plan.table < 0) {
-      ma = !ra.has_age();
-      mb = !rb.has_age();
-    } else {
-      const FieldTable& t = tables_[plan.table];
-      va = t.old_ids[old_id];
-      vb = t.new_ids[new_id];
-      ma = t.Missing(va);
-      mb = t.Missing(vb);
+    uint32_t vb = 0;
+    double s = O1Value(i, row, new_id, rb, &vb, missing_one, missing_both);
+    if (s == kNeedsKernel) {
+      s = PresentValue(i, row.old_side[i], vb, /*kernel_min=*/0.0, fallback);
+      TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
+          << "batched measure " << MeasureName(fn_.specs()[i].measure)
+          << " on " << FieldName(fn_.specs()[i].field) << " returned " << s;
     }
-    // ComponentSimilarity's missing-value protocol, verbatim.
-    *missing_both = ma && mb;
-    *missing_one = (ma || mb) && !*missing_both;
-    if (ma || mb) return 0.0;
-    const double s = PresentValue(i, va, vb, ra, rb, /*kernel_min=*/0.0,
-                                  fallback);
-    TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
-        << "batched measure " << MeasureName(fn_.specs()[i].measure) << " on "
-        << FieldName(fn_.specs()[i].field) << " returned " << s;
     return s;
   });
 }
 
-double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
-                                        double min_sim,
-                                        const FallbackFn& fallback) const {
-  if (min_sim <= 0.0) return Aggregate(old_id, new_id, fallback);
-  TGLINK_COUNTER_INC("simkernel.screened");
-  const PersonRecord& ra = old_dataset_.record(old_id);
+double SimBatch::PrunedInRow(RowScratch* row, RecordId new_id, double min_sim,
+                             const FallbackFn& fallback) const {
   const PersonRecord& rb = new_dataset_.record(new_id);
   const std::vector<AttributeSpec>& specs = fn_.specs();
   const MissingPolicy policy = fn_.missing_policy();
-  PairScratch& scratch = ThreadPairScratch();
-  scratch.state.resize(specs.size());
-  scratch.rem_after.resize(specs.size());
 
-  // Phase 0+1: missing flags and O(1) per-component upper bounds. The
-  // missing pattern fully determines the Eq. 3 denominator and the
-  // coverage floor, so those are evaluated exactly here; only the present
-  // components' values remain uncertain.
-  double weight_total = 0.0;
+  // Phase 1: missing flags, the O(1) exact values and per-component upper
+  // bounds. The missing pattern fully determines the Eq. 3 denominator and
+  // the coverage floor, so those are evaluated exactly here; only the
+  // present string and fallback components' values remain uncertain.
   double weight_counted = 0.0;
   double weight_covered = 0.0;
-  double ub_sum = 0.0;       // optimistic weighted sum, all bounds applied
-  double ub_len_sum = 0.0;   // ditto with gram-profile bounds relaxed to 1
+  double ub_sum = 0.0;      // optimistic weighted sum, all bounds applied
+  double ub_len_sum = 0.0;  // ditto with gram-profile bounds relaxed to 1
   for (size_t i = 0; i < specs.size(); ++i) {
-    const AttributeSpec& spec = specs[i];
-    const SpecPlan& plan = plans_[i];
-    SpecState& st = scratch.state[i];
-    st = SpecState{};
-    weight_total += spec.weight;
-    bool ma = false, mb = false;
-    if (plan.table < 0) {
-      ma = !ra.has_age();
-      mb = !rb.has_age();
-    } else {
-      const FieldTable& t = tables_[plan.table];
-      st.va = t.old_ids[old_id];
-      st.vb = t.new_ids[new_id];
-      ma = t.Missing(st.va);
-      mb = t.Missing(st.vb);
-    }
-    st.missing_both = ma && mb;
-    st.missing_one = (ma || mb) && !st.missing_both;
-    if (ma || mb) {
+    const double weight = specs[i].weight;
+    RowScratch::PairState& st = row->pair[i];
+    st = RowScratch::PairState{};
+    const double s = O1Value(i, *row, new_id, rb, &st.vb, &st.missing_one,
+                             &st.missing_both);
+    if (st.missing_one || st.missing_both) {
       // AggregateWith's contribution for a missing component is an exact
       // constant; fold it into both bound sums.
-      double contrib = 0.0;
       switch (policy) {
         case MissingPolicy::kRedistribute:
-          if (st.missing_both) break;  // excluded entirely
-          weight_counted += spec.weight;
+          if (!st.missing_both) weight_counted += weight;
           break;
         case MissingPolicy::kZero:
-          weight_counted += spec.weight;
+          weight_counted += weight;
           break;
         case MissingPolicy::kNeutral:
-          weight_counted += spec.weight;
-          contrib = spec.weight * 0.5;
+          weight_counted += weight;
+          st.contrib_ub = weight * 0.5;
           break;
       }
-      st.contrib_ub = contrib;
-      ub_sum += contrib;
-      ub_len_sum += contrib;
+      ub_sum += st.contrib_ub;
+      ub_len_sum += st.contrib_ub;
       continue;
     }
     st.present = true;
-    weight_counted += spec.weight;
-    weight_covered += spec.weight;
-    double ub = 1.0;
-    double len_ub = 1.0;
-    switch (plan.plan) {
-      case Plan::kAge:
-      case Plan::kExactId:
-      case Plan::kSoundex:
-        // O(1) exact values: use them as their own (tight) bound and skip
-        // the kernel dispatch in phase 2.
-        st.value = PresentValue(i, st.va, st.vb, ra, rb, 0.0, fallback);
-        st.known = true;
-        ub = st.value;
-        len_ub = ub;
-        break;
-      case Plan::kBigramDice: {
-        const FieldTable& t = tables_[plan.table];
-        if (st.va == st.vb) {
-          st.value = 1.0;
-          st.known = true;
-          ub = 1.0;
-        } else {
-          ub = simkernel::DiceUpperBound(
-              t.gram2_starts[st.va + 1] - t.gram2_starts[st.va],
-              t.gram2_starts[st.vb + 1] - t.gram2_starts[st.vb]);
-        }
-        break;
-      }
-      case Plan::kTrigramDice: {
-        const FieldTable& t = tables_[plan.table];
-        if (st.va == st.vb) {
-          st.value = 1.0;
-          st.known = true;
-          ub = 1.0;
-        } else {
-          ub = simkernel::DiceUpperBound(
-              t.gram3_starts[st.va + 1] - t.gram3_starts[st.va],
-              t.gram3_starts[st.vb + 1] - t.gram3_starts[st.vb]);
-        }
-        break;
-      }
-      case Plan::kLevenshtein:
-      case Plan::kDamerau: {
-        const FieldTable& t = tables_[plan.table];
-        ub = simkernel::EditUpperBound(t.Ref(st.va).len, t.Ref(st.vb).len);
-        len_ub = ub;
-        break;
-      }
-      case Plan::kJaro: {
-        const FieldTable& t = tables_[plan.table];
-        ub = simkernel::JaroUpperBound(t.Ref(st.va).len, t.Ref(st.vb).len);
-        len_ub = ub;
-        break;
-      }
-      case Plan::kJaroWinkler: {
-        const FieldTable& t = tables_[plan.table];
-        ub = simkernel::JaroWinklerUpperBound(t.Ref(st.va).len,
-                                              t.Ref(st.vb).len);
-        len_ub = ub;
-        break;
-      }
-      case Plan::kFallback:
-        break;  // no sound bound; ub stays 1
-    }
-    st.contrib_ub = spec.weight * ub;
+    weight_counted += weight;
+    weight_covered += weight;
+    st.known = s != kNeedsKernel;
+    st.value = s;
+    double ub = s;
+    double len_ub = s;
+    if (!st.known) ub = UpperBound(i, row->old_side[i], st.vb, &len_ub);
+    st.contrib_ub = weight * ub;
     ub_sum += st.contrib_ub;
-    ub_len_sum += spec.weight * len_ub;
+    ub_len_sum += weight * len_ub;
   }
 
   // Structural zeroes: AggregateWith returns exactly 0.0 for these, and
   // 0 < min_sim here, so rejecting is sound (and exact).
   if (weight_counted <= 0.0 ||
       (policy == MissingPolicy::kRedistribute &&
-       weight_covered < 0.5 * weight_total)) {
+       weight_covered < 0.5 * weight_total_)) {
     TGLINK_COUNTER_INC("simkernel.pruned_by_coverage");
     return kPruned;
   }
-
   const double denom =
-      policy == MissingPolicy::kRedistribute ? weight_counted : weight_total;
+      policy == MissingPolicy::kRedistribute ? weight_counted : weight_total_;
   // Reject only when the optimistic aggregate is below min_sim by more
   // than the margin, so fp rounding of the bound arithmetic can never
   // reject a pair whose exact aggregate reaches min_sim.
@@ -489,14 +429,11 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
     }
     return kPruned;
   }
-
   // Suffix bounds: rem_after[i] = sum of contrib_ub over specs after i.
-  {
-    double acc = 0.0;
-    for (size_t i = specs.size(); i-- > 0;) {
-      scratch.rem_after[i] = acc;
-      acc += scratch.state[i].contrib_ub;
-    }
+  double acc = 0.0;
+  for (size_t i = specs.size(); i-- > 0;) {
+    row->rem_after[i] = acc;
+    acc += row->pair[i].contrib_ub;
   }
 
   // Phase 2: exact evaluation through the shared aggregation arithmetic,
@@ -507,7 +444,7 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
   double exact_sum = 0.0;  // exact weighted contributions so far
   const double agg = fn_.AggregateWith([&](size_t i, bool* missing_one,
                                            bool* missing_both) -> double {
-    const SpecState& st = scratch.state[i];
+    const RowScratch::PairState& st = row->pair[i];
     *missing_one = st.missing_one;
     *missing_both = st.missing_both;
     if (!st.present) {
@@ -516,16 +453,14 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
     }
     if (pruned) return 0.0;
     const AttributeSpec& spec = specs[i];
-    double s;
-    if (st.known) {
-      s = st.value;
-    } else {
+    double s = st.value;
+    if (!st.known) {
       // Minimum value component i must reach for the pair to stay viable,
       // given the exact sum so far and the remaining components' bounds.
-      double kernel_min = 0.0;
-      const double needed = cutoff - exact_sum - scratch.rem_after[i];
-      if (needed > 0.0 && spec.weight > 0.0) kernel_min = needed / spec.weight;
-      s = PresentValue(i, st.va, st.vb, ra, rb, kernel_min, fallback);
+      const double needed = cutoff - exact_sum - row->rem_after[i];
+      const double kernel_min =
+          needed > 0.0 && spec.weight > 0.0 ? needed / spec.weight : 0.0;
+      s = PresentValue(i, row->old_side[i], st.vb, kernel_min, fallback);
       if (s == simkernel::kBelowMinSim) {
         pruned = true;  // the kernel already counted the bound type
         return 0.0;
@@ -535,14 +470,143 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
           << FieldName(spec.field) << " returned " << s;
     }
     exact_sum += spec.weight * s;
-    if (exact_sum + scratch.rem_after[i] < cutoff) {
+    if (exact_sum + row->rem_after[i] < cutoff) {
       pruned = true;
       TGLINK_COUNTER_INC("simkernel.pruned_by_cutoff");
     }
     return s;
   });
-  if (pruned) return kPruned;
-  return agg;
+  return pruned || agg < min_sim ? kPruned : agg;
+}
+
+double SimBatch::UpperBound(size_t spec_index, const OldSide& a,
+                            uint32_t vb, double* len_ub) const {
+  const SpecPlan& plan = plans_[spec_index];
+  const FieldTable& t = tables_[plan.table];
+  double ub = 1.0;
+  *len_ub = 1.0;
+  switch (plan.plan) {
+    case Plan::kBigramDice:
+    case Plan::kTrigramDice:
+      return simkernel::DiceUpperBound(a.grams.size,
+                                       t.Profile(plan.plan, vb).size);
+    case Plan::kLevenshtein:
+    case Plan::kDamerau:
+      ub = simkernel::EditUpperBound(a.ref.len, t.Ref(vb).len);
+      break;
+    case Plan::kJaro:
+      ub = simkernel::JaroUpperBound(a.ref.len, t.Ref(vb).len);
+      break;
+    case Plan::kJaroWinkler:
+      ub = simkernel::JaroWinklerUpperBound(a.ref.len, t.Ref(vb).len);
+      break;
+    case Plan::kAge:
+    case Plan::kExactId:
+    case Plan::kSoundex:
+    case Plan::kFallback:
+      break;  // exact in phase 1, or no sound bound (fallback)
+  }
+  *len_ub = ub;
+  return ub;
+}
+
+double SimBatch::PresentValue(size_t spec_index, const OldSide& a,
+                              uint32_t vb, double kernel_min,
+                              const FallbackFn& fallback) const {
+  const SpecPlan& plan = plans_[spec_index];
+  const FieldTable& t = tables_[plan.table];
+  if (plan.plan == Plan::kFallback) {
+    return fallback(spec_index, a.va, vb, a.ref.view(), t.Ref(vb).view());
+  }
+  // The memo holds exact results only: a hit where the kernel would have
+  // pruned yields the exact value, which the caller's running-cutoff check
+  // then rejects as before.
+  MemoSlot& slot = a.memo[vb];
+  if (slot.key == a.memo_key) return slot.value;
+  double s = 0.0;
+  switch (plan.plan) {
+    case Plan::kBigramDice:
+    case Plan::kTrigramDice: {
+      const GramSpan b = t.Profile(plan.plan, vb);
+      s = simkernel::DiceProfileKernel(a.grams.data, a.grams.size, b.data,
+                                       b.size, kernel_min);
+      break;
+    }
+    case Plan::kLevenshtein:
+      s = simkernel::LevenshteinKernel(a.ref, t.Ref(vb), kernel_min);
+      break;
+    case Plan::kDamerau:
+      s = simkernel::DamerauKernel(a.ref, t.Ref(vb), kernel_min);
+      break;
+    case Plan::kJaro:
+      s = simkernel::JaroKernel(a.ref, t.Ref(vb), kernel_min);
+      break;
+    case Plan::kJaroWinkler:
+      s = simkernel::JaroWinklerKernel(a.ref, t.Ref(vb), kernel_min);
+      break;
+    case Plan::kAge:
+    case Plan::kExactId:
+    case Plan::kSoundex:
+    case Plan::kFallback:
+      TGLINK_DCHECK(false) << "no kernel for this plan";
+      break;
+  }
+  if (s != simkernel::kBelowMinSim) slot = {a.memo_key, s};
+  return s;
+}
+
+double SimBatch::Aggregate(RecordId old_id, RecordId new_id,
+                           const FallbackFn& fallback) const {
+  RowScratch& row = BindRowScratch();
+  LoadOldRecord(old_id, &row);
+  return ExactInRow(row, new_id, fallback);
+}
+
+double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
+                                        double min_sim,
+                                        const FallbackFn& fallback) const {
+  if (min_sim <= 0.0) return Aggregate(old_id, new_id, fallback);
+  TGLINK_COUNTER_INC("simkernel.screened");
+  RowScratch& row = BindRowScratch();
+  LoadOldRecord(old_id, &row);
+  return PrunedInRow(&row, new_id, min_sim, fallback);
+}
+
+void SimBatch::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
+                                          double min_sim,
+                                          std::span<double> out,
+                                          const FallbackFn& fallback) const {
+  TGLINK_CHECK(out.size() == pairs.size())
+      << "row scorer output holds " << out.size() << " values for "
+      << pairs.size() << " pairs";
+  if (pairs.empty()) return;
+  if (min_sim > 0.0) TGLINK_COUNTER_ADD("simkernel.screened", pairs.size());
+  RowScratch& row = BindRowScratch();
+  RecordId loaded = pairs[0].old_id;
+  LoadOldRecord(loaded, &row);
+  // Both evaluators give every pair the same answer; the cheaper one
+  // depends on how many pairs reach min_sim. Pruning pays when most fall
+  // below it (the screen skips their kernels), the one-pass evaluator when
+  // most are kept (no bounds to compute). Each row takes the one its
+  // predecessor favoured, starting with pruning.
+  bool prune = min_sim > 0.0;
+  size_t row_pairs = 0;
+  size_t row_kept = 0;
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    if (pairs[k].old_id != loaded) {
+      loaded = pairs[k].old_id;
+      LoadOldRecord(loaded, &row);
+      prune = min_sim > 0.0 && 2 * row_kept < row_pairs;
+      row_pairs = 0;
+      row_kept = 0;
+    }
+    const double agg =
+        prune ? PrunedInRow(&row, pairs[k].new_id, min_sim, fallback)
+              : ExactInRow(row, pairs[k].new_id, fallback);
+    out[k] = agg < min_sim ? kPruned : agg;
+    ++row_pairs;
+    row_kept += out[k] != kPruned;
+  }
 }
 
 }  // namespace tglink

@@ -10,20 +10,48 @@
 // path — so Aggregate(o, n) is bit-identical to
 // fn.AggregateSimilarity(old.record(o), new.record(n)).
 //
-// Threshold-aware pruning (AggregateWithThreshold): before any kernel runs,
-// an O(1) per-pair screen combines the per-component upper bounds (length
-// difference, gram-profile counts, interned-id equality for exact/Soundex
-// components, the exact age similarity) through the Eq. 3 weights: if even
-// the optimistic aggregate cannot reach min_sim, the pair is rejected
-// without touching a single string ("simkernel.pruned_by_length" /
-// "simkernel.pruned_by_profile"). Pairs surviving the screen are evaluated
-// component by component with a running cutoff — the minimum value
-// component i must reach given the exact sum so far and the bounds of the
-// remaining components — passed down as each kernel's min_sim, so a kernel
-// can still bail in O(1) mid-aggregate ("simkernel.pruned_by_cutoff").
-// Every rejection is sound: pruned ⇒ the exact aggregate is < min_sim
-// (the property tests pin this), so callers that keep pairs with
-// sim >= min_sim see exactly the scalar keep-set.
+// Every entry point first loads the old record's side of each component
+// once — value id, missing flag, arena view, gram-profile span, Soundex
+// code, and the memo key and this thread's memo row — and then reads only
+// the new record's side per pair. Aggregate and AggregateWithThreshold are
+// rows of one.
+//
+// Two evaluators score a pair of a loaded row, with the same answer: the
+// exact aggregate if it reaches min_sim, else kPruned.
+//
+// One-pass (Aggregate, and rows where most pairs are kept): the O(1)
+// components (missing flags, age, exact id, Soundex, equal value ids) and
+// then the string kernels through the value-pair memo, aggregated by
+// AggregateWith in spec order; a result below min_sim becomes kPruned.
+//
+// Pruned (AggregateWithThreshold, and rows where most pairs fall below
+// min_sim): phase one evaluates the missing pattern — which fixes the Eq. 3
+// denominator and the coverage floor ("simkernel.pruned_by_coverage") —
+// the O(1) component values, and O(1) upper bounds for the rest (length
+// difference, gram-profile counts). If even the optimistic aggregate
+// cannot reach min_sim, the pair is rejected without touching a string
+// ("simkernel.pruned_by_length" / "simkernel.pruned_by_profile"). Phase
+// two evaluates the rest component by component with a running cutoff —
+// the minimum value component i must reach given the exact sum so far and
+// the bounds of the remaining components — passed down as each kernel's
+// min_sim, so a kernel can still bail in O(1), and the pair is dropped
+// once the sum cannot recover ("simkernel.pruned_by_cutoff"). Every
+// rejection is sound: the result is kPruned exactly when the exact
+// aggregate is < min_sim (the property tests pin this), so callers that
+// keep pairs with sim >= min_sim see exactly the scalar keep-set. The
+// bookkeeping costs more than the kernels it skips when most pairs are
+// kept.
+//
+// Row scorer (AggregateRowsWithThreshold): scores a span of candidates
+// sorted by (old, new) — the order blocking emits — reloading the old side
+// only where the old id changes, so a span may start or end mid-row. Each
+// row uses the pruned evaluator if fewer than half of the previous row's
+// pairs reached min_sim, else the one-pass one (the first row is pruned):
+// pre-matching at δ_low keeps about 91% of its candidates, the global
+// residual pass far fewer. The output equals AggregateWithThreshold pair
+// for pair. "simkernel.screened" is added once per call, by the span
+// length; callers that histogram the results tally them per chunk (see
+// PreMatcher).
 //
 // Measures without a batched kernel (Monge-Elkan, double-metaphone,
 // Smith-Waterman, LCS) are delegated to a caller-supplied fallback — in
@@ -35,25 +63,25 @@
 // kernel. A slot holds the exact kernel result for one (batch generation,
 // old value id) key; the generation is unique per process, so a batch
 // built at a destroyed batch's address never sees its entries. Only exact
-// results are stored, never kBelowMinSim: a hit where the kernel would
-// have pruned yields the exact value, which the running-cutoff check then
-// rejects, so pruning stays sound and every result is unchanged.
-// Candidates sorted by old record make the memo pay: household members
-// are adjacent and share surname, address and often occupation.
+// results are stored, never kBelowMinSim, and a hit is an exact value, so
+// pruning stays sound and every result is unchanged. Candidates sorted by
+// old record make the memo pay: household members are adjacent and share
+// surname, address and often occupation.
 //
-// Thread safety: construction is single-threaded; Aggregate and
-// AggregateWithThreshold are lock-free over immutable tables (plus
-// thread-local scratch and memo) and safe to call concurrently from pool
-// workers.
+// Thread safety: construction is single-threaded; every scoring entry
+// point is lock-free over immutable tables (plus thread-local row state
+// and memo) and safe to call concurrently from pool workers.
 
 #ifndef TGLINK_SIMILARITY_SIM_BATCH_H_
 #define TGLINK_SIMILARITY_SIM_BATCH_H_
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "tglink/blocking/blocking.h"
 #include "tglink/census/dataset.h"
 #include "tglink/similarity/batch_kernels.h"
 #include "tglink/similarity/composite.h"
@@ -110,11 +138,20 @@ class SimBatch {
   [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id,
                                  const FallbackFn& fallback) const;
 
-  /// Exact aggregate, or kPruned when the bounds prove it is < min_sim.
-  /// min_sim <= 0 disables pruning (identical to Aggregate).
+  /// Exact aggregate if it reaches min_sim, else kPruned (proved by the
+  /// bounds as early as possible). min_sim <= 0 disables pruning
+  /// (identical to Aggregate).
   [[nodiscard]] double AggregateWithThreshold(RecordId old_id,
                                               RecordId new_id, double min_sim,
                                               const FallbackFn& fallback) const;
+
+  /// out[k] = AggregateWithThreshold(pairs[k], min_sim) for every k, each
+  /// pair evaluated exactly in one pass, with the old record's side loaded
+  /// once per run of equal old ids (any order is correct; (old, new) order
+  /// is the fast one). out.size() must equal pairs.size().
+  void AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
+                                  double min_sim, std::span<double> out,
+                                  const FallbackFn& fallback) const;
 
   [[nodiscard]] const SimilarityFunction& fn() const { return fn_; }
 
@@ -170,6 +207,12 @@ class SimBatch {
     int table = -1;  // index into tables_; -1 for age components
   };
 
+  /// A value's sorted packed gram profile.
+  struct GramSpan {
+    const uint32_t* data = nullptr;
+    uint32_t size = 0;
+  };
+
   /// One field's interned values over both snapshots: a contiguous arena
   /// plus flat per-value signature arrays.
   struct FieldTable {
@@ -196,15 +239,62 @@ class SimBatch {
     [[nodiscard]] bool Missing(uint32_t vid) const {
       return offsets[vid + 1] == offsets[vid];
     }
+    /// Gram profile of a value for a kBigramDice or kTrigramDice plan.
+    [[nodiscard]] GramSpan Profile(Plan plan, uint32_t vid) const {
+      const bool bigram = plan == Plan::kBigramDice;
+      const std::vector<uint32_t>& data = bigram ? gram2_data : gram3_data;
+      const std::vector<uint32_t>& starts =
+          bigram ? gram2_starts : gram3_starts;
+      return {data.data() + starts[vid], starts[vid + 1] - starts[vid]};
+    }
   };
+
+  /// One spec's side of a row's old record, and the per-thread row state
+  /// holding them with the current pair's per-spec evaluation (both
+  /// defined in sim_batch.cc).
+  struct OldSide;
+  struct RowScratch;
 
   int BuildFieldTable(Field field);
 
-  /// Value of present (both-non-missing) component i; kernel_min > 0 may
-  /// yield simkernel::kBelowMinSim.
-  [[nodiscard]] double PresentValue(size_t spec_index, uint32_t va,
-                                    uint32_t vb, const PersonRecord& ra,
-                                    const PersonRecord& rb, double kernel_min,
+  /// This thread's row state, sized to the specs and bound to this batch's
+  /// memo rows; valid until the next call on this thread.
+  RowScratch& BindRowScratch() const;
+
+  /// Loads the old side of every spec for pairs with old record `old_id`.
+  void LoadOldRecord(RecordId old_id, RowScratch* row) const;
+
+  /// Component `spec_index` of the pair (row's old record, new_id) as far
+  /// as O(1) work goes: sets the new value id and ComponentSimilarity's
+  /// missing flags, and returns 0 for a missing component, the exact value
+  /// of an age, exact-id or Soundex component or of a string component
+  /// with equal value ids, and kNeedsKernel (sim_batch.cc) otherwise.
+  [[nodiscard]] double O1Value(size_t spec_index, const RowScratch& row,
+                               RecordId new_id, const PersonRecord& rb,
+                               uint32_t* vb, bool* missing_one,
+                               bool* missing_both) const;
+
+  /// The exact aggregate of (row's old record, new_id), in one pass.
+  [[nodiscard]] double ExactInRow(const RowScratch& row, RecordId new_id,
+                                  const FallbackFn& fallback) const;
+
+  /// The exact aggregate of (row's old record, new_id) if it reaches
+  /// min_sim > 0, else kPruned — early, as soon as the bounds prove it.
+  [[nodiscard]] double PrunedInRow(RowScratch* row, RecordId new_id,
+                                   double min_sim,
+                                   const FallbackFn& fallback) const;
+
+  /// O(1) upper bound on a component O1Value left to a kernel (1 for the
+  /// fallback); *len_ub gets the bound with gram-profile counts relaxed to
+  /// 1, which tells the length and profile prune counters apart.
+  [[nodiscard]] double UpperBound(size_t spec_index, const OldSide& a,
+                                  uint32_t vb, double* len_ub) const;
+
+  /// Exact value of a component O1Value left to a kernel, for the row's old
+  /// record and new value `vb` (string kernels through the value-pair
+  /// memo), or kBelowMinSim when kernel_min > 0 proves it below.
+  [[nodiscard]] double PresentValue(size_t spec_index, const OldSide& a,
+                                    uint32_t vb, double kernel_min,
                                     const FallbackFn& fallback) const;
 
   const SimilarityFunction& fn_;
@@ -212,6 +302,7 @@ class SimBatch {
   const CensusDataset& new_dataset_;
   // Names this batch in the per-thread value-pair memo; unique per process.
   const uint64_t generation_;
+  double weight_total_ = 0.0;  // sum of the spec weights, in spec order
   std::vector<FieldTable> tables_;
   std::vector<SpecPlan> plans_;  // parallel to fn.specs()
   int field_table_[6] = {-1, -1, -1, -1, -1, -1};  // Field -> tables_ index

@@ -88,6 +88,31 @@ double SimCache::MemoizedMeasure(size_t spec_index, uint32_t old_vid,
 double SimCache::Aggregate(RecordId old_id, RecordId new_id) const {
   TGLINK_COUNTER_INC("similarity.agg_calls");
   if (use_batch_) return batch_.Aggregate(old_id, new_id, fallback_);
+  return ScalarAggregate(old_id, new_id);
+}
+
+double SimCache::AggregateWithThreshold(RecordId old_id, RecordId new_id,
+                                        double min_sim) const {
+  TGLINK_COUNTER_INC("similarity.agg_calls");
+  if (!use_batch_) return ScalarAggregate(old_id, new_id);
+  return batch_.AggregateWithThreshold(old_id, new_id, min_sim, fallback_);
+}
+
+void SimCache::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
+                                          double min_sim,
+                                          std::span<double> out) const {
+  TGLINK_COUNTER_ADD("similarity.agg_calls", pairs.size());
+  if (use_batch_) {
+    batch_.AggregateRowsWithThreshold(pairs, min_sim, out, fallback_);
+    return;
+  }
+  TGLINK_CHECK(out.size() == pairs.size());
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    out[k] = ScalarAggregate(pairs[k].old_id, pairs[k].new_id);
+  }
+}
+
+double SimCache::ScalarAggregate(RecordId old_id, RecordId new_id) const {
   const PersonRecord& a = old_dataset_.record(old_id);
   const PersonRecord& b = new_dataset_.record(new_id);
   return fn_.AggregateWith([this, old_id, new_id, &a, &b](
@@ -111,13 +136,6 @@ double SimCache::Aggregate(RecordId old_id, RecordId new_id) const {
     return MemoizedMeasure(i, va, vb, batch_.ValueRef(i, va).view(),
                            batch_.ValueRef(i, vb).view());
   });
-}
-
-double SimCache::AggregateWithThreshold(RecordId old_id, RecordId new_id,
-                                        double min_sim) const {
-  if (!use_batch_) return Aggregate(old_id, new_id);  // counts agg_calls
-  TGLINK_COUNTER_INC("similarity.agg_calls");
-  return batch_.AggregateWithThreshold(old_id, new_id, min_sim, fallback_);
 }
 
 }  // namespace tglink

@@ -12,9 +12,10 @@
 // kernels use SimBatch's lock-free per-thread value-pair memo instead (see
 // sim_batch.h). Only the heavyweight measures without a kernel
 // (Monge-Elkan, double-metaphone, Smith-Waterman, LCS) go through the
-// sharded memo. AggregateWithThreshold additionally applies the
-// bound-pruning screen and returns kPruned for pairs provably below the
-// cutoff.
+// sharded memo. AggregateWithThreshold additionally prunes with the
+// Eq. 3 bounds and returns kPruned for pairs below the cutoff;
+// AggregateRowsWithThreshold scores a sorted candidate span one old-record
+// row at a time with the same results.
 //
 // Scalar mode: the pre-batch behavior, kept verbatim as the reference
 // oracle — every non-age, non-exact component is memoized on its interned
@@ -42,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -77,13 +79,21 @@ class SimCache {
   /// fn.AggregateSimilarity(old.record(old_id), new.record(new_id)).
   [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id) const;
 
-  /// Exact agg_sim, or kPruned when the batched bounds prove it is below
-  /// min_sim. Callers keeping pairs with sim >= min_sim can treat kPruned
-  /// as any below-threshold value; the keep-set equals the exact one.
-  /// Scalar mode (and min_sim <= 0) always returns the exact aggregate.
+  /// Exact agg_sim if it reaches min_sim; below it, kPruned in batched
+  /// mode (pruned early where the bounds allow). Callers keeping pairs
+  /// with sim >= min_sim can treat kPruned as any below-threshold value;
+  /// the keep-set equals the exact one. Scalar mode (and min_sim <= 0)
+  /// always returns the exact aggregate.
   [[nodiscard]] double AggregateWithThreshold(RecordId old_id,
                                               RecordId new_id,
                                               double min_sim) const;
+
+  /// out[k] = AggregateWithThreshold(pairs[k], min_sim) for every k, for
+  /// candidates sorted by (old, new): batched mode scores them through
+  /// SimBatch's row scorer. Counts "similarity.agg_calls" once per call.
+  void AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
+                                  double min_sim,
+                                  std::span<double> out) const;
 
   [[nodiscard]] const SimilarityFunction& fn() const { return fn_; }
 
@@ -126,6 +136,9 @@ class SimCache {
     key ^= key >> 33;
     return static_cast<size_t>(key) & (kNumShards - 1);
   }
+
+  /// The scalar-mode aggregate (uncounted).
+  [[nodiscard]] double ScalarAggregate(RecordId old_id, RecordId new_id) const;
 
   /// ComputeMeasure of spec i on two interned values, through the memo.
   [[nodiscard]] double MemoizedMeasure(size_t spec_index, uint32_t old_vid,

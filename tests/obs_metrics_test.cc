@@ -63,6 +63,30 @@ TEST(HistogramTest, InclusiveUpperBoundsAndOverflow) {
   EXPECT_EQ(h.BucketCount(3), 0u);
 }
 
+// A tally folds its observations into the target in one step, with the
+// buckets, count, min and max that per-value Observe would record; an
+// empty tally leaves the target untouched.
+TEST(HistogramTest, TallyAddsWhatObserveWould) {
+  const std::vector<double> values = {0.5, 1.0, 2.0, 4.0, 5.0, 100.0, 3.0};
+  Histogram direct({1.0, 4.0, 16.0});
+  Histogram tallied({1.0, 4.0, 16.0});
+  for (const double v : values) direct.Observe(v);
+  {
+    HistogramTally tally(tallied);
+    for (const double v : values) tally.Observe(v);
+    EXPECT_EQ(tally.count(), values.size());
+    EXPECT_EQ(tallied.Count(), 0u) << "nothing reaches the target early";
+  }
+  { HistogramTally empty(tallied); }
+  for (size_t i = 0; i <= direct.bounds().size(); ++i) {
+    EXPECT_EQ(tallied.BucketCount(i), direct.BucketCount(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(tallied.Count(), direct.Count());
+  EXPECT_DOUBLE_EQ(tallied.Sum(), direct.Sum());
+  EXPECT_EQ(tallied.MinValue(), 0.5);
+  EXPECT_EQ(tallied.MaxValue(), 100.0);
+}
+
 TEST(HistogramTest, ExponentialBoundsShape) {
   const std::vector<double> bounds = Histogram::ExponentialBounds(1.0, 4.0, 5);
   ASSERT_EQ(bounds.size(), 5u);

@@ -286,9 +286,10 @@ class PreMatchingClusterOracleTest : public ::testing::TestWithParam<int> {
 
 // Cluster and CountPairsAtDelta walk the kept pairs in (old, new) order;
 // the reference rescans them per δ with its own forest. Labels, member
-// lists and pair counts must agree exactly at every δ of the default
-// schedule, on every scenario preset, with all records active and with a
-// third of them inactive.
+// lists and pair counts — the clustering's own admissible-pair count, which
+// LinkCensusPair reports, and CountPairsAtDelta's — must agree exactly at
+// every δ of the default schedule, on every scenario preset, with all
+// records active and with a third of them inactive.
 TEST_P(PreMatchingClusterOracleTest, MatchesBruteForceUnionFind) {
   SetParallelThreadCount(GetParam());
   const LinkageConfig config = configs::DefaultConfig();
@@ -344,8 +345,9 @@ TEST_P(PreMatchingClusterOracleTest, MatchesBruteForceUnionFind) {
         EXPECT_EQ(got.num_labels, ref.num_labels);
         EXPECT_EQ(got.old_labels, ref.old_labels);
         EXPECT_EQ(got.new_labels, ref.new_labels);
+        EXPECT_EQ(got.admissible_pairs, ref.pairs);
         EXPECT_EQ(pm.CountPairsAtDelta(delta, active_old, active_new),
-                  ref.pairs);
+                  got.admissible_pairs);
         // Member lists: each label's active records, ascending.
         std::vector<std::vector<RecordId>> old_members(ref.num_labels);
         std::vector<std::vector<RecordId>> new_members(ref.num_labels);

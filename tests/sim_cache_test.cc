@@ -7,6 +7,8 @@
 
 #include "tglink/similarity/sim_cache.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tglink/linkage/config.h"
@@ -176,23 +178,35 @@ TEST(SimCacheTest, ThresholdScoringNeverPrunesAKeptPair) {
   }
 }
 
+// The row scorer follows the same rules over the full cross product in
+// (old, new) order: it equals the single-pair call in both modes.
 TEST(SimCacheTest, ThresholdScoringIsExactInScalarModeAndAtZero) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   const SimilarityFunction fn = PaperSimFunc();
+  std::vector<CandidatePair> pairs;
+  for (RecordId o = 0; o < old_d.num_records(); ++o) {
+    for (RecordId n = 0; n < new_d.num_records(); ++n) pairs.push_back({o, n});
+  }
   for (const bool batched : {true, false}) {
     ScopedBatchKernels mode(batched);
     const SimCache cache(fn, old_d, new_d);
-    for (RecordId o = 0; o < old_d.num_records(); ++o) {
-      for (RecordId n = 0; n < new_d.num_records(); ++n) {
-        const double exact =
-            fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
-        // min_sim <= 0 disables pruning in batched mode; scalar mode never
-        // prunes at any threshold.
-        EXPECT_EQ(cache.AggregateWithThreshold(o, n, 0.0), exact);
-        if (!batched) {
-          EXPECT_EQ(cache.AggregateWithThreshold(o, n, 0.9), exact);
-        }
+    std::vector<double> rows_at_zero(pairs.size());
+    std::vector<double> rows_at_high(pairs.size());
+    cache.AggregateRowsWithThreshold(pairs, 0.0, rows_at_zero);
+    cache.AggregateRowsWithThreshold(pairs, 0.9, rows_at_high);
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      const RecordId o = pairs[k].old_id;
+      const RecordId n = pairs[k].new_id;
+      const double exact =
+          fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
+      // min_sim <= 0 disables pruning in batched mode; scalar mode never
+      // prunes at any threshold.
+      EXPECT_EQ(cache.AggregateWithThreshold(o, n, 0.0), exact);
+      EXPECT_EQ(rows_at_zero[k], exact);
+      EXPECT_EQ(rows_at_high[k], cache.AggregateWithThreshold(o, n, 0.9));
+      if (!batched) {
+        EXPECT_EQ(cache.AggregateWithThreshold(o, n, 0.9), exact);
       }
     }
   }

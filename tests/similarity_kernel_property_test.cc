@@ -24,8 +24,10 @@
 #include "tglink/similarity/batch_kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -411,6 +413,234 @@ TEST_F(SimilarityKernelPropertyTest, ValuePairMemoNeverCrossesBatches) {
     } else {
       EXPECT_EQ(serial[i], exact) << "pair " << i;
     }
+  }
+}
+
+/// Scores `candidates` through the row scorer in the spans between the
+/// ascending `cuts` (0 and size() implied), each span on its own.
+std::vector<double> ScoreRowsInSpans(const SimBatch& batch,
+                                     const std::vector<CandidatePair>& candidates,
+                                     const std::vector<size_t>& cuts,
+                                     double min_sim,
+                                     const SimBatch::FallbackFn& fallback) {
+  std::vector<double> out(candidates.size());
+  size_t begin = 0;
+  for (size_t k = 0; k <= cuts.size(); ++k) {
+    const size_t end = k < cuts.size() ? cuts[k] : candidates.size();
+    batch.AggregateRowsWithThreshold(
+        std::span<const CandidatePair>(candidates).subspan(begin, end - begin),
+        min_sim, std::span<double>(out).subspan(begin, end - begin),
+        fallback);
+    begin = end;
+  }
+  return out;
+}
+
+/// Checks the row scorer's output for `fx`'s candidates at `min_sim`
+/// against the single-pair entry point (equal, pair for pair) and against
+/// fn.AggregateSimilarity (exact at or above min_sim, kPruned below).
+void ExpectRowsMatchSinglePairs(proptest::Case& c, const SimBatch& batch,
+                                const SimilarityFunction& fn,
+                                const SyntheticPair& pair,
+                                const std::vector<CandidatePair>& candidates,
+                                const std::vector<double>& rows,
+                                double min_sim, const std::string& what) {
+  const SimBatch::FallbackFn fallback = DirectFallback(fn);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const CandidatePair& cand = candidates[i];
+    const double single = batch.AggregateWithThreshold(
+        cand.old_id, cand.new_id, min_sim, fallback);
+    const double exact =
+        fn.AggregateSimilarity(pair.old_dataset.record(cand.old_id),
+                               pair.new_dataset.record(cand.new_id));
+    const std::string at = what + " pair " + std::to_string(i) +
+                           " min_sim " + std::to_string(min_sim);
+    c.ExpectTrue(rows[i] == single, at + ": rows " + std::to_string(rows[i]) +
+                                        " != single " +
+                                        std::to_string(single));
+    if (exact >= min_sim) {
+      c.ExpectTrue(rows[i] == exact, at + ": rows " + std::to_string(rows[i]) +
+                                         " != exact " + std::to_string(exact));
+    } else {
+      c.ExpectTrue(rows[i] == SimBatch::kPruned,
+                   at + ": exact " + std::to_string(exact) +
+                       " below min_sim but rows gave " +
+                       std::to_string(rows[i]));
+    }
+  }
+}
+
+// The row scorer loads each old record's side once per run of candidates;
+// on every corruption preset and scenario, for the pre-matching function
+// and the residual one (which adds the age plan), its output equals the
+// single-pair AggregateWithThreshold pair for pair, scored in parallel
+// chunks as PreMatcher does.
+TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnEveryPreset) {
+  std::vector<proptest::NamedScenarioConfig> generators =
+      proptest::AllScenarioConfigs();
+  for (const GeneratorConfig& preset : proptest::AllPresets()) {
+    generators.push_back({"corruption preset", preset});
+  }
+  const LinkageConfig linkage = configs::DefaultConfig();
+  for (const proptest::NamedScenarioConfig& generator : generators) {
+    SCOPED_TRACE(generator.name);
+    proptest::Runner runner("simkernel.row_scorer_presets", /*iterations=*/2);
+    runner.Run([&](proptest::Case& c) {
+      GeneratorConfig gen = generator.config;
+      gen.seed = c.rng().Next();
+      gen.scale = c.scale();
+      gen.num_censuses = 2;
+      const SyntheticPair pair = GenerateCensusPair(gen, 0);
+      const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
+          pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
+      for (SimilarityFunction fn : {linkage.sim_func, linkage.sim_func_rem}) {
+        fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
+        const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
+        const SimBatch::FallbackFn fallback = DirectFallback(fn);
+        const double min_sim = fn.threshold();
+        std::vector<double> rows(candidates.size());
+        ParallelFor(candidates.size(), "proptest.rows_chunk",
+                    [&](size_t begin, size_t end) {
+                      batch.AggregateRowsWithThreshold(
+                          std::span<const CandidatePair>(candidates).subspan(
+                              begin, end - begin),
+                          min_sim,
+                          std::span<double>(rows).subspan(begin, end - begin),
+                          fallback);
+                    });
+        ExpectRowsMatchSinglePairs(c, batch, fn, pair, candidates, rows,
+                                   min_sim, fn.ToString());
+      }
+    });
+    EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+  }
+}
+
+// Every plan, fallback measures included, under all three missing
+// policies: the row scorer equals the single-pair path and the scalar
+// oracle at a random cutoff.
+TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnAllPlans) {
+  proptest::Runner runner("simkernel.row_scorer_all_plans", /*iterations=*/3);
+  runner.Run([](proptest::Case& c) {
+    const GeneratorConfig gen = proptest::RandomGeneratorConfig(&c);
+    const SyntheticPair pair = GenerateCensusPair(gen, 0);
+    const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
+        pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
+    for (const MissingPolicy policy :
+         {MissingPolicy::kRedistribute, MissingPolicy::kZero,
+          MissingPolicy::kNeutral}) {
+      SimilarityFunction fn = AllPlanFunction();
+      fn.set_missing_policy(policy);
+      fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
+      const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
+      const double min_sim = 0.4 + 0.1 * c.rng().NextBounded(6);
+      const std::vector<double> rows = ScoreRowsInSpans(
+          batch, candidates, {}, min_sim, DirectFallback(fn));
+      ExpectRowsMatchSinglePairs(
+          c, batch, fn, pair, candidates, rows, min_sim,
+          "policy " + std::to_string(static_cast<int>(policy)));
+    }
+  });
+  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+  EXPECT_GE(runner.iterations_ran(), 3);
+}
+
+// Chunks of a ParallelFor split rows at arbitrary points; the next span
+// starts mid-row and must reload the old side. At random cut points and
+// every cutoff — 0 (exact everywhere) through 1 — the output equals the
+// single-pair path: exact at or above the cutoff, kPruned below it.
+TEST_F(SimilarityKernelPropertyTest, RowScorerExactAtRandomChunkBoundaries) {
+  proptest::Runner runner("simkernel.row_scorer_chunks", /*iterations=*/4);
+  runner.Run([](proptest::Case& c) {
+    const GeneratorConfig gen = proptest::RandomGeneratorConfig(&c);
+    const SyntheticPair pair = GenerateCensusPair(gen, 0);
+    const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
+        pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
+    if (candidates.empty()) return;
+    std::vector<size_t> cuts;
+    for (int k = 0; k < 12; ++k) {
+      cuts.push_back(c.rng().NextBounded(candidates.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    SimilarityFunction fn = configs::DefaultConfig().sim_func_rem;
+    fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
+    const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
+    for (const double min_sim : {0.0, 0.3, 0.5, 0.7, 0.9, 1.0}) {
+      const std::vector<double> rows = ScoreRowsInSpans(
+          batch, candidates, cuts, min_sim, DirectFallback(fn));
+      ExpectRowsMatchSinglePairs(c, batch, fn, pair, candidates, rows,
+                                 min_sim, "chunked");
+    }
+  });
+  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+  EXPECT_GE(runner.iterations_ran(), 4);
+}
+
+// The branchless merge against the three-way merge it replaced, on random
+// sorted multisets over a small alphabet (so duplicate grams and partial
+// overlaps are common): same intersection count, same double.
+TEST_F(SimilarityKernelPropertyTest, BranchlessDiceMatchesThreeWayMerge) {
+  proptest::Runner runner("simkernel.branchless_dice", /*iterations=*/50);
+  runner.Run([](proptest::Case& c) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const uint32_t alphabet = 1 + c.rng().NextBounded(12);
+      const auto random_profile = [&] {
+        std::vector<uint32_t> profile(1 + c.rng().NextBounded(40));
+        for (uint32_t& code : profile) {
+          code = 0x2300u + c.rng().NextBounded(alphabet);
+        }
+        std::sort(profile.begin(), profile.end());
+        return profile;
+      };
+      const std::vector<uint32_t> a = random_profile();
+      const std::vector<uint32_t> b = random_profile();
+      size_t i = 0, j = 0, common = 0;
+      while (i < a.size() && j < b.size()) {
+        if (a[i] < b[j]) {
+          ++i;
+        } else if (b[j] < a[i]) {
+          ++j;
+        } else {
+          ++common;
+          ++i;
+          ++j;
+        }
+      }
+      const double expected = 2.0 * static_cast<double>(common) /
+                              static_cast<double>(a.size() + b.size());
+      const double got = simkernel::DiceProfileKernel(a.data(), a.size(),
+                                                      b.data(), b.size(), 0.0);
+      c.ExpectTrue(got == expected, "dice " + std::to_string(got) +
+                                        " != reference " +
+                                        std::to_string(expected) + " over " +
+                                        std::to_string(a.size()) + "/" +
+                                        std::to_string(b.size()) + " grams");
+    }
+  });
+  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+}
+
+// SimBatch appends every interned value's profile to one arena vector. An
+// exact-size reserve per profile would reallocate (and copy the arena) on
+// every append; geometric growth reallocates O(log N) times.
+TEST_F(SimilarityKernelPropertyTest, GramArenaGrowsGeometrically) {
+  for (const int q : {2, 3}) {
+    std::vector<uint32_t> arena;
+    size_t reallocations = 0;
+    const uint32_t* data = arena.data();
+    constexpr int kValues = 5000;
+    for (int v = 0; v < kValues; ++v) {
+      simkernel::BuildPaddedGramProfile("value" + std::to_string(v), q,
+                                        &arena);
+      if (arena.data() != data) {
+        ++reallocations;
+        data = arena.data();
+      }
+    }
+    EXPECT_LE(reallocations, 2 * static_cast<size_t>(std::bit_width(
+                                     arena.size())))
+        << "q=" << q << ": " << reallocations << " reallocations for "
+        << kValues << " profiles, " << arena.size() << " grams";
   }
 }
 

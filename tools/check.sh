@@ -79,6 +79,8 @@ python3 tools/check_report.py "$smoke_dir/report.json" \
   --trace "$smoke_dir/trace.json" \
   --expect-span linkage.link_census_pair \
   --expect-span linkage.iteration \
+  --expect-span prematch.score \
+  --expect-span prematch.keep \
   --expect-span subgraph.build_score \
   --expect-span selection.greedy \
   --expect-span residual.global \
