@@ -28,6 +28,10 @@ std::atomic<uint64_t> g_next_generation{1};
 /// the fallback; real values are in [0, 1].
 constexpr double kNeedsKernel = -2.0;
 
+/// OldSide::run_va before a span's first Dice choice. Never a value id:
+/// 2^32 - 1 distinct values would overflow the uint32 arena offsets.
+constexpr uint32_t kNoRun = UINT32_MAX;
+
 /// One slot of a value-pair memo: the exact kernel value of (old value
 /// id, the slot's new value id) under one batch generation.
 struct MemoSlot {
@@ -49,6 +53,21 @@ std::vector<std::vector<MemoSlot>>& ThreadValuePairMemo() {
   return memo;
 }
 
+/// One Dice spec's accumulator: common[vb] = |grams(va) ∩ grams(vb)| for
+/// every new-side value vb, valid for old value `va` of the batch named by
+/// `generation` (0 = none). Thread-owned, like the memo; one per spec
+/// index, so a spec's next build first zeroes the previous value's entries.
+struct DiceAccumulator {
+  uint64_t generation = 0;
+  uint32_t va = 0;
+  std::vector<uint32_t> common;
+};
+
+std::vector<DiceAccumulator>& ThreadDiceAccumulators() {
+  thread_local std::vector<DiceAccumulator> accumulators;
+  return accumulators;
+}
+
 }  // namespace
 
 struct SimBatch::OldSide {
@@ -61,6 +80,13 @@ struct SimBatch::OldSide {
   // slot holds when it caches (this batch, va, the slot's new value id).
   MemoSlot* memo = nullptr;
   uint64_t memo_key = 0;
+  // Dice plans in the row scorer: this thread's accumulator for va, or
+  // null where the run of pairs sharing va is merged pair by pair; the
+  // value whose run that choice covers (kNoRun before the first); and the
+  // profile merges run.
+  const uint32_t* common = nullptr;
+  uint32_t run_va = kNoRun;
+  uint64_t merges = 0;
 };
 
 struct SimBatch::RowScratch {
@@ -77,6 +103,8 @@ struct SimBatch::RowScratch {
 
   const PersonRecord* old_record = nullptr;
   std::vector<OldSide> old_side;  // per spec
+  uint64_t builds = 0;            // accumulators built, this span
+  uint64_t walked = 0;            // posting entries they walked
   std::vector<PairState> pair;    // per spec
   std::vector<double> rem_after;  // suffix sums of pair[].contrib_ub
 };
@@ -170,11 +198,24 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
         starts->push_back(static_cast<uint32_t>(data->size()));
       }
     };
+    // Postings list only new-side values: the row scorer walks them for an
+    // old value against the new values of its candidates.
+    const auto build_postings = [&table, n](const std::vector<uint32_t>& data,
+                                            const std::vector<uint32_t>& starts,
+                                            simkernel::GramPostings* out) {
+      std::vector<bool> new_side(n, false);
+      for (const uint32_t vid : table.new_ids) new_side[vid] = true;
+      *out = simkernel::GramPostings(data, starts, new_side);
+    };
     if (plan.plan == Plan::kBigramDice && table.gram2_starts.empty()) {
       build_profiles(2, &table.gram2_data, &table.gram2_starts);
+      build_postings(table.gram2_data, table.gram2_starts,
+                     &table.gram2_postings);
     }
     if (plan.plan == Plan::kTrigramDice && table.gram3_starts.empty()) {
       build_profiles(3, &table.gram3_data, &table.gram3_starts);
+      build_postings(table.gram3_data, table.gram3_starts,
+                     &table.gram3_postings);
     }
     if (plan.plan == Plan::kSoundex && table.soundex_codes.empty()) {
       table.soundex_codes.reserve(n);
@@ -185,9 +226,13 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     }
   }
   // Logical sizes (element counts, not capacities) so the figure is a pure
-  // function of the inputs and bench_diff.py can gate it exactly.
+  // function of the inputs and bench_diff.py can gate it exactly. The
+  // postings are a counter, not part of the gated arena.
   uint64_t arena_bytes = 0;
+  uint64_t posting_bytes = 0;
   for (const FieldTable& table : tables_) {
+    posting_bytes += table.gram2_postings.LogicalBytes();
+    posting_bytes += table.gram3_postings.LogicalBytes();
     arena_bytes += table.arena.size();
     arena_bytes += table.offsets.size() * sizeof(uint32_t);
     arena_bytes += table.first_char.size();
@@ -200,6 +245,7 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     arena_bytes += table.soundex_codes.size() * sizeof(uint64_t);
   }
   obs::ReportArenaBytes("simbatch", arena_bytes);
+  TGLINK_COUNTER_ADD("simkernel.posting_bytes", posting_bytes);
 }
 
 int SimBatch::BuildFieldTable(Field field) {
@@ -250,7 +296,9 @@ SimBatch::RowScratch& SimBatch::BindRowScratch() const {
   std::vector<std::vector<MemoSlot>>& memo = ThreadValuePairMemo();
   if (memo.size() < n) memo.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    MemoSlot*& slots = row.old_side[i].memo;
+    OldSide& side = row.old_side[i];
+    side.common = nullptr;  // single pairs always merge
+    MemoSlot*& slots = side.memo;
     slots = nullptr;
     switch (plans_[i].plan) {
       case Plan::kAge:
@@ -325,6 +373,12 @@ double SimBatch::O1Value(size_t spec_index, const RowScratch& row,
       return a.soundex == t->soundex_codes[*vb] ? 1.0 : 0.0;
     case Plan::kBigramDice:
     case Plan::kTrigramDice:
+      if (a.va == *vb) return 1.0;
+      if (a.common != nullptr) {
+        return simkernel::DiceFromCommon(a.common[*vb], a.grams.size,
+                                         t->Profile(plan.plan, *vb).size);
+      }
+      break;
     case Plan::kLevenshtein:
     case Plan::kDamerau:
     case Plan::kJaro:
@@ -338,15 +392,16 @@ double SimBatch::O1Value(size_t spec_index, const RowScratch& row,
   return kNeedsKernel;
 }
 
-double SimBatch::ExactInRow(const RowScratch& row, RecordId new_id,
+double SimBatch::ExactInRow(RowScratch* row, RecordId new_id,
                             const FallbackFn& fallback) const {
   const PersonRecord& rb = new_dataset_.record(new_id);
   return fn_.AggregateWith([&](size_t i, bool* missing_one,
                                bool* missing_both) -> double {
     uint32_t vb = 0;
-    double s = O1Value(i, row, new_id, rb, &vb, missing_one, missing_both);
+    double s = O1Value(i, *row, new_id, rb, &vb, missing_one, missing_both);
     if (s == kNeedsKernel) {
-      s = PresentValue(i, row.old_side[i], vb, /*kernel_min=*/0.0, fallback);
+      s = PresentValue(i, &row->old_side[i], vb, /*kernel_min=*/0.0,
+                       fallback);
       TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
           << "batched measure " << MeasureName(fn_.specs()[i].measure)
           << " on " << FieldName(fn_.specs()[i].field) << " returned " << s;
@@ -460,7 +515,7 @@ double SimBatch::PrunedInRow(RowScratch* row, RecordId new_id, double min_sim,
       const double needed = cutoff - exact_sum - row->rem_after[i];
       const double kernel_min =
           needed > 0.0 && spec.weight > 0.0 ? needed / spec.weight : 0.0;
-      s = PresentValue(i, row->old_side[i], st.vb, kernel_min, fallback);
+      s = PresentValue(i, &row->old_side[i], st.vb, kernel_min, fallback);
       if (s == simkernel::kBelowMinSim) {
         pruned = true;  // the kernel already counted the bound type
         return 0.0;
@@ -510,9 +565,10 @@ double SimBatch::UpperBound(size_t spec_index, const OldSide& a,
   return ub;
 }
 
-double SimBatch::PresentValue(size_t spec_index, const OldSide& a,
-                              uint32_t vb, double kernel_min,
+double SimBatch::PresentValue(size_t spec_index, OldSide* side, uint32_t vb,
+                              double kernel_min,
                               const FallbackFn& fallback) const {
+  const OldSide& a = *side;
   const SpecPlan& plan = plans_[spec_index];
   const FieldTable& t = tables_[plan.table];
   if (plan.plan == Plan::kFallback) {
@@ -530,6 +586,7 @@ double SimBatch::PresentValue(size_t spec_index, const OldSide& a,
       const GramSpan b = t.Profile(plan.plan, vb);
       s = simkernel::DiceProfileKernel(a.grams.data, a.grams.size, b.data,
                                        b.size, kernel_min);
+      ++side->merges;
       break;
     }
     case Plan::kLevenshtein:
@@ -559,7 +616,7 @@ double SimBatch::Aggregate(RecordId old_id, RecordId new_id,
                            const FallbackFn& fallback) const {
   RowScratch& row = BindRowScratch();
   LoadOldRecord(old_id, &row);
-  return ExactInRow(row, new_id, fallback);
+  return ExactInRow(&row, new_id, fallback);
 }
 
 double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
@@ -572,6 +629,74 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
   return PrunedInRow(&row, new_id, min_sim, fallback);
 }
 
+const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
+                                     std::span<const CandidatePair> rest,
+                                     RowScratch* row) const {
+  const Plan plan = plans_[spec_index].plan;
+  const FieldTable& t = tables_[plans_[spec_index].table];
+  DiceAccumulator& acc = ThreadDiceAccumulators()[spec_index];
+  if (acc.generation == generation_ && acc.va == a.va) {
+    return acc.common.data();
+  }
+  // Merging costs about |A| + |B| steps per pair of the run (the pairs
+  // from here on whose old value is va); the walk costs WalkCost(va).
+  // Scan only as far as it takes to tell which is cheaper.
+  const simkernel::GramPostings& postings = t.Postings(plan);
+  const uint64_t walk = postings.WalkCost(a.va);
+  uint64_t merge = 0;
+  for (const CandidatePair& pair : rest) {
+    if (merge > walk || t.old_ids[pair.old_id] != a.va) break;
+    merge += a.grams.size + t.Profile(plan, t.new_ids[pair.new_id]).size;
+  }
+  if (merge <= walk) return nullptr;
+  // Within one batch, zero only the previous value's entries (walking its
+  // postings again); a new batch starts from a zeroed table of its size.
+  if (acc.generation == generation_) {
+    TGLINK_DCHECK(acc.common.size() == t.num_values())
+        << "accumulator sized for another table";
+    postings.Clear(acc.va, acc.common.data());
+  } else {
+    acc.common.assign(t.num_values(), 0);
+  }
+  postings.Accumulate(a.va, acc.common.data());
+  acc.generation = generation_;
+  acc.va = a.va;
+  ++row->builds;
+  row->walked += walk;
+  return acc.common.data();
+}
+
+bool SimBatch::ChooseDiceSources(std::span<const CandidatePair> rest,
+                                 RowScratch* row) const {
+  bool all_o1 = true;
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    OldSide& side = row->old_side[i];
+    switch (plans_[i].plan) {
+      case Plan::kAge:
+      case Plan::kExactId:
+      case Plan::kSoundex:
+        break;
+      case Plan::kBigramDice:
+      case Plan::kTrigramDice:
+        if (side.run_va != side.va) {
+          side.common =
+              side.missing ? nullptr : DiceSource(i, side, rest, row);
+          side.run_va = side.va;
+        }
+        all_o1 = all_o1 && (side.missing || side.common != nullptr);
+        break;
+      case Plan::kLevenshtein:
+      case Plan::kDamerau:
+      case Plan::kJaro:
+      case Plan::kJaroWinkler:
+      case Plan::kFallback:
+        all_o1 = all_o1 && side.missing;
+        break;
+    }
+  }
+  return all_o1;
+}
+
 void SimBatch::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
                                           double min_sim,
                                           std::span<double> out,
@@ -582,31 +707,45 @@ void SimBatch::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
   if (pairs.empty()) return;
   if (min_sim > 0.0) TGLINK_COUNTER_ADD("simkernel.screened", pairs.size());
   RowScratch& row = BindRowScratch();
-  RecordId loaded = pairs[0].old_id;
-  LoadOldRecord(loaded, &row);
+  std::vector<DiceAccumulator>& accumulators = ThreadDiceAccumulators();
+  if (accumulators.size() < plans_.size()) accumulators.resize(plans_.size());
+  for (OldSide& side : row.old_side) {
+    side.run_va = kNoRun;
+    side.merges = 0;
+  }
+  row.builds = 0;
+  row.walked = 0;
   // Both evaluators give every pair the same answer; the cheaper one
   // depends on how many pairs reach min_sim. Pruning pays when most fall
   // below it (the screen skips their kernels), the one-pass evaluator when
-  // most are kept (no bounds to compute). Each row takes the one its
-  // predecessor favoured, starting with pruning.
-  bool prune = min_sim > 0.0;
+  // most are kept (no bounds to compute) or when every component of the
+  // row is O(1) anyway. Each row takes the one its predecessor favoured,
+  // starting with pruning.
+  bool favour_pruning = min_sim > 0.0;
+  bool prune = false;
   size_t row_pairs = 0;
   size_t row_kept = 0;
   for (size_t k = 0; k < pairs.size(); ++k) {
-    if (pairs[k].old_id != loaded) {
-      loaded = pairs[k].old_id;
-      LoadOldRecord(loaded, &row);
-      prune = min_sim > 0.0 && 2 * row_kept < row_pairs;
+    if (k == 0 || pairs[k].old_id != pairs[k - 1].old_id) {
+      if (k > 0) favour_pruning = min_sim > 0.0 && 2 * row_kept < row_pairs;
+      LoadOldRecord(pairs[k].old_id, &row);
+      const bool all_o1 = ChooseDiceSources(pairs.subspan(k), &row);
+      prune = favour_pruning && !all_o1;
       row_pairs = 0;
       row_kept = 0;
     }
     const double agg =
         prune ? PrunedInRow(&row, pairs[k].new_id, min_sim, fallback)
-              : ExactInRow(row, pairs[k].new_id, fallback);
+              : ExactInRow(&row, pairs[k].new_id, fallback);
     out[k] = agg < min_sim ? kPruned : agg;
     ++row_pairs;
     row_kept += out[k] != kPruned;
   }
+  uint64_t merges = 0;
+  for (const OldSide& side : row.old_side) merges += side.merges;
+  TGLINK_COUNTER_ADD("simkernel.dice_acc_builds", row.builds);
+  TGLINK_COUNTER_ADD("simkernel.dice_postings_walked", row.walked);
+  TGLINK_COUNTER_ADD("simkernel.dice_row_merges", merges);
 }
 
 }  // namespace tglink

@@ -45,13 +45,40 @@
 // Row scorer (AggregateRowsWithThreshold): scores a span of candidates
 // sorted by (old, new) — the order blocking emits — reloading the old side
 // only where the old id changes, so a span may start or end mid-row. Each
-// row uses the pruned evaluator if fewer than half of the previous row's
-// pairs reached min_sim, else the one-pass one (the first row is pruned):
+// row uses the one-pass evaluator if all its components are O(1) (below)
+// or at least half of the previous row's pairs reached min_sim, else the
+// pruned one (a span's first row counts as favouring pruning):
 // pre-matching at δ_low keeps about 91% of its candidates, the global
 // residual pass far fewer. The output equals AggregateWithThreshold pair
 // for pair. "simkernel.screened" is added once per call, by the span
 // length; callers that histogram the results tally them per chunk (see
 // PreMatcher).
+//
+// Dice from gram postings: at construction each Dice table also gets
+// simkernel::GramPostings — per value its distinct (gram, count) list,
+// per gram the new-side values holding it with their counts, and per
+// value the walk cost Σ|postings(g)| over its grams. Consecutive old
+// records share surname, address and occupation, so a run of candidates
+// often shares one old value va. For such a run the row scorer walks va's
+// postings once into this thread's accumulator, common[vb] += min(count in
+// va, count in vb) — the multiset intersection the merge counts — and the
+// component becomes O(1): DiceFromCommon(common[vb], |A|, |B|), the
+// kernel's exact expression. Run rule: where a Dice spec's old value
+// changes, the scorer scans ahead over the pairs sharing va and builds the
+// accumulator only when merging them, about Σ(|A| + |B|) steps, would cost
+// more than the walk; short runs (sparse residual rows, first names) keep
+// the merge and the memo. The rule reads only the input, so it has no
+// knob. An accumulator is keyed by (batch generation, spec index, va), as
+// the memo is, so it is reused across spans and never crosses batches;
+// the next build for the spec in the same batch first zeroes it by walking
+// the previous value's postings again (a new batch zero-fills it). The
+// gain needs such runs; an input whose candidates rarely share an old
+// value pays for the postings and the scan-ahead and keeps the merge.
+// Per call the scorer adds "simkernel.dice_acc_builds",
+// "simkernel.dice_postings_walked" and "simkernel.dice_row_merges"
+// (profile merges run); construction adds
+// the postings' logical bytes to "simkernel.posting_bytes", outside the
+// gated "simbatch" arena. The single-pair entry points keep the merge.
 //
 // Measures without a batched kernel (Monge-Elkan, double-metaphone,
 // Smith-Waterman, LCS) are delegated to a caller-supplied fallback — in
@@ -69,8 +96,9 @@
 // surname, address and often occupation.
 //
 // Thread safety: construction is single-threaded; every scoring entry
-// point is lock-free over immutable tables (plus thread-local row state
-// and memo) and safe to call concurrently from pool workers.
+// point is lock-free over immutable tables (plus thread-local row state,
+// memo and Dice accumulators) and safe to call concurrently from pool
+// workers.
 
 #ifndef TGLINK_SIMILARITY_SIM_BATCH_H_
 #define TGLINK_SIMILARITY_SIM_BATCH_H_
@@ -229,6 +257,9 @@ class SimBatch {
     std::vector<uint32_t> gram3_data;
     std::vector<uint32_t> gram3_starts;
     std::vector<uint64_t> soundex_codes;
+    // Postings over the new-side values, built with each gram profile.
+    simkernel::GramPostings gram2_postings;
+    simkernel::GramPostings gram3_postings;
 
     [[nodiscard]] size_t num_values() const { return offsets.size() - 1; }
     [[nodiscard]] simkernel::StringRef Ref(uint32_t vid) const {
@@ -246,6 +277,9 @@ class SimBatch {
       const std::vector<uint32_t>& starts =
           bigram ? gram2_starts : gram3_starts;
       return {data.data() + starts[vid], starts[vid + 1] - starts[vid]};
+    }
+    [[nodiscard]] const simkernel::GramPostings& Postings(Plan plan) const {
+      return plan == Plan::kBigramDice ? gram2_postings : gram3_postings;
     }
   };
 
@@ -275,7 +309,7 @@ class SimBatch {
                                bool* missing_both) const;
 
   /// The exact aggregate of (row's old record, new_id), in one pass.
-  [[nodiscard]] double ExactInRow(const RowScratch& row, RecordId new_id,
+  [[nodiscard]] double ExactInRow(RowScratch* row, RecordId new_id,
                                   const FallbackFn& fallback) const;
 
   /// The exact aggregate of (row's old record, new_id) if it reaches
@@ -292,10 +326,27 @@ class SimBatch {
 
   /// Exact value of a component O1Value left to a kernel, for the row's old
   /// record and new value `vb` (string kernels through the value-pair
-  /// memo), or kBelowMinSim when kernel_min > 0 proves it below.
-  [[nodiscard]] double PresentValue(size_t spec_index, const OldSide& a,
+  /// memo), or kBelowMinSim when kernel_min > 0 proves it below. Counts
+  /// the Dice merges it runs in side->merges.
+  [[nodiscard]] double PresentValue(size_t spec_index, OldSide* side,
                                     uint32_t vb, double kernel_min,
                                     const FallbackFn& fallback) const;
+
+  /// Row scorer, on loading an old record whose `rest` of the span starts
+  /// with its first pair: gives each Dice spec whose old value starts a
+  /// new run an accumulator or the merge (see DiceSource). True when every
+  /// component of the row is then O(1).
+  [[nodiscard]] bool ChooseDiceSources(std::span<const CandidatePair> rest,
+                                       RowScratch* row) const;
+
+  /// This thread's accumulator for Dice spec `spec_index` and old value
+  /// a.va — reused if it already holds that value, else built when the
+  /// run of pairs in `rest` sharing a.va costs more to merge than to walk
+  /// — or null to merge the run.
+  [[nodiscard]] const uint32_t* DiceSource(size_t spec_index,
+                                           const OldSide& a,
+                                           std::span<const CandidatePair> rest,
+                                           RowScratch* row) const;
 
   const SimilarityFunction& fn_;
   const CensusDataset& old_dataset_;

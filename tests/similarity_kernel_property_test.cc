@@ -15,7 +15,12 @@
 //     preset, and AggregateWithThreshold keeps exactly the scalar keep-set;
 //   * memo isolation: the per-thread value-pair memo of the string kernels
 //     never serves one batch's value to another, including a batch rebuilt
-//     in a destroyed batch's storage.
+//     in a destroyed batch's storage;
+//   * gram postings: the Dice intersection a posting walk accumulates equals
+//     the sorted merge's and the scalar measure's, and the row scorer —
+//     which walks postings for long runs of an old value and merges short
+//     ones — equals the single-pair path, also with two batches alive on
+//     one thread and for values with more than 65,535 grams.
 //
 // Runs serially by default; TGLINK_TEST_THREADS=0 (a second ctest entry)
 // reruns everything on one worker per hardware thread — outputs must be
@@ -36,10 +41,12 @@
 
 #include "tglink/blocking/blocking.h"
 #include "tglink/linkage/config.h"
+#include "tglink/obs/metrics.h"
 #include "tglink/similarity/sim_batch.h"
 #include "tglink/similarity/sim_cache.h"
 #include "tglink/synth/presets.h"
 #include "tglink/util/parallel.h"
+#include "tests/paper_example.h"
 #include "tests/proptest.h"
 
 namespace tglink {
@@ -470,17 +477,33 @@ void ExpectRowsMatchSinglePairs(proptest::Case& c, const SimBatch& batch,
   }
 }
 
+uint64_t CounterValue(std::string_view name) {
+  return obs::GlobalMetrics().GetCounter(name).Value();
+}
+
+/// `n` ascending random cut points in [0, size].
+std::vector<size_t> RandomCuts(proptest::Case& c, size_t size, int n) {
+  std::vector<size_t> cuts;
+  for (int k = 0; k < n; ++k) cuts.push_back(c.rng().NextBounded(size + 1));
+  std::sort(cuts.begin(), cuts.end());
+  return cuts;
+}
+
 // The row scorer loads each old record's side once per run of candidates;
-// on every corruption preset and scenario, for the pre-matching function
-// and the residual one (which adds the age plan), its output equals the
-// single-pair AggregateWithThreshold pair for pair, scored in parallel
-// chunks as PreMatcher does.
+// on every corruption preset and scenario, for the pre-matching function,
+// the residual one (which adds the age plan) and the all-plans function,
+// its output equals the single-pair AggregateWithThreshold pair for pair —
+// scored in parallel chunks as PreMatcher does, and in spans cut at random
+// points. Both Dice sources run: accumulators for long runs of an old
+// value, merges for short ones.
 TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnEveryPreset) {
   std::vector<proptest::NamedScenarioConfig> generators =
       proptest::AllScenarioConfigs();
   for (const GeneratorConfig& preset : proptest::AllPresets()) {
     generators.push_back({"corruption preset", preset});
   }
+  const uint64_t builds_before = CounterValue("simkernel.dice_acc_builds");
+  const uint64_t merges_before = CounterValue("simkernel.dice_row_merges");
   const LinkageConfig linkage = configs::DefaultConfig();
   for (const proptest::NamedScenarioConfig& generator : generators) {
     SCOPED_TRACE(generator.name);
@@ -493,7 +516,8 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnEveryPreset) {
       const SyntheticPair pair = GenerateCensusPair(gen, 0);
       const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
           pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
-      for (SimilarityFunction fn : {linkage.sim_func, linkage.sim_func_rem}) {
+      for (SimilarityFunction fn :
+           {linkage.sim_func, linkage.sim_func_rem, AllPlanFunction()}) {
         fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
         const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
         const SimBatch::FallbackFn fallback = DirectFallback(fn);
@@ -510,10 +534,21 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnEveryPreset) {
                     });
         ExpectRowsMatchSinglePairs(c, batch, fn, pair, candidates, rows,
                                    min_sim, fn.ToString());
+        // Spans cut elsewhere choose their Dice sources elsewhere; the
+        // output may not change.
+        const std::vector<double> spans = ScoreRowsInSpans(
+            batch, candidates, RandomCuts(c, candidates.size(), 8), min_sim,
+            fallback);
+        c.ExpectTrue(spans == rows, "random spans differ from the chunks, " +
+                                        fn.ToString());
       }
     });
     EXPECT_TRUE(runner.AllPassed()) << runner.Report();
   }
+  EXPECT_GT(CounterValue("simkernel.dice_acc_builds"), builds_before)
+      << "no run was long enough to walk postings";
+  EXPECT_GT(CounterValue("simkernel.dice_row_merges"), merges_before)
+      << "no run was short enough to merge";
 }
 
 // Every plan, fallback measures included, under all three missing
@@ -557,11 +592,7 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerExactAtRandomChunkBoundaries) {
     const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
         pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
     if (candidates.empty()) return;
-    std::vector<size_t> cuts;
-    for (int k = 0; k < 12; ++k) {
-      cuts.push_back(c.rng().NextBounded(candidates.size() + 1));
-    }
-    std::sort(cuts.begin(), cuts.end());
+    const std::vector<size_t> cuts = RandomCuts(c, candidates.size(), 12);
     SimilarityFunction fn = configs::DefaultConfig().sim_func_rem;
     fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
     const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
@@ -574,6 +605,256 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerExactAtRandomChunkBoundaries) {
   });
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
   EXPECT_GE(runner.iterations_ran(), 4);
+}
+
+// Two batches with different vocabularies scored by the row scorer in
+// alternating spans on one thread share the thread's Dice accumulators and
+// memo rows (same spec indices, colliding value ids); then one batch is
+// destroyed and another built in its storage. Accumulators are keyed by
+// batch generation, so every span equals the single-pair path.
+TEST_F(SimilarityKernelPropertyTest, RowScorerTwoBatchesOnOneThread) {
+  SetParallelThreadCount(1);
+  const MemoFixture fx_a(presets::Rawtenstall(), 21);
+  const MemoFixture fx_b(presets::PoorTranscription(), 22);
+  const MemoFixture fx_c(presets::HighMobilityTown(), 23);
+  const SimBatch batch_a(fx_a.fn, fx_a.pair.old_dataset,
+                         fx_a.pair.new_dataset);
+  std::optional<SimBatch> other;
+  other.emplace(fx_b.fn, fx_b.pair.old_dataset, fx_b.pair.new_dataset);
+  const SimBatch* const storage = &*other;
+
+  const auto alternate = [&](const MemoFixture& fx_other,
+                             const std::string& name) {
+    static constexpr size_t kSpan = 37;  // splits rows and runs oddly
+    const double min_sim = 0.6;
+    std::vector<double> rows_a(fx_a.candidates.size());
+    std::vector<double> rows_other(fx_other.candidates.size());
+    const auto score_span = [min_sim](const SimBatch& batch,
+                                      const MemoFixture& fx, size_t begin,
+                                      std::vector<double>* rows) {
+      if (begin >= fx.candidates.size()) return;
+      const size_t len = std::min(kSpan, fx.candidates.size() - begin);
+      batch.AggregateRowsWithThreshold(
+          std::span<const CandidatePair>(fx.candidates).subspan(begin, len),
+          min_sim, std::span<double>(*rows).subspan(begin, len),
+          DirectFallback(fx.fn));
+    };
+    const size_t n =
+        std::max(fx_a.candidates.size(), fx_other.candidates.size());
+    for (size_t begin = 0; begin < n; begin += kSpan) {
+      score_span(batch_a, fx_a, begin, &rows_a);
+      score_span(*other, fx_other, begin, &rows_other);
+    }
+    const auto check = [min_sim](const SimBatch& batch, const MemoFixture& fx,
+                                 const std::vector<double>& rows,
+                                 const std::string& what) {
+      const SimBatch::FallbackFn fallback = DirectFallback(fx.fn);
+      for (size_t i = 0; i < fx.candidates.size(); ++i) {
+        const CandidatePair& c = fx.candidates[i];
+        EXPECT_EQ(rows[i], batch.AggregateWithThreshold(c.old_id, c.new_id,
+                                                        min_sim, fallback))
+            << what << " pair " << i;
+      }
+    };
+    check(batch_a, fx_a, rows_a, "a");
+    check(*other, fx_other, rows_other, name);
+  };
+  const uint64_t builds_before = CounterValue("simkernel.dice_acc_builds");
+  alternate(fx_b, "b");
+  other.reset();
+  other.emplace(fx_c.fn, fx_c.pair.old_dataset, fx_c.pair.new_dataset);
+  ASSERT_EQ(&*other, storage) << "the rebuilt batch must reuse the storage";
+  alternate(fx_c, "c (rebuilt in b's storage)");
+  EXPECT_GT(CounterValue("simkernel.dice_acc_builds"), builds_before)
+      << "the spans never walked postings";
+}
+
+/// Random sorted profiles over a small alphabet of packed codes, so
+/// duplicate grams and partial overlaps are common.
+std::vector<std::vector<uint32_t>> RandomProfiles(proptest::Case& c,
+                                                  size_t count) {
+  const uint32_t alphabet = 1 + c.rng().NextBounded(12);
+  std::vector<std::vector<uint32_t>> profiles(count);
+  for (std::vector<uint32_t>& profile : profiles) {
+    profile.resize(1 + c.rng().NextBounded(40));
+    for (uint32_t& code : profile) {
+      code = 0x2300u + c.rng().NextBounded(alphabet);
+    }
+    std::sort(profile.begin(), profile.end());
+  }
+  return profiles;
+}
+
+/// Builds postings over `profiles` (concatenated) and checks, for every
+/// value, that one walk yields the merge's Dice for every posted value, no
+/// count for an unposted one, the advertised walk cost, and that Clear
+/// restores all zeroes; `expected(va, vb)` is the reference Dice.
+template <typename Expected>
+void ExpectPostingsMatch(proptest::Case& c,
+                         const std::vector<std::vector<uint32_t>>& profiles,
+                         const Expected& expected) {
+  std::vector<uint32_t> data;
+  std::vector<uint32_t> starts = {0};
+  std::vector<bool> posted;
+  for (const std::vector<uint32_t>& profile : profiles) {
+    data.insert(data.end(), profile.begin(), profile.end());
+    starts.push_back(static_cast<uint32_t>(data.size()));
+    posted.push_back(c.rng().NextBounded(4) != 0);
+  }
+  const simkernel::GramPostings postings(data, starts, posted);
+  std::vector<uint32_t> common(profiles.size(), 0);
+  for (uint32_t va = 0; va < profiles.size(); ++va) {
+    postings.Accumulate(va, common.data());
+    uint64_t walk = 0;
+    for (uint32_t vb = 0; vb < profiles.size(); ++vb) {
+      const std::vector<uint32_t>& a = profiles[va];
+      const std::vector<uint32_t>& b = profiles[vb];
+      if (!posted[vb]) {
+        c.ExpectTrue(common[vb] == 0, "unposted value counted");
+        continue;
+      }
+      const double got =
+          simkernel::DiceFromCommon(common[vb], a.size(), b.size());
+      const double want = expected(va, vb);
+      c.ExpectTrue(got == want, "walk dice " + std::to_string(got) +
+                                    " != " + std::to_string(want) + " for " +
+                                    std::to_string(va) + "/" +
+                                    std::to_string(vb));
+    }
+    std::vector<uint32_t> distinct = profiles[va];
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    for (const uint32_t code : distinct) {
+      for (uint32_t vb = 0; vb < profiles.size(); ++vb) {
+        walk += posted[vb] && std::binary_search(profiles[vb].begin(),
+                                                 profiles[vb].end(), code);
+      }
+    }
+    c.ExpectTrue(postings.WalkCost(va) == walk,
+                 "walk cost " + std::to_string(postings.WalkCost(va)) +
+                     " != " + std::to_string(walk));
+    postings.Clear(va, common.data());
+    c.ExpectTrue(std::all_of(common.begin(), common.end(),
+                             [](uint32_t n) { return n == 0; }),
+                 "Clear left a count behind");
+  }
+}
+
+// A posting walk counts the multiset intersection the sorted merge counts:
+// on random profiles with duplicate grams, DiceFromCommon of the walk's
+// count equals DiceProfileKernel bit for bit.
+TEST_F(SimilarityKernelPropertyTest, PostingWalkDiceMatchesMerge) {
+  proptest::Runner runner("simkernel.posting_walk", /*iterations=*/50);
+  runner.Run([](proptest::Case& c) {
+    const std::vector<std::vector<uint32_t>> profiles =
+        RandomProfiles(c, 2 + c.rng().NextBounded(30));
+    ExpectPostingsMatch(c, profiles, [&](uint32_t va, uint32_t vb) {
+      const std::vector<uint32_t>& a = profiles[va];
+      const std::vector<uint32_t>& b = profiles[vb];
+      return simkernel::DiceProfileKernel(a.data(), a.size(), b.data(),
+                                          b.size(), 0.0);
+    });
+  });
+  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+}
+
+// The same against the scalar measure, on padded q-gram profiles (q = 2
+// and 3) of strings over a two-letter alphabet, where repeated grams are
+// the rule ("abab", "aaaa").
+TEST_F(SimilarityKernelPropertyTest, PostingWalkDiceMatchesScalarMeasure) {
+  proptest::Runner runner("simkernel.posting_walk_scalar", /*iterations=*/30);
+  runner.Run([](proptest::Case& c) {
+    std::vector<std::string> words(2 + c.rng().NextBounded(20));
+    for (std::string& word : words) {
+      word.resize(1 + c.rng().NextBounded(12));
+      for (char& ch : word) ch = c.rng().NextBounded(2) != 0 ? 'a' : 'b';
+    }
+    for (const auto& [q, measure] :
+         {std::pair{2, Measure::kQGramDice},
+          std::pair{3, Measure::kTrigramDice}}) {
+      std::vector<std::vector<uint32_t>> profiles;
+      for (const std::string& word : words) {
+        profiles.emplace_back();
+        simkernel::BuildPaddedGramProfile(word, q, &profiles.back());
+      }
+      ExpectPostingsMatch(c, profiles, [&](uint32_t va, uint32_t vb) {
+        return ComputeMeasure(measure, words[va], words[vb]);
+      });
+    }
+  });
+  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+}
+
+// A value longer than 65,535 characters repeats one gram more than 65,535
+// times. The walk's counts are 32-bit like the profile offsets, so its
+// Dice still equals the merge's and the scalar measure's, directly and
+// through the row scorer, which walks postings for such values.
+TEST_F(SimilarityKernelPropertyTest, PostingCountsDoNotOverflow) {
+  const std::string longest(70000, 'a');
+  const std::string shorter(66000, 'a');
+  const std::vector<std::string> words = {longest, shorter, "aab", "b"};
+  for (const int q : {2, 3}) {
+    std::vector<uint32_t> data;
+    std::vector<uint32_t> starts = {0};
+    for (const std::string& word : words) {
+      simkernel::BuildPaddedGramProfile(word, q, &data);
+      starts.push_back(static_cast<uint32_t>(data.size()));
+    }
+    const simkernel::GramPostings postings(
+        data, starts, std::vector<bool>(words.size(), true));
+    std::vector<uint32_t> common(words.size(), 0);
+    postings.Accumulate(0, common.data());
+    EXPECT_EQ(common[0], starts[1]) << "q=" << q;
+    EXPECT_EQ(common[1], starts[2] - starts[1]) << "q=" << q;
+    for (uint32_t vb = 0; vb < words.size(); ++vb) {
+      const uint32_t na = starts[1];
+      const uint32_t nb = starts[vb + 1] - starts[vb];
+      EXPECT_EQ(simkernel::DiceFromCommon(common[vb], na, nb),
+                simkernel::DiceProfileKernel(data.data(), na,
+                                             data.data() + starts[vb], nb,
+                                             0.0))
+          << "q=" << q << " value " << vb;
+    }
+  }
+
+  using testing_example::MakeRecord;
+  CensusDataset old_dataset(1871);
+  old_dataset.AddHousehold(
+      "old", {MakeRecord("o1", "ann", "smith", Sex::kFemale, 30, Role::kHead,
+                         longest, "weaver"),
+              MakeRecord("o2", "ann", "smith", Sex::kFemale, 3,
+                         Role::kDaughter, "aab", "weaver")});
+  CensusDataset new_dataset(1881);
+  std::vector<PersonRecord> members;
+  for (const std::string& address : {shorter, longest, std::string("aab"),
+                                     std::string("b"), std::string()}) {
+    members.push_back(MakeRecord("n" + std::to_string(members.size()), "ann",
+                                 "smith", Sex::kFemale, 40, Role::kHead,
+                                 address, "weaver"));
+  }
+  new_dataset.AddHousehold("new", members);
+  const SimilarityFunction fn(
+      {{Field::kAddress, Measure::kQGramDice, 0.5},
+       {Field::kAddress, Measure::kTrigramDice, 0.5}},
+      /*threshold=*/0.0);
+  const SimBatch batch(fn, old_dataset, new_dataset);
+  std::vector<CandidatePair> candidates;
+  for (RecordId o = 0; o < old_dataset.num_records(); ++o) {
+    for (RecordId n = 0; n < new_dataset.num_records(); ++n) {
+      candidates.push_back({o, n});
+    }
+  }
+  const uint64_t builds_before = CounterValue("simkernel.dice_acc_builds");
+  std::vector<double> rows(candidates.size());
+  batch.AggregateRowsWithThreshold(candidates, 0.0, rows,
+                                   DirectFallback(fn));
+  EXPECT_GT(CounterValue("simkernel.dice_acc_builds"), builds_before);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const CandidatePair& c = candidates[i];
+    EXPECT_EQ(rows[i], fn.AggregateSimilarity(old_dataset.record(c.old_id),
+                                              new_dataset.record(c.new_id)))
+        << "pair " << i;
+  }
 }
 
 // The branchless merge against the three-way merge it replaced, on random

@@ -88,6 +88,7 @@ python3 tools/check_report.py "$smoke_dir/report.json" \
   --expect-counter blocking.candidate_pairs \
   --expect-counter similarity.agg_calls \
   --expect-counter simkernel.screened \
+  --expect-counter simkernel.dice_acc_builds \
   --expect-counter subgraph.potential_pairs
 note ran "perf smoke"
 
@@ -95,11 +96,12 @@ note ran "perf smoke"
 # and diff it against the checked-in baseline. The pipeline is deterministic,
 # so quality figures, count scalars and arena bytes are gated EXACTLY; wall
 # time and RSS get wide tolerances (50%, with absolute floors) so only real
-# regressions fail, never machine noise. Both comparator selftests run first
-# so a broken gate can't silently pass.
+# regressions fail, never machine noise. The comparator selftests (and the
+# paired-run judge's) run first so a broken gate can't silently pass.
 stage "perf gate: bench_diff vs BENCH_table5_smoke.json"
 python3 tools/check_report.py --selftest
 python3 tools/bench_diff.py --selftest
+python3 tools/paired_bench.py --selftest
 TGLINK_MEMPROF=1 "$root/build-release/bench/table5_iterative" --scale=0.125 \
   --report="$smoke_dir/perf_gate.json" > "$smoke_dir/perf_gate_stdout.txt"
 python3 tools/check_report.py "$smoke_dir/perf_gate.json"
