@@ -196,16 +196,19 @@ int main(int argc, char** argv) {
     SetBatchKernelsEnabled(true);
     const PreMatcher batched(pair.old_dataset, pair.new_dataset, sim_func,
                              config.blocking, config.delta_low);
-    const auto& sp = scalar.scored_pairs();
-    const auto& bp = batched.scored_pairs();
+    const PreMatcher::KeptPairs sp = scalar.scored_pairs();
+    const PreMatcher::KeptPairs bp = batched.scored_pairs();
     if (sp.size() != bp.size()) {
       std::fprintf(stderr, "FATAL: keep-sets differ (scalar %zu, batched %zu)\n",
                    sp.size(), bp.size());
       return 1;
     }
-    for (size_t i = 0; i < sp.size(); ++i) {
-      if (sp[i].old_id != bp[i].old_id || sp[i].new_id != bp[i].new_id ||
-          sp[i].sim != bp[i].sim) {
+    size_t i = 0;
+    for (auto s = sp.begin(), b = bp.begin(); s != sp.end(); ++s, ++b, ++i) {
+      const ScoredPair sv = *s;
+      const ScoredPair bv = *b;
+      if (sv.old_id != bv.old_id || sv.new_id != bv.new_id ||
+          sv.sim != bv.sim) {
         std::fprintf(stderr, "FATAL: keep-sets differ at %zu\n", i);
         return 1;
       }

@@ -8,6 +8,7 @@
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
+#include "tglink/util/logging.h"
 
 namespace tglink {
 
@@ -69,23 +70,11 @@ void RunPass(const CensusDataset& old_dataset, const CensusDataset& new_dataset,
   }
 }
 
-}  // namespace
-
-std::vector<CandidatePair> GenerateCandidatePairs(
-    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    const BlockingConfig& config) {
-  TGLINK_TRACE_SPAN("blocking.generate_candidates");
-  TGLINK_MEM_STAGE("blocking.generate_candidates");
-  if (config.mode == BlockingConfig::Mode::kInvertedIndex) {
-    const CandidateIndex index(old_dataset, new_dataset,
-                               CandidateIndexConfig::FromBlocking(config));
-    std::vector<CandidatePair> pairs = index.GeneratePairs();
-    TGLINK_COUNTER_ADD("blocking.cross_product_pairs",
-                       static_cast<uint64_t>(old_dataset.num_records()) *
-                           new_dataset.num_records());
-    TGLINK_COUNTER_ADD("blocking.candidate_pairs", pairs.size());
-    return pairs;
-  }
+/// Hash or exhaustive blocking's candidates, deduplicated and sorted by
+/// (old_id, new_id).
+std::vector<CandidatePair> ListPairs(const CensusDataset& old_dataset,
+                                     const CensusDataset& new_dataset,
+                                     const BlockingConfig& config) {
   std::vector<uint64_t> pair_keys;
   if (config.mode == BlockingConfig::Mode::kExhaustive) {
     pair_keys.reserve(old_dataset.num_records() * new_dataset.num_records());
@@ -109,11 +98,65 @@ std::vector<CandidatePair> GenerateCandidatePairs(
     pairs.push_back({static_cast<RecordId>(key >> 32),
                      static_cast<RecordId>(key & 0xFFFFFFFFu)});
   }
-  // Candidate-pair reduction: cross_product_pairs / candidate_pairs is the
-  // reduction ratio blocking buys over the paper's exhaustive comparison.
+  return pairs;
+}
+
+// Candidate-pair reduction: cross_product_pairs / candidate_pairs is the
+// reduction ratio blocking buys over the paper's exhaustive comparison.
+void CountCrossProduct(const CensusDataset& old_dataset,
+                       const CensusDataset& new_dataset) {
   TGLINK_COUNTER_ADD("blocking.cross_product_pairs",
                      static_cast<uint64_t>(old_dataset.num_records()) *
                          new_dataset.num_records());
+}
+
+}  // namespace
+
+CandidateBatches::CandidateBatches(const CensusDataset& old_dataset,
+                                   const CensusDataset& new_dataset,
+                                   const BlockingConfig& config) {
+  TGLINK_TRACE_SPAN("blocking.generate_candidates");
+  TGLINK_MEM_STAGE("blocking.generate_candidates");
+  const size_t num_old = old_dataset.num_records();
+  if (config.mode == BlockingConfig::Mode::kInvertedIndex) {
+    const CandidateIndexConfig index_config =
+        CandidateIndexConfig::FromBlocking(config);
+    batch_records_ = std::max<size_t>(1, index_config.batch_records);
+    index_ = std::make_unique<const CandidateIndex>(old_dataset, new_dataset,
+                                                    index_config);
+    num_batches_ = index_->num_shards();
+  } else {
+    whole_ = ListPairs(old_dataset, new_dataset, config);
+    TGLINK_COUNTER_ADD("blocking.candidate_pairs", whole_.size());
+    batch_records_ = std::max<size_t>(1, num_old);
+    num_batches_ = num_old > 0 ? 1 : 0;
+  }
+  CountCrossProduct(old_dataset, new_dataset);
+}
+
+CandidateBatches::~CandidateBatches() = default;
+
+std::vector<CandidatePair> CandidateBatches::Take(size_t b) {
+  TGLINK_CHECK(b < num_batches_)
+      << "candidate batch " << b << " of " << num_batches_;
+  if (index_ == nullptr) return std::move(whole_);
+  std::vector<CandidatePair> pairs = index_->ShardPairs(b);
+  TGLINK_COUNTER_ADD("blocking.candidate_pairs", pairs.size());
+  return pairs;
+}
+
+std::vector<CandidatePair> GenerateCandidatePairs(
+    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const BlockingConfig& config) {
+  TGLINK_TRACE_SPAN("blocking.generate_candidates");
+  TGLINK_MEM_STAGE("blocking.generate_candidates");
+  std::vector<CandidatePair> pairs =
+      config.mode == BlockingConfig::Mode::kInvertedIndex
+          ? CandidateIndex(old_dataset, new_dataset,
+                           CandidateIndexConfig::FromBlocking(config))
+                .GeneratePairs()
+          : ListPairs(old_dataset, new_dataset, config);
+  CountCrossProduct(old_dataset, new_dataset);
   TGLINK_COUNTER_ADD("blocking.candidate_pairs", pairs.size());
   return pairs;
 }

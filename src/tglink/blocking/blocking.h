@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "tglink/blocking/block_key.h"
@@ -65,7 +66,47 @@ struct BlockingConfig {
   static BlockingConfig MakeInvertedIndex();
 };
 
-/// Generates deduplicated candidate pairs, sorted by (old_id, new_id).
+class CandidateIndex;
+
+/// The candidate pairs of one census pair, handed over in batches so a
+/// consumer can process and drop each batch before the next one exists.
+/// Batch b holds every candidate whose old id lies in [b * batch_records(),
+/// (b + 1) * batch_records()), deduplicated and sorted by (old_id, new_id),
+/// so the batches in order are GenerateCandidatePairs's list. Every old
+/// record falls in exactly one batch.
+///
+/// kInvertedIndex builds the index here and emits one batch per index
+/// shard (CandidateIndexConfig::batch_records old records) on Take. The
+/// other modes generate the whole list here, as a single batch.
+class CandidateBatches {
+ public:
+  /// The datasets must outlive the batches.
+  CandidateBatches(const CensusDataset& old_dataset,
+                   const CensusDataset& new_dataset,
+                   const BlockingConfig& config);
+  ~CandidateBatches();
+
+  CandidateBatches(const CandidateBatches&) = delete;
+  CandidateBatches& operator=(const CandidateBatches&) = delete;
+
+  /// Number of batches (0 when the old snapshot is empty).
+  [[nodiscard]] size_t size() const { return num_batches_; }
+  /// Old records per batch; the last batch may hold fewer.
+  [[nodiscard]] size_t batch_records() const { return batch_records_; }
+
+  /// Batch `b`. Each batch may be taken once; distinct batches may be
+  /// taken concurrently.
+  [[nodiscard]] std::vector<CandidatePair> Take(size_t b);
+
+ private:
+  std::unique_ptr<const CandidateIndex> index_;  // kInvertedIndex only
+  std::vector<CandidatePair> whole_;             // the other modes' batch
+  size_t batch_records_ = 1;
+  size_t num_batches_ = 0;
+};
+
+/// Generates deduplicated candidate pairs, sorted by (old_id, new_id): the
+/// concatenation of CandidateBatches's batches.
 [[nodiscard]] std::vector<CandidatePair> GenerateCandidatePairs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const BlockingConfig& config);

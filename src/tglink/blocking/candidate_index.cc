@@ -138,6 +138,9 @@ CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
     tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
   }
 
+  // Records that carried a pruned token, per side (ascending ids).
+  std::vector<RecordId> fallback_old;
+  std::vector<RecordId> fallback_new;
   if (config_.max_posting_len > 0) {
     std::vector<bool> pruned(token_count_, false);
     std::vector<bool> fb_new(num_new, false);
@@ -159,11 +162,11 @@ CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
             [&](uint32_t t) { return pruned[t]; });
         if (dead != tokens.end()) {
           tokens.erase(dead, tokens.end());
-          fallback_old_.push_back(r);
+          fallback_old.push_back(r);
         }
       }
       for (RecordId r = 0; r < num_new; ++r) {
-        if (fb_new[r]) fallback_new_.push_back(r);
+        if (fb_new[r]) fallback_new.push_back(r);
       }
     }
   }
@@ -179,9 +182,10 @@ CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
   for (const std::vector<uint32_t>& tokens : old_record_tokens_) {
     index_bytes += tokens.size() * sizeof(uint32_t);
   }
-  index_bytes += fallback_old_.size() * sizeof(RecordId);
-  index_bytes += fallback_new_.size() * sizeof(RecordId);
+  index_bytes += fallback_old.size() * sizeof(RecordId);
+  index_bytes += fallback_new.size() * sizeof(RecordId);
   obs::ReportArenaBytes("candindex", index_bytes);
+  fallback_pairs_ = FallbackPairs(fallback_old, fallback_new);
 }
 
 void CandidateIndex::AppendPairsForOldRecord(
@@ -258,25 +262,11 @@ void CandidateIndex::AppendPairsForOldRecord(
   for (RecordId n : *scratch) out->push_back({old_id, n});
 }
 
-// Concurrency contract: shard builders share no mutable state — each
-// ParallelMap worker writes only its own result slot and reads the posting
-// lists, which are frozen after single-threaded construction. There is
-// deliberately no lock here; determinism comes from the ordered index
-// merge, statically checked by the lint's nondeterministic-iteration rule
-// (the interner map above is lookup-only, never iterated).
-std::vector<CandidatePair> CandidateIndex::ShardPairs(size_t begin,
-                                                      size_t end) const {
-  std::vector<CandidatePair> out;
-  std::vector<RecordId> scratch;
-  for (size_t r = begin; r < end; ++r) {
-    AppendPairsForOldRecord(static_cast<RecordId>(r), &scratch, &out);
-  }
-  return out;
-}
-
-std::vector<CandidatePair> CandidateIndex::FallbackPairs() const {
+std::vector<CandidatePair> CandidateIndex::FallbackPairs(
+    const std::vector<RecordId>& fallback_old,
+    const std::vector<RecordId>& fallback_new) const {
   if (config_.fallback_window == 0 ||
-      (fallback_old_.empty() && fallback_new_.empty())) {
+      (fallback_old.empty() && fallback_new.empty())) {
     return {};
   }
   // Sorted-neighborhood over only the flagged records: both sides are
@@ -290,12 +280,12 @@ std::vector<CandidatePair> CandidateIndex::FallbackPairs() const {
     bool is_old;
   };
   std::vector<Entry> entries;
-  entries.reserve(fallback_old_.size() + fallback_new_.size());
-  for (RecordId r : fallback_old_) {
+  entries.reserve(fallback_old.size() + fallback_new.size());
+  for (RecordId r : fallback_old) {
     std::string k = key(old_dataset_.record(r));
     if (!k.empty()) entries.push_back({std::move(k), r, true});
   }
-  for (RecordId r : fallback_new_) {
+  for (RecordId r : fallback_new) {
     std::string k = key(new_dataset_.record(r));
     if (!k.empty()) entries.push_back({std::move(k), r, false});
   }
@@ -327,31 +317,56 @@ std::vector<CandidatePair> CandidateIndex::FallbackPairs() const {
   return pairs;
 }
 
-namespace {
-
-bool PairLess(const CandidatePair& a, const CandidatePair& b) {
-  return a.old_id != b.old_id ? a.old_id < b.old_id : a.new_id < b.new_id;
+size_t CandidateIndex::num_shards() const {
+  const size_t batch = std::max<size_t>(1, config_.batch_records);
+  return (old_dataset_.num_records() + batch - 1) / batch;
 }
 
-bool PairEqual(const CandidatePair& a, const CandidatePair& b) {
-  return a.old_id == b.old_id && a.new_id == b.new_id;
+// Concurrency contract: shards share no mutable state — each call builds
+// its own output and reads the posting lists and fallback pairs, which are
+// frozen after single-threaded construction. There is deliberately no lock
+// here; determinism comes from the callers' ordered merge of shards,
+// statically checked by the lint's nondeterministic-iteration rule (the
+// interner map above is lookup-only, never iterated).
+std::vector<CandidatePair> CandidateIndex::ShardPairs(size_t shard) const {
+  const size_t batch = std::max<size_t>(1, config_.batch_records);
+  const size_t begin = shard * batch;
+  const size_t end = std::min(old_dataset_.num_records(), begin + batch);
+  std::vector<CandidatePair> pairs;
+  std::vector<RecordId> scratch;
+  for (size_t r = begin; r < end; ++r) {
+    AppendPairsForOldRecord(static_cast<RecordId>(r), &scratch, &pairs);
+  }
+  // Fold in the fallback pairs of this shard's old records. Both inputs are
+  // sorted and duplicate-free, so their union is too.
+  const auto by_old = [](const CandidatePair& p, size_t old_id) {
+    return p.old_id < old_id;
+  };
+  const auto fb_begin = std::lower_bound(
+      fallback_pairs_.begin(), fallback_pairs_.end(), begin, by_old);
+  const auto fb_end =
+      std::lower_bound(fb_begin, fallback_pairs_.end(), end, by_old);
+  if (fb_begin != fb_end) {
+    std::vector<CandidatePair> merged;
+    merged.reserve(pairs.size() + static_cast<size_t>(fb_end - fb_begin));
+    std::set_union(pairs.begin(), pairs.end(), fb_begin, fb_end,
+                   std::back_inserter(merged),
+                   [](const CandidatePair& a, const CandidatePair& b) {
+                     return a.old_id != b.old_id ? a.old_id < b.old_id
+                                                 : a.new_id < b.new_id;
+                   });
+    pairs = std::move(merged);
+  }
+  TGLINK_COUNTER_ADD("candindex.pairs_emitted", pairs.size());
+  return pairs;
 }
-
-}  // namespace
 
 std::vector<CandidatePair> CandidateIndex::GeneratePairs() const {
   TGLINK_TRACE_SPAN("candindex.emit");
-  const size_t num_old = old_dataset_.num_records();
-  const size_t batch = std::max<size_t>(1, config_.batch_records);
-  const size_t num_shards = (num_old + batch - 1) / batch;
-  // Each shard emits an independent, already-sorted slice of the (old, new)
-  // pair space; ordered concatenation keeps the output bit-identical to the
-  // serial path for every thread count.
   std::vector<std::vector<CandidatePair>> shards =
       ParallelMap<std::vector<CandidatePair>>(
-          num_shards, "candindex.shard", [&](size_t s) {
-            return ShardPairs(s * batch, std::min(num_old, (s + 1) * batch));
-          });
+          num_shards(), "candindex.shard",
+          [this](size_t s) { return ShardPairs(s); });
   size_t total = 0;
   for (const std::vector<CandidatePair>& shard : shards) {
     total += shard.size();
@@ -361,51 +376,7 @@ std::vector<CandidatePair> CandidateIndex::GeneratePairs() const {
   for (const std::vector<CandidatePair>& shard : shards) {
     pairs.insert(pairs.end(), shard.begin(), shard.end());
   }
-  const std::vector<CandidatePair> fallback = FallbackPairs();
-  if (!fallback.empty()) {
-    std::vector<CandidatePair> merged;
-    merged.reserve(pairs.size() + fallback.size());
-    std::set_union(pairs.begin(), pairs.end(), fallback.begin(),
-                   fallback.end(), std::back_inserter(merged), PairLess);
-    merged.erase(std::unique(merged.begin(), merged.end(), PairEqual),
-                 merged.end());
-    pairs = std::move(merged);
-  }
-  TGLINK_COUNTER_ADD("candindex.pairs_emitted", pairs.size());
   return pairs;
-}
-
-void CandidateIndex::EmitBatches(
-    const std::function<void(const std::vector<CandidatePair>&)>& sink) const {
-  TGLINK_TRACE_SPAN("candindex.emit");
-  const size_t num_old = old_dataset_.num_records();
-  const size_t batch = std::max<size_t>(1, config_.batch_records);
-  const std::vector<CandidatePair> fallback = FallbackPairs();
-  size_t fb_next = 0;  // next fallback pair not yet handed to the sink
-  size_t emitted = 0;
-  for (size_t begin = 0; begin < num_old; begin += batch) {
-    const size_t end = std::min(num_old, begin + batch);
-    std::vector<CandidatePair> shard = ShardPairs(begin, end);
-    // Fold in the fallback pairs that sort before this shard's upper bound
-    // (old_id < end), preserving global (old, new) order across batches.
-    const size_t fb_begin = fb_next;
-    while (fb_next < fallback.size() && fallback[fb_next].old_id < end) {
-      ++fb_next;
-    }
-    if (fb_next > fb_begin) {
-      std::vector<CandidatePair> merged;
-      merged.reserve(shard.size() + (fb_next - fb_begin));
-      std::set_union(shard.begin(), shard.end(), fallback.begin() + fb_begin,
-                     fallback.begin() + fb_next, std::back_inserter(merged),
-                     PairLess);
-      merged.erase(std::unique(merged.begin(), merged.end(), PairEqual),
-                   merged.end());
-      shard = std::move(merged);
-    }
-    emitted += shard.size();
-    if (!shard.empty()) sink(shard);
-  }
-  TGLINK_COUNTER_ADD("candindex.pairs_emitted", emitted);
 }
 
 }  // namespace tglink

@@ -9,9 +9,11 @@
 // Differences from hash blocking (blocking.cc) that matter for scale:
 //   * tokens are interned once (string -> dense token id); pair emission
 //     walks integer posting lists only,
-//   * emission is sharded over old records and runs on the shared pool
-//     (util/parallel.h) with an ordered merge — deterministic for every
-//     thread count,
+//   * emission is sharded over old records: each shard of
+//     `batch_records` old records is an independent, sorted slice of the
+//     pair space (ShardPairs), so consumers can take shards one at a time
+//     on the shared pool (util/parallel.h) and GeneratePairs is their
+//     ordered concatenation — deterministic for every thread count,
 //   * pathological keys (posting list longer than `max_posting_len`) are
 //     pruned instead of exploding quadratically; records that carried a
 //     pruned key are routed through a sorted-neighborhood fallback window
@@ -27,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "tglink/blocking/block_key.h"
@@ -56,7 +57,8 @@ struct CandidateIndexConfig {
   /// a precision knob benchmarked in bench/blocking_comparison.
   size_t min_shared_passes = 1;
 
-  /// Old-record shard size for batched emission / parallel generation.
+  /// Old records per emission shard (ShardPairs); shards are also the
+  /// unit of parallel generation.
   size_t batch_records = 2048;
 
   static CandidateIndexConfig MakeDefault();
@@ -86,18 +88,19 @@ class CandidateIndex {
                  CandidateIndexConfig config);
 
   /// All candidate pairs — index pairs unioned with the fallback pairs —
-  /// deduplicated and sorted by (old_id, new_id). With pruning disabled
-  /// this equals hash blocking's output over the same passes.
+  /// deduplicated and sorted by (old_id, new_id): the ordered concatenation
+  /// of every shard, emitted on the shared pool. With pruning disabled this
+  /// equals hash blocking's output over the same passes.
   [[nodiscard]] std::vector<CandidatePair> GeneratePairs() const;
 
-  /// Batched emission: invokes `sink` with consecutive batches of the
-  /// exact GeneratePairs() stream (each batch non-empty, sorted; batch
-  /// boundaries fall on old-record shard edges of `batch_records`).
-  /// Serial and in order — the streaming API for consumers that do not
-  /// want the whole pair vector resident.
-  void EmitBatches(
-      const std::function<void(const std::vector<CandidatePair>&)>& sink)
-      const;
+  /// Number of emission shards: ceil(old records / batch_records).
+  [[nodiscard]] size_t num_shards() const;
+
+  /// The pairs of shard `shard` — every candidate whose old id lies in
+  /// [shard * batch_records, (shard + 1) * batch_records), fallback pairs
+  /// folded in — deduplicated and sorted by (old_id, new_id). Safe to call
+  /// concurrently for any shards.
+  [[nodiscard]] std::vector<CandidatePair> ShardPairs(size_t shard) const;
 
   /// Distinct (pass, key) tokens indexed.
   [[nodiscard]] size_t num_tokens() const { return token_count_; }
@@ -113,12 +116,10 @@ class CandidateIndex {
                                std::vector<RecordId>* scratch,
                                std::vector<CandidatePair>* out) const;
 
-  /// Pairs for an old-record shard [begin, end): sorted, deduplicated.
-  [[nodiscard]] std::vector<CandidatePair> ShardPairs(size_t begin,
-                                                      size_t end) const;
-
   /// Sorted-neighborhood pairs over the records flagged during pruning.
-  [[nodiscard]] std::vector<CandidatePair> FallbackPairs() const;
+  [[nodiscard]] std::vector<CandidatePair> FallbackPairs(
+      const std::vector<RecordId>& fallback_old,
+      const std::vector<RecordId>& fallback_new) const;
 
   CandidateIndexConfig config_;
   const CensusDataset& old_dataset_;
@@ -129,9 +130,9 @@ class CandidateIndex {
   /// Per token id: ascending new-side record ids.
   std::vector<std::vector<RecordId>> new_postings_;
 
-  /// Records that carried a pruned token, per side (ascending ids).
-  std::vector<RecordId> fallback_old_;
-  std::vector<RecordId> fallback_new_;
+  /// Sorted-neighborhood pairs over the records that carried a pruned
+  /// token, sorted by (old_id, new_id); ShardPairs folds in its slice.
+  std::vector<CandidatePair> fallback_pairs_;
 
   size_t token_count_ = 0;
   size_t posting_count_ = 0;

@@ -1,6 +1,9 @@
 #include "tglink/linkage/iterative.h"
 
+#include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "tglink/graph/enrichment.h"
 #include "tglink/linkage/prematching.h"
@@ -112,8 +115,9 @@ LinkageResult LinkCensusPair(const CensusDataset& old_dataset,
   // schedule can reach (see PreMatcher docs).
   SimilarityFunction sim_func = config.sim_func;
   sim_func.set_year_gap(new_dataset.year() - old_dataset.year());
-  PreMatcher prematcher(old_dataset, new_dataset, sim_func, config.blocking,
-                        config.delta_low);
+  std::optional<PreMatcher> prematcher;
+  prematcher.emplace(old_dataset, new_dataset, sim_func, config.blocking,
+                     config.delta_low);
 
   std::vector<bool> active_old(old_dataset.num_records(), true);
   std::vector<bool> active_new(new_dataset.num_records(), true);
@@ -124,10 +128,10 @@ LinkageResult LinkCensusPair(const CensusDataset& old_dataset,
     TGLINK_TRACE_SPAN("linkage.iteration", delta);
     TGLINK_COUNTER_INC("linkage.iterations");
     const Clustering clustering =
-        prematcher.Cluster(delta, active_old, active_new);
+        prematcher->Cluster(delta, active_old, active_new);
     std::vector<GroupPairSubgraph> subgraphs =
         BuildAllSubgraphs(old_dataset, new_dataset, old_graphs, new_graphs,
-                          clustering, prematcher, config, delta);
+                          clustering, *prematcher, config, delta);
 
     IterationStats stats;
     stats.delta = delta;
@@ -185,9 +189,14 @@ LinkageResult LinkCensusPair(const CensusDataset& old_dataset,
   }
 
   // Residual attribute-only matching for the leftovers (lines 17-19), over
-  // the candidates pre-matching already generated.
+  // the candidates pre-matching already generated. The store is freed
+  // before the residual pass builds its own similarity batch, so the two
+  // never coexist.
+  std::vector<CandidatePair> residual_candidates =
+      prematcher->ActiveCandidates(active_old, active_new);
+  prematcher.reset();
   result.residual_record_links = MatchResidualRecords(
-      old_dataset, new_dataset, sim_func_rem, prematcher.candidates(),
+      old_dataset, new_dataset, sim_func_rem, std::move(residual_candidates),
       &result.record_mapping, &result.group_mapping, &active_old, &active_new);
   result.provenance.resize(result.record_mapping.size(),
                            {LinkPhase::kGlobalResidual,

@@ -20,64 +20,142 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                        const BlockingConfig& blocking, double min_threshold)
     : old_dataset_(old_dataset),
       new_dataset_(new_dataset),
-      sim_cache_(sim_func, old_dataset, new_dataset) {
+      sim_cache_(sim_func, old_dataset, new_dataset),
+      min_threshold_(min_threshold) {
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
-  candidates_ = GenerateCandidatePairs(old_dataset, new_dataset, blocking);
-  // Score chunks in parallel, one old-record row at a time: each chunk
-  // writes its own slice of `sims`, so the serial keep loop below is
-  // bit-identical to the single-threaded path (a chunk may split a row; the
-  // next chunk reloads the old side). Pairs below min_threshold come back
-  // as SimCache::kPruned (-1), below every admissible threshold, so the
-  // keep filter needs no extra branch and the kept set equals the exact
-  // one. Each chunk tallies its kept similarities locally and adds them to
-  // the histogram once.
-  std::vector<double> sims(candidates_.size());
-  std::atomic<size_t> num_kept{0};
+  CandidateBatches batches(old_dataset, new_dataset, blocking);
+  batch_records_ = batches.batch_records();
   {
+    // A lone batch is scored from this thread, so its chunks spread over
+    // the pool. Several batches are scored one per pool task; their chunks
+    // then run inline on that worker. Either way each segment is a
+    // function of its batch alone, so the store is bit-identical for every
+    // thread count.
     TGLINK_TRACE_SPAN("prematch.score");
-    const std::span<const CandidatePair> all(candidates_);
-    ParallelFor(candidates_.size(), "prematch.score_chunk",
-                [&](size_t begin, size_t end) {
-                  const std::span<double> out(sims.data() + begin,
-                                              end - begin);
-                  sim_cache_.AggregateRowsWithThreshold(
-                      all.subspan(begin, end - begin), min_threshold, out);
-                  static obs::Histogram& kept_sim_histogram =
-                      obs::GlobalMetrics().GetHistogram(
-                          "prematch.kept_pair_sim",
-                          obs::Histogram::UnitIntervalBounds());
-                  obs::HistogramTally kept_sims(kept_sim_histogram);
-                  for (const double sim : out) {
-                    if (sim >= min_threshold) kept_sims.Observe(sim);
-                  }
-                  num_kept.fetch_add(kept_sims.count(),
-                                     std::memory_order_relaxed);
-                });
-  }
-  // Candidates arrive sorted by (old, new), so appending the kept ones in
-  // candidate order fills each old record's row in ascending new id; the
-  // row offsets are a prefix sum of the row sizes.
-  TGLINK_TRACE_SPAN("prematch.keep");
-  scored_pairs_.reserve(num_kept.load(std::memory_order_relaxed));
-  kept_row_.assign(old_dataset.num_records() + 1, 0);
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    const double sim = sims[i];
-    if (sim >= min_threshold) {
-      const CandidatePair& cand = candidates_[i];
-      TGLINK_DCHECK(i == 0 || candidates_[i - 1].old_id < cand.old_id ||
-                    (candidates_[i - 1].old_id == cand.old_id &&
-                     candidates_[i - 1].new_id < cand.new_id))
-          << "blocking candidates not sorted by (old, new) at " << i;
-      scored_pairs_.push_back({cand.old_id, cand.new_id, sim});
-      ++kept_row_[cand.old_id + 1];
+    if (batches.size() == 1) {
+      segments_.push_back(ScoreBatch(batches, 0));
+    } else {
+      segments_ = ParallelMap<Segment>(
+          batches.size(), "prematch.score_batch",
+          [this, &batches](size_t b) { return ScoreBatch(batches, b); });
     }
   }
-  for (size_t o = 0; o < old_dataset.num_records(); ++o) {
-    kept_row_[o + 1] += kept_row_[o];
+  TGLINK_TRACE_SPAN("prematch.keep");
+  size_t num_candidates = 0;
+  uint64_t store_bytes = 0;
+  for (const Segment& seg : segments_) {
+    num_candidates += seg.new_ids.size();
+    num_kept_ += seg.num_kept;
+    store_bytes += seg.row.size() * sizeof(uint32_t) +
+                   seg.new_ids.size() * sizeof(RecordId) +
+                   seg.sims.size() * sizeof(double);
   }
-  TGLINK_COUNTER_ADD("prematch.pairs_scored", candidates_.size());
-  TGLINK_COUNTER_ADD("prematch.pairs_kept", scored_pairs_.size());
+  TGLINK_COUNTER_ADD("prematch.pairs_scored", num_candidates);
+  TGLINK_COUNTER_ADD("prematch.pairs_kept", num_kept_);
+  TGLINK_COUNTER_ADD("prematch.store_bytes", store_bytes);
+}
+
+PreMatcher::Segment PreMatcher::ScoreBatch(CandidateBatches& batches,
+                                           size_t b) const {
+  const std::vector<CandidatePair> pairs = batches.Take(b);
+  TGLINK_CHECK(pairs.size() <= UINT32_MAX)
+      << "candidate batch of " << pairs.size() << " pairs";
+  // Score chunks in parallel, one old-record row at a time: each chunk
+  // writes its own slice of the segment (a chunk may split a row; the next
+  // chunk reloads the old side). Pairs below min_threshold come back as
+  // SimCache::kPruned or as their exact value; both are stored as kPruned,
+  // so the store does not depend on where the bounds pruned. Each chunk
+  // tallies its kept similarities locally and adds them to the histogram
+  // and the kept count once.
+  Segment seg;
+  seg.sims.resize(pairs.size());
+  seg.new_ids.resize(pairs.size());
+  std::atomic<size_t> num_kept{0};
+  ParallelFor(pairs.size(), "prematch.score_chunk",
+              [&](size_t begin, size_t end) {
+                const std::span<double> out(seg.sims.data() + begin,
+                                            end - begin);
+                sim_cache_.AggregateRowsWithThreshold(
+                    std::span<const CandidatePair>(pairs).subspan(
+                        begin, end - begin),
+                    min_threshold_, out);
+                static obs::Histogram& kept_sim_histogram =
+                    obs::GlobalMetrics().GetHistogram(
+                        "prematch.kept_pair_sim",
+                        obs::Histogram::UnitIntervalBounds());
+                obs::HistogramTally kept_sims(kept_sim_histogram);
+                for (double& sim : out) {
+                  if (Kept(sim)) {
+                    kept_sims.Observe(sim);
+                  } else {
+                    sim = SimCache::kPruned;
+                  }
+                }
+                for (size_t i = begin; i < end; ++i) {
+                  TGLINK_DCHECK(i == 0 ||
+                                pairs[i - 1].old_id < pairs[i].old_id ||
+                                (pairs[i - 1].old_id == pairs[i].old_id &&
+                                 pairs[i - 1].new_id < pairs[i].new_id))
+                      << "blocking candidates not sorted by (old, new) at "
+                      << i;
+                  seg.new_ids[i] = pairs[i].new_id;
+                }
+                num_kept.fetch_add(kept_sims.count(),
+                                   std::memory_order_relaxed);
+              });
+  seg.num_kept = num_kept.load(std::memory_order_relaxed);
+  // The batch is sorted by (old, new), so old record o's row begins at its
+  // first pair: one binary search per old record of the batch.
+  const size_t old_begin = b * batch_records_;
+  const size_t old_end =
+      std::min(old_dataset_.num_records(), old_begin + batch_records_);
+  seg.row.resize(old_end - old_begin + 1);
+  for (size_t r = 0; r < seg.row.size(); ++r) {
+    seg.row[r] = static_cast<uint32_t>(
+        std::lower_bound(pairs.begin(), pairs.end(), old_begin + r,
+                         [](const CandidatePair& p, size_t old_id) {
+                           return p.old_id < old_id;
+                         }) -
+        pairs.begin());
+  }
+  TGLINK_DCHECK(seg.row.front() == 0 && seg.row.back() == pairs.size())
+      << "batch " << b << " holds old ids outside its range";
+  return seg;
+}
+
+PreMatcher::KeptPairs::iterator::iterator(const PreMatcher* pm,
+                                          RecordId old_id)
+    : pm_(pm), old_id_(old_id) {
+  if (old_id_ < pm_->old_dataset_.num_records()) {
+    row_ = pm_->row(old_id_);
+    Settle();
+  }
+}
+
+void PreMatcher::KeptPairs::iterator::Settle() {
+  const size_t n_old = pm_->old_dataset_.num_records();
+  while (old_id_ < n_old) {
+    for (; k_ < row_.sims.size(); ++k_) {
+      if (pm_->Kept(row_.sims[k_])) return;
+    }
+    k_ = 0;
+    if (++old_id_ < n_old) row_ = pm_->row(old_id_);
+  }
+  row_ = {};
+}
+
+std::vector<CandidatePair> PreMatcher::ActiveCandidates(
+    const std::vector<bool>& active_old,
+    const std::vector<bool>& active_new) const {
+  std::vector<CandidatePair> out;
+  for (RecordId o = 0; o < old_dataset_.num_records(); ++o) {
+    if (!active_old[o]) continue;
+    for (const RecordId n : row(o).new_ids) {
+      if (active_new[n]) out.push_back({o, n});
+    }
+  }
+  return out;
 }
 
 size_t PreMatcher::CountPairsAtDelta(double delta,
@@ -85,10 +163,11 @@ size_t PreMatcher::CountPairsAtDelta(double delta,
                                      const std::vector<bool>& active_new)
     const {
   size_t count = 0;
-  for (const ScoredPair& p : scored_pairs_) {
-    if (p.sim + 1e-12 >= delta && active_old[p.old_id] &&
-        active_new[p.new_id]) {
-      ++count;
+  for (RecordId o = 0; o < old_dataset_.num_records(); ++o) {
+    if (!active_old[o]) continue;
+    const Row r = row(o);
+    for (size_t k = 0; k < r.sims.size(); ++k) {
+      if (Admissible(r.sims[k], delta) && active_new[r.new_ids[k]]) ++count;
     }
   }
   return count;
@@ -97,12 +176,12 @@ size_t PreMatcher::CountPairsAtDelta(double delta,
 PreMatcher::PairSim PreMatcher::PairSimilarity(RecordId old_id,
                                                RecordId new_id,
                                                double min_sim) const {
-  const auto row_begin = scored_pairs_.begin() + kept_row_[old_id];
-  const auto row_end = scored_pairs_.begin() + kept_row_[old_id + 1];
-  const auto it = std::lower_bound(
-      row_begin, row_end, new_id,
-      [](const ScoredPair& p, RecordId id) { return p.new_id < id; });
-  if (it != row_end && it->new_id == new_id) return {it->sim, true};
+  const Row r = row(old_id);
+  const auto it = std::lower_bound(r.new_ids.begin(), r.new_ids.end(), new_id);
+  if (it != r.new_ids.end() && *it == new_id) {
+    const double sim = r.sims[static_cast<size_t>(it - r.new_ids.begin())];
+    if (Kept(sim)) return {sim, true};
+  }
   TGLINK_COUNTER_INC("simcache.prematch_miss");
   return {sim_cache_.AggregateWithThreshold(old_id, new_id, min_sim), false};
 }
@@ -119,13 +198,15 @@ Clustering PreMatcher::Cluster(double delta,
   // followed by new records.
   Clustering clustering;
   UnionFind uf(n_old + n_new);
-  for (const ScoredPair& pair : scored_pairs_) {
-    if (pair.sim + 1e-12 < delta || !active_old[pair.old_id] ||
-        !active_new[pair.new_id]) {
-      continue;
+  for (RecordId o = 0; o < n_old; ++o) {
+    if (!active_old[o]) continue;
+    const Row r = row(o);
+    for (size_t k = 0; k < r.sims.size(); ++k) {
+      const RecordId n = r.new_ids[k];
+      if (!Admissible(r.sims[k], delta) || !active_new[n]) continue;
+      ++clustering.admissible_pairs;
+      uf.Union(o, n_old + n);
     }
-    ++clustering.admissible_pairs;
-    uf.Union(pair.old_id, n_old + pair.new_id);
   }
   std::vector<uint32_t> labels = uf.ComponentLabels();
 

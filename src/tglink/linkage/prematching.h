@@ -11,24 +11,35 @@
 // (util/parallel.h) with an ordered merge, so the output is bit-identical
 // to a serial run.
 //
-// Scoring runs one old-record row at a time through the row scorer
-// (SimCache::AggregateRowsWithThreshold) in parallel chunks, under the
-// span "prematch.score"; the serial keep loop is "prematch.keep".
+// The pair store. Blocking hands the candidates over in (old, new)-ordered
+// batches (CandidateBatches: one per inverted-index shard, or the whole
+// hash-blocking list as one). Each batch is scored one old-record row at a
+// time by the row scorer (SimCache::AggregateRowsWithThreshold) under the
+// span "prematch.score", kept as one segment of the store, and freed. A
+// segment holds, per old record of its batch, a row of the candidates' new
+// ids (ascending, uint32_t) with their Ω2 values (double): 12 bytes per
+// candidate, each candidate held once. A value below min_threshold is
+// stored as SimCache::kPruned. The serial tally after scoring is
+// "prematch.keep"; the store's logical size is the "prematch.store_bytes"
+// counter.
 //
-// Blocking candidates arrive sorted by (old, new), and the kept pairs stay
-// in that order: one row of ascending new ids per old record, which is both
-// the per-δ clustering input and the index behind PairSimilarity. A kept
-// pair is served by a binary search in its row. Any other pair — a
-// "prematch miss": not a blocking candidate, or one scored below
+// Every reader walks rows. Cluster and CountPairsAtDelta skip the rows of
+// inactive old records wholesale. PairSimilarity binary-searches a row: a
+// kept pair (sim >= min_threshold) answers its stored value. Any other
+// pair — a "prematch miss": not a blocking candidate, or one scored below
 // min_threshold — is scored on demand through the thresholded kernels,
 // which may answer SimCache::kPruned when the pair provably cannot reach
-// the caller's cutoff. The candidate list itself is kept for the global
-// residual pass, so a census pair is blocked once.
+// the caller's cutoff. The global residual pass takes the candidates
+// between still-active records (ActiveCandidates), so a census pair is
+// blocked once.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <span>
 #include <vector>
 
 #include "tglink/blocking/blocking.h"
@@ -71,19 +82,92 @@ struct Clustering {
 class PreMatcher {
  public:
   /// Scores all blocking candidates once (in parallel over the shared
-  /// pool); pairs below `min_threshold` (normally δ_low) are discarded.
+  /// pool); pairs below `min_threshold` (normally δ_low) are not kept.
   /// The datasets and similarity function must outlive the PreMatcher.
   PreMatcher(const CensusDataset& old_dataset, const CensusDataset& new_dataset,
              const SimilarityFunction& sim_func, const BlockingConfig& blocking,
              double min_threshold);
 
-  /// Cached pairs with sim >= min_threshold, in ascending (old, new)
-  /// order.
-  const std::vector<ScoredPair>& scored_pairs() const { return scored_pairs_; }
+  /// One old record's row of the store: every blocking candidate of the
+  /// record, new ids ascending, with its Ω2 value — SimCache::kPruned when
+  /// that is below min_threshold.
+  struct Row {
+    std::span<const RecordId> new_ids;
+    std::span<const double> sims;
+  };
+  [[nodiscard]] Row row(RecordId old_id) const {
+    const Segment& seg = segments_[old_id / batch_records_];
+    const size_t r = old_id % batch_records_;
+    const uint32_t begin = seg.row[r];
+    const uint32_t len = seg.row[r + 1] - begin;
+    return {{seg.new_ids.data() + begin, len}, {seg.sims.data() + begin, len}};
+  }
 
-  /// Every blocking candidate, sorted by (old, new) — the list the global
-  /// residual pass scores with its own matcher.
-  const std::vector<CandidatePair>& candidates() const { return candidates_; }
+  /// Read-only view of the kept pairs (sim >= min_threshold), iterated in
+  /// ascending (old, new) order; size() is O(1).
+  class KeptPairs {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = ScoredPair;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = ScoredPair;
+
+      iterator() = default;
+      ScoredPair operator*() const {
+        return {old_id_, row_.new_ids[k_], row_.sims[k_]};
+      }
+      iterator& operator++() {
+        ++k_;
+        Settle();
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      bool operator==(const iterator& other) const {
+        return old_id_ == other.old_id_ && k_ == other.k_;
+      }
+
+     private:
+      friend class KeptPairs;
+      iterator(const PreMatcher* pm, RecordId old_id);
+      /// Moves to the first kept pair at or after (old_id_, k_), or to the
+      /// end position (num old records, 0).
+      void Settle();
+
+      const PreMatcher* pm_ = nullptr;
+      RecordId old_id_ = 0;
+      size_t k_ = 0;
+      Row row_;
+    };
+
+    [[nodiscard]] size_t size() const { return pm_->num_kept_; }
+    [[nodiscard]] iterator begin() const { return iterator(pm_, 0); }
+    [[nodiscard]] iterator end() const {
+      return iterator(pm_, static_cast<RecordId>(
+                               pm_->old_dataset_.num_records()));
+    }
+
+   private:
+    friend class PreMatcher;
+    explicit KeptPairs(const PreMatcher* pm) : pm_(pm) {}
+    const PreMatcher* pm_;
+  };
+
+  /// The kept pairs, in ascending (old, new) order.
+  [[nodiscard]] KeptPairs scored_pairs() const { return KeptPairs(this); }
+
+  /// Every blocking candidate, kept or not, between an active old and an
+  /// active new record, sorted by (old, new) — the list the global residual
+  /// pass scores with its own matcher.
+  [[nodiscard]] std::vector<CandidatePair> ActiveCandidates(
+      const std::vector<bool>& active_old,
+      const std::vector<bool>& active_new) const;
 
   /// Pairs admissible at `delta` (sim within 1e-12 of it or above) between
   /// still-active records — the per-iteration "scored pairs" diagnostic.
@@ -101,8 +185,8 @@ class PreMatcher {
 
   /// agg_sim for any record pair. A kept pair (a blocking candidate with
   /// sim >= min_threshold) returns its cached value, found by a binary
-  /// search in the old record's row of scored_pairs(). Any other pair
-  /// is a miss, counted as "simcache.prematch_miss" and scored through
+  /// search in the old record's row. Any other pair is a miss, counted as
+  /// "simcache.prematch_miss" and scored through
   /// SimCache::AggregateWithThreshold(old_id, new_id, min_sim): the exact
   /// aggregate, or SimCache::kPruned when the batched bounds prove it is
   /// below `min_sim`. With min_sim <= 0 every answer is exact. Safe to
@@ -114,19 +198,38 @@ class PreMatcher {
   /// `prematching` step of one Algorithm 1 iteration). `active_*[r]` is
   /// false for records already matched. Labels do not depend on the order
   /// of the unions (UnionFind::ComponentLabels numbers components by node
-  /// index), so walking the pairs in (old, new) order is exact.
+  /// index), so walking the rows in (old, new) order is exact.
   Clustering Cluster(double delta, const std::vector<bool>& active_old,
                      const std::vector<bool>& active_new) const;
 
  private:
+  /// One scored candidate batch: the rows of its old records, back to back.
+  struct Segment {
+    std::vector<uint32_t> row;      // per old record of the batch, + 1
+    std::vector<RecordId> new_ids;  // row r spans [row[r], row[r + 1])
+    std::vector<double> sims;       // parallel to new_ids
+    size_t num_kept = 0;            // sims >= min_threshold
+  };
+
+  /// Scores batch `b` of `batches` into a segment; the batch is freed on
+  /// return.
+  Segment ScoreBatch(CandidateBatches& batches, size_t b) const;
+
+  [[nodiscard]] bool Kept(double sim) const { return sim >= min_threshold_; }
+  /// A kept pair clustered at `delta`: sim within 1e-12 of it or above.
+  [[nodiscard]] bool Admissible(double sim, double delta) const {
+    return Kept(sim) && sim + 1e-12 >= delta;
+  }
+
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
   SimCache sim_cache_;
-  std::vector<CandidatePair> candidates_;
-  // Kept pairs in (old, new) order: row o spans [kept_row_[o],
-  // kept_row_[o + 1]) of scored_pairs_.
-  std::vector<ScoredPair> scored_pairs_;
-  std::vector<size_t> kept_row_;
+  double min_threshold_;
+  // Old record o's row is row (o % batch_records_) of segment
+  // (o / batch_records_).
+  size_t batch_records_ = 1;
+  std::vector<Segment> segments_;
+  size_t num_kept_ = 0;
 };
 
 }  // namespace tglink

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <span>
+#include <utility>
 
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
@@ -14,35 +15,32 @@ namespace tglink {
 
 std::vector<ScoredPair> GreedyOneToOneMatch(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    const SimilarityFunction& sim_func,
-    const std::vector<CandidatePair>& candidates,
+    const SimilarityFunction& sim_func, std::vector<CandidatePair> candidates,
     const std::vector<bool>& active_old, const std::vector<bool>& active_new) {
-  // Filter to active candidates serially, fan the scoring out over the
-  // shared pool, then keep threshold survivors in candidate order — the
+  // Drop the pairs of inactive records in place, fan the scoring out over
+  // the shared pool, then keep threshold survivors in candidate order — the
   // same list the serial loop builds, for any thread count. The active
   // candidates stay in (old, new) order, so each chunk scores them one
   // old-record row at a time through the batched row scorer; pairs below
   // the accept threshold come back as kPruned (-1), which never survives
   // the keep filter, so the kept set equals the exact one.
-  std::vector<CandidatePair> active;
-  for (const CandidatePair& cand : candidates) {
-    if (!active_old[cand.old_id] || !active_new[cand.new_id]) continue;
-    active.push_back(cand);
-  }
+  std::erase_if(candidates, [&](const CandidatePair& cand) {
+    return !active_old[cand.old_id] || !active_new[cand.new_id];
+  });
   const SimCache sim_cache(sim_func, old_dataset, new_dataset);
-  std::vector<double> sims(active.size());
-  ParallelFor(active.size(), "residual.score_chunk",
+  std::vector<double> sims(candidates.size());
+  ParallelFor(candidates.size(), "residual.score_chunk",
               [&](size_t begin, size_t end) {
                 sim_cache.AggregateRowsWithThreshold(
-                    std::span<const CandidatePair>(active).subspan(
+                    std::span<const CandidatePair>(candidates).subspan(
                         begin, end - begin),
                     sim_func.threshold(),
                     std::span<double>(sims).subspan(begin, end - begin));
               });
   std::vector<ScoredPair> scored;
-  for (size_t i = 0; i < active.size(); ++i) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
     if (sims[i] >= sim_func.threshold()) {
-      scored.push_back({active[i].old_id, active[i].new_id, sims[i]});
+      scored.push_back({candidates[i].old_id, candidates[i].new_id, sims[i]});
     }
   }
   std::sort(scored.begin(), scored.end(),
@@ -120,7 +118,7 @@ size_t MatchWithinLinkedHouseholds(const CensusDataset& old_dataset,
 size_t MatchResidualRecords(const CensusDataset& old_dataset,
                             const CensusDataset& new_dataset,
                             const SimilarityFunction& sim_func,
-                            const std::vector<CandidatePair>& candidates,
+                            std::vector<CandidatePair> candidates,
                             RecordMapping* record_mapping,
                             GroupMapping* group_mapping,
                             std::vector<bool>* active_old,
@@ -128,8 +126,8 @@ size_t MatchResidualRecords(const CensusDataset& old_dataset,
   TGLINK_TRACE_SPAN("residual.global");
   TGLINK_MEM_STAGE("residual.global");
   const std::vector<ScoredPair> links =
-      GreedyOneToOneMatch(old_dataset, new_dataset, sim_func, candidates,
-                          *active_old, *active_new);
+      GreedyOneToOneMatch(old_dataset, new_dataset, sim_func,
+                          std::move(candidates), *active_old, *active_new);
   for (const ScoredPair& link : links) {
     const Status st = record_mapping->Add(link.old_id, link.new_id);
     assert(st.ok());

@@ -23,11 +23,11 @@ namespace tglink {
 /// descending similarity order while both endpoints are free. Returns the
 /// accepted links (old, new, sim), deterministically ordered. `candidates`
 /// must be deduplicated and sorted by (old, new), as GenerateCandidatePairs
-/// and PreMatcher::candidates() return them.
+/// and PreMatcher::ActiveCandidates return them; the pairs of inactive
+/// records are dropped in place.
 std::vector<ScoredPair> GreedyOneToOneMatch(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    const SimilarityFunction& sim_func,
-    const std::vector<CandidatePair>& candidates,
+    const SimilarityFunction& sim_func, std::vector<CandidatePair> candidates,
     const std::vector<bool>& active_old, const std::vector<bool>& active_new);
 
 /// As above over GenerateCandidatePairs(old_dataset, new_dataset, blocking).
@@ -43,7 +43,7 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
 size_t MatchResidualRecords(const CensusDataset& old_dataset,
                             const CensusDataset& new_dataset,
                             const SimilarityFunction& sim_func,
-                            const std::vector<CandidatePair>& candidates,
+                            std::vector<CandidatePair> candidates,
                             RecordMapping* record_mapping,
                             GroupMapping* group_mapping,
                             std::vector<bool>* active_old,

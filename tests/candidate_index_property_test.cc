@@ -8,8 +8,10 @@
 //     scenario-registry profile (the adversarial regimes produce token
 //     distributions — duplicated records, dissolved households, mass
 //     renames — the friendly presets never do);
-//   * batching: the concatenation of EmitBatches() batches is the same
-//     stream GeneratePairs() returns;
+//   * batching: the shards, emitted on the pool at 1 and 4 threads and
+//     concatenated in order, are the list GeneratePairs() returns, for
+//     random shard sizes with pruning on and off; and CandidateBatches's
+//     batches concatenate to GenerateCandidatePairs's list in every mode;
 //   * pruning: a token is pruned under exactly the condition hash blocking
 //     skips an oversized block (old + new > cap), so at an equal cap the
 //     pruned index plus its sorted-neighborhood fallback emits a superset
@@ -121,27 +123,102 @@ TEST_F(CandidateIndexPropertyTest, ExactEquivalenceWithHashBlocking) {
   }
 }
 
-// EmitBatches is the same stream as GeneratePairs, batch-concatenated —
-// with and without pruning (the fallback merge must respect batch order).
-TEST_F(CandidateIndexPropertyTest, BatchedEmissionMatchesGeneratePairs) {
+/// True when every pair of `shard` has an old id in [begin, end).
+bool WithinOldRange(const std::vector<CandidatePair>& shard, size_t begin,
+                    size_t end) {
+  for (const CandidatePair& p : shard) {
+    if (p.old_id < begin || p.old_id >= end) return false;
+  }
+  return true;
+}
+
+// The shards, each emitted by its own pool task and concatenated in shard
+// order, are exactly GeneratePairs — with and without pruning (the
+// fallback pairs must fold into the shard of their old record), for odd
+// shard sizes, at 1 and 4 threads. Each shard holds only its own old ids.
+TEST_F(CandidateIndexPropertyTest, PooledShardsConcatenateToGeneratePairs) {
   proptest::Runner runner("candidate_index.batching", /*iterations=*/15);
   runner.Run([](proptest::Case& c) {
     const SyntheticPair pair = proptest::RandomCensusPair(&c);
+    const size_t num_old = pair.old_dataset.num_records();
     for (const size_t max_posting_len : {size_t{0}, size_t{48}}) {
       CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
       config.max_posting_len = max_posting_len;
-      // Odd shard sizes probe batch-boundary handling.
+      // Odd shard sizes probe shard-boundary handling.
       config.batch_records = 1 + c.rng().NextBounded(257);
       const CandidateIndex index(pair.old_dataset, pair.new_dataset, config);
+      SetParallelThreadCount(1);
       const std::vector<CandidatePair> whole = index.GeneratePairs();
-      std::vector<CandidatePair> streamed;
-      index.EmitBatches([&streamed](const std::vector<CandidatePair>& batch) {
-        streamed.insert(streamed.end(), batch.begin(), batch.end());
-      });
-      c.ExpectTrue(SamePairs(whole, streamed),
-                   "EmitBatches stream != GeneratePairs (max_posting_len=" +
-                       std::to_string(max_posting_len) + ", batch=" +
-                       std::to_string(config.batch_records) + ")");
+      for (const int threads : {1, 4}) {
+        SetParallelThreadCount(threads);
+        const std::vector<std::vector<CandidatePair>> shards =
+            ParallelMap<std::vector<CandidatePair>>(
+                index.num_shards(), "test.shard",
+                [&index](size_t s) { return index.ShardPairs(s); });
+        std::vector<CandidatePair> streamed;
+        bool in_range = true;
+        for (size_t s = 0; s < shards.size(); ++s) {
+          in_range = in_range &&
+                     WithinOldRange(shards[s], s * config.batch_records,
+                                    (s + 1) * config.batch_records);
+          streamed.insert(streamed.end(), shards[s].begin(), shards[s].end());
+        }
+        const std::string where =
+            "(max_posting_len=" + std::to_string(max_posting_len) +
+            ", batch=" + std::to_string(config.batch_records) +
+            ", threads=" + std::to_string(threads) + ")";
+        c.ExpectTrue(index.num_shards() ==
+                         (num_old + config.batch_records - 1) /
+                             config.batch_records,
+                     "shard count " + where);
+        c.ExpectTrue(in_range, "a shard holds a foreign old id " + where);
+        c.ExpectTrue(SamePairs(whole, streamed),
+                     "pooled shards != GeneratePairs " + where);
+        c.ExpectTrue(SamePairs(whole, index.GeneratePairs()),
+                     "GeneratePairs differs across thread counts " + where);
+      }
+    }
+  });
+  SetParallelThreadCount(1);
+  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
+}
+
+// CandidateBatches hands over GenerateCandidatePairs's list: its batches,
+// taken on the pool and concatenated in order, equal it in every blocking
+// mode, each batch holding only the old ids of its range.
+TEST_F(CandidateIndexPropertyTest, CandidateBatchesConcatenateToTheList) {
+  proptest::Runner runner("candidate_index.candidate_batches",
+                          /*iterations=*/10);
+  runner.Run([](proptest::Case& c) {
+    const SyntheticPair pair = proptest::RandomCensusPair(&c);
+    BlockingConfig pruned = BlockingConfig::MakeInvertedIndex();
+    pruned.max_posting_len = 48;
+    for (const BlockingConfig& blocking :
+         {BlockingConfig::MakeInvertedIndex(), pruned,
+          BlockingConfig::MakeDefault(), BlockingConfig::MakeExhaustive()}) {
+      const std::vector<CandidatePair> list = GenerateCandidatePairs(
+          pair.old_dataset, pair.new_dataset, blocking);
+      CandidateBatches batches(pair.old_dataset, pair.new_dataset, blocking);
+      const size_t per = batches.batch_records();
+      const std::vector<std::vector<CandidatePair>> parts =
+          ParallelMap<std::vector<CandidatePair>>(
+              batches.size(), "test.batch",
+              [&batches](size_t b) { return batches.Take(b); });
+      std::vector<CandidatePair> joined;
+      bool in_range = true;
+      for (size_t b = 0; b < parts.size(); ++b) {
+        in_range = in_range && WithinOldRange(parts[b], b * per, (b + 1) * per);
+        joined.insert(joined.end(), parts[b].begin(), parts[b].end());
+      }
+      const size_t num_old = pair.old_dataset.num_records();
+      const std::string mode =
+          "mode " + std::to_string(static_cast<int>(blocking.mode)) +
+          ", max_posting_len " + std::to_string(blocking.max_posting_len);
+      c.ExpectTrue(batches.size() == (num_old + per - 1) / per,
+                   "batches do not cover the old records, " + mode);
+      c.ExpectTrue(in_range, "a batch holds a foreign old id, " + mode);
+      c.ExpectTrue(SamePairs(list, joined),
+                   "batches != GenerateCandidatePairs, " + mode);
     }
   });
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();

@@ -91,10 +91,10 @@ TEST(CandidateIndexTest, EmptyDatasetsProduceNoPairs) {
   EXPECT_TRUE(
       CandidateIndex(empty_old, empty_new, config).GeneratePairs().empty());
   EXPECT_TRUE(CandidateIndex(empty_old, some, config).GeneratePairs().empty());
-  int batches = 0;
-  CandidateIndex(empty_old, some, config)
-      .EmitBatches([&batches](const std::vector<CandidatePair>&) { ++batches; });
-  EXPECT_EQ(batches, 0);
+  EXPECT_EQ(CandidateIndex(empty_old, some, config).num_shards(), 0u);
+  EXPECT_EQ(CandidateBatches(empty_old, some, BlockingConfig::MakeDefault())
+                .size(),
+            0u);
 }
 
 // Records whose names produce only empty blocking keys never enter any

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "tglink/blocking/blocking.h"
 #include "tglink/linkage/config.h"
+#include "tglink/similarity/sim_cache.h"
 #include "tglink/synth/generator.h"
 #include "tglink/synth/scenario.h"
 #include "tglink/util/parallel.h"
@@ -279,13 +281,104 @@ std::vector<bool> PartlyActive(size_t n, uint64_t salt) {
   return active;
 }
 
+/// Checks the pair store against the brute-force oracle — every blocking
+/// candidate of `blocking` scored by AggregateSimilarity — and returns the
+/// oracle's kept pairs. Each old record's row must hold exactly its
+/// candidates, new ids ascending, with the exact value bit for bit when it
+/// reaches `min_threshold` and SimCache::kPruned below it. The kept view
+/// must equal the kept list in order, and ActiveCandidates with every
+/// record active must equal the candidate list.
+std::vector<ScoredPair> ExpectStoreMatchesOracle(
+    const PreMatcher& pm, const CensusDataset& old_d,
+    const CensusDataset& new_d, const SimilarityFunction& f,
+    const BlockingConfig& blocking, double min_threshold) {
+  const std::vector<CandidatePair> candidates =
+      GenerateCandidatePairs(old_d, new_d, blocking);
+  std::vector<ScoredPair> kept;
+  size_t next = 0;  // first candidate of the current old record
+  for (RecordId o = 0; o < old_d.num_records(); ++o) {
+    const PreMatcher::Row row = pm.row(o);
+    size_t k = 0;
+    for (; next < candidates.size() && candidates[next].old_id == o;
+         ++next, ++k) {
+      const RecordId n = candidates[next].new_id;
+      const double exact =
+          f.AggregateSimilarity(old_d.record(o), new_d.record(n));
+      const double want = exact >= min_threshold ? exact : SimCache::kPruned;
+      if (exact >= min_threshold) kept.push_back({o, n, exact});
+      if (k >= row.new_ids.size()) {
+        ADD_FAILURE() << "row " << o << " ends after " << k << " entries";
+        return kept;
+      }
+      EXPECT_EQ(row.new_ids[k], n) << o << "[" << k << "]";
+      EXPECT_EQ(row.sims[k], want) << o << "," << n;
+    }
+    EXPECT_EQ(row.new_ids.size(), k) << "row " << o;
+    EXPECT_EQ(row.sims.size(), k) << "row " << o;
+  }
+  const PreMatcher::KeptPairs view = pm.scored_pairs();
+  const std::vector<ScoredPair> got(view.begin(), view.end());
+  EXPECT_EQ(view.size(), kept.size());
+  EXPECT_EQ(got.size(), kept.size());
+  for (size_t i = 0; i < std::min(got.size(), kept.size()); ++i) {
+    EXPECT_EQ(got[i].old_id, kept[i].old_id) << i;
+    EXPECT_EQ(got[i].new_id, kept[i].new_id) << i;
+    EXPECT_EQ(got[i].sim, kept[i].sim) << i;
+  }
+  const std::vector<CandidatePair> all = pm.ActiveCandidates(
+      std::vector<bool>(old_d.num_records(), true),
+      std::vector<bool>(new_d.num_records(), true));
+  EXPECT_EQ(all.size(), candidates.size());
+  EXPECT_TRUE(std::equal(all.begin(), all.end(), candidates.begin(),
+                         candidates.end(),
+                         [](const CandidatePair& a, const CandidatePair& b) {
+                           return a.old_id == b.old_id && a.new_id == b.new_id;
+                         }));
+  return kept;
+}
+
 class PreMatchingClusterOracleTest : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override { SetParallelThreadCount(1); }
 };
 
-// Cluster and CountPairsAtDelta walk the kept pairs in (old, new) order;
-// the reference rescans them per δ with its own forest. Labels, member
+// The store against the oracle with more than one segment: rawtenstall at
+// scale 0.12 has more old records than one inverted-index shard holds, so
+// the candidates arrive in several batches, scored on the pool at 2
+// threads. The kept pairs also cluster as the reference does.
+TEST_P(PreMatchingClusterOracleTest, MultiShardStoreMatchesOracle) {
+  SetParallelThreadCount(GetParam());
+  const LinkageConfig config = configs::DefaultConfig();
+  auto scenario = ResolveScenario("rawtenstall");
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  GeneratorConfig gen = scenario.value().config;
+  gen.seed = 1;
+  gen.scale = 0.12;
+  gen.num_censuses = 4;
+  const SyntheticPair pair = GenerateCensusPair(gen, 2);
+  const CensusDataset& old_d = pair.old_dataset;
+  const CensusDataset& new_d = pair.new_dataset;
+  ASSERT_GT(CandidateBatches(old_d, new_d, config.blocking).size(), 1u);
+  SimilarityFunction f = config.sim_func;
+  f.set_year_gap(new_d.year() - old_d.year());
+  const PreMatcher pm(old_d, new_d, f, config.blocking, config.delta_low);
+  const std::vector<ScoredPair> kept = ExpectStoreMatchesOracle(
+      pm, old_d, new_d, f, config.blocking, config.delta_low);
+  const std::vector<bool> all_old(old_d.num_records(), true);
+  const std::vector<bool> all_new(new_d.num_records(), true);
+  const Clustering got = pm.Cluster(config.delta_high, all_old, all_new);
+  const ReferenceClustering ref =
+      ReferenceCluster(kept, old_d.num_records(), new_d.num_records(),
+                       config.delta_high, all_old, all_new);
+  EXPECT_EQ(got.old_labels, ref.old_labels);
+  EXPECT_EQ(got.new_labels, ref.new_labels);
+  EXPECT_EQ(got.admissible_pairs, ref.pairs);
+}
+
+// The store holds every candidate with its bit-exact value (kPruned below
+// δ_low), and its kept view is the oracle's kept list. Cluster and
+// CountPairsAtDelta walk the rows in (old, new) order; the reference
+// rescans the kept pairs per δ with its own forest. Labels, member
 // lists and pair counts — the clustering's own admissible-pair count, which
 // LinkCensusPair reports, and CountPairsAtDelta's — must agree exactly at
 // every δ of the default schedule, on every scenario preset, with all
@@ -308,21 +401,14 @@ TEST_P(PreMatchingClusterOracleTest, MatchesBruteForceUnionFind) {
     f.set_year_gap(new_d.year() - old_d.year());
     const PreMatcher pm(old_d, new_d, f, config.blocking, config.delta_low);
 
-    // The kept pairs themselves: every blocking candidate whose exact
-    // aggregate reaches δ_low, in (old, new) order.
-    std::vector<ScoredPair> kept;
-    for (const CandidatePair& c : GenerateCandidatePairs(
-             old_d, new_d, BlockingConfig::MakeDefault())) {
-      const double sim =
-          f.AggregateSimilarity(old_d.record(c.old_id), new_d.record(c.new_id));
-      if (sim >= config.delta_low) kept.push_back({c.old_id, c.new_id, sim});
-    }
-    ASSERT_EQ(pm.scored_pairs().size(), kept.size());
-    for (size_t i = 0; i < kept.size(); ++i) {
-      ASSERT_EQ(pm.scored_pairs()[i].old_id, kept[i].old_id) << i;
-      ASSERT_EQ(pm.scored_pairs()[i].new_id, kept[i].new_id) << i;
-      ASSERT_EQ(pm.scored_pairs()[i].sim, kept[i].sim) << i;
-    }
+    // The store itself: every blocking candidate (hash blocking is the
+    // oracle for the configured index) with its exact aggregate, or kPruned
+    // below δ_low; the kept pairs are those reaching δ_low, in (old, new)
+    // order.
+    const std::vector<ScoredPair> kept =
+        ExpectStoreMatchesOracle(pm, old_d, new_d, f,
+                                 BlockingConfig::MakeDefault(),
+                                 config.delta_low);
 
     const size_t n_old = old_d.num_records();
     const size_t n_new = new_d.num_records();

@@ -121,12 +121,12 @@ ResidualOutcome RunResidual(const CensusDataset& old_d,
   return out;
 }
 
-// LinkCensusPair hands the pre-matching candidates to the global residual
-// pass instead of blocking again; on every scenario preset that must give
-// exactly the links of the BlockingConfig form, with hash blocking and
-// with the configured default, for all records active and for a third of
-// them already matched.
-TEST(ResidualTest, PreMatcherCandidatesGiveTheBlockingConfigLinks) {
+// LinkCensusPair hands the pre-matching store's active candidates to the
+// global residual pass instead of blocking again; on every scenario preset
+// that must give exactly the links of the BlockingConfig form, with hash
+// blocking and with the configured default, for all records active and for
+// a third of them already matched.
+TEST(ResidualTest, PreMatcherActiveCandidatesGiveTheBlockingConfigLinks) {
   const LinkageConfig config = configs::DefaultConfig();
   for (const ScenarioPreset& preset : ScenarioPresets()) {
     SCOPED_TRACE(std::string(preset.name));
@@ -156,7 +156,9 @@ TEST(ResidualTest, PreMatcherCandidatesGiveTheBlockingConfigLinks) {
     for (size_t m = 0; m < old_masks.size(); ++m) {
       SCOPED_TRACE("mask " + std::to_string(m));
       const ResidualOutcome got = RunResidual(
-          old_d, new_d, f_rem, pm.candidates(), old_masks[m], new_masks[m]);
+          old_d, new_d, f_rem,
+          pm.ActiveCandidates(old_masks[m], new_masks[m]), old_masks[m],
+          new_masks[m]);
       EXPECT_GT(got.added, 0u);
       for (const BlockingConfig& blocking :
            {BlockingConfig::MakeDefault(), config.blocking}) {

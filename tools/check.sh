@@ -87,6 +87,7 @@ python3 tools/check_report.py "$smoke_dir/report.json" \
   --expect-counter linkage.iterations \
   --expect-counter blocking.candidate_pairs \
   --expect-counter similarity.agg_calls \
+  --expect-counter prematch.store_bytes \
   --expect-counter simkernel.screened \
   --expect-counter simkernel.dice_acc_builds \
   --expect-counter subgraph.potential_pairs

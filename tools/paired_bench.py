@@ -18,14 +18,16 @@ both sides run under the same settings. One run's sample is the metric as
 run.py reports it: the median of the run's calls.
 
 Every run must pass run.py's own checks (its calls agree on the links,
-record_f and group_f reach the workload's floor). Prints each side's
-median and quartiles over its runs, how many pairs the working tree won
-(ties count for neither side), and whether every run of both sides
-produced the same links (linkbench's fingerprint). The verdict is "gain"
-only when the working tree wins at least nine tenths of the pairs and the
-medians differ by more than the distance between the quartiles of the
-revision's runs; otherwise "no claim". Lower is better for every metric
-offered.
+record_f and group_f reach the workload's floor). Every run measures all
+of run.py's end-to-end metrics; for each one the report prints each
+side's median and quartiles over its runs and how many pairs the working
+tree won (ties count for neither side; record_f and group_f are better
+higher, the others lower). It also prints whether every run of both sides
+produced the same links (linkbench's fingerprint). The verdict is on
+--metric alone: "gain" only when the working tree wins at least nine
+tenths of the pairs and the medians differ by more than the distance
+between the quartiles of the revision's runs; otherwise "no claim".
+Lower is better for every metric --metric offers.
 
 Exit codes: 0 = ran (either verdict), 1 = the links differ or a run
 failed, 2 = could not build or start.
@@ -47,6 +49,7 @@ from types import ModuleType
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("link_s", "link_cpu_s", "setup_s", "peak_rss_mb")
+HIGHER_IS_BETTER = ("record_f", "group_f")
 WIN_SHARE = 0.9
 
 
@@ -74,26 +77,55 @@ def rev_runs_first(pair: int) -> bool:
     return pair % 2 == 0
 
 
-def judge(base: list[float], change: list[float]) -> dict:
+def judge(base: list[float], change: list[float],
+          higher_is_better: bool = False) -> dict:
     """Summary of paired samples (base[i] and change[i] are pair i; lower
-    is better)."""
+    is better unless `higher_is_better`)."""
     if len(base) != len(change) or not base:
         raise ValueError("need one base and one change sample per pair")
-    wins = sum(c < b for b, c in zip(base, change))
-    losses = sum(c > b for b, c in zip(base, change))
+    sign = -1.0 if higher_is_better else 1.0
+    wins = sum(sign * c < sign * b for b, c in zip(base, change))
+    losses = sum(sign * c > sign * b for b, c in zip(base, change))
     base_lo, base_hi = RUN.quartiles(base)
     change_lo, change_hi = RUN.quartiles(change)
     base_median = statistics.median(base)
     change_median = statistics.median(change)
     iqr = base_hi - base_lo
     gain = (wins >= WIN_SHARE * len(base)
-            and base_median - change_median > iqr)
+            and sign * (base_median - change_median) > iqr)
     return {
         "pairs": len(base), "wins": wins, "losses": losses,
         "base": (base_median, base_lo, base_hi),
         "change": (change_median, change_lo, change_hi),
         "base_iqr": iqr, "verdict": "gain" if gain else "no claim",
     }
+
+
+def summarize(base_runs: list[dict], change_runs: list[dict]) -> dict:
+    """judge() for every end-to-end metric of run.py, from per-run metric
+    values (base_runs[i] and change_runs[i] are pair i's runs, each a
+    {metric: value} dict); keyed by metric, in run.py's order."""
+    return {name: judge([run[name] for run in base_runs],
+                        [run[name] for run in change_runs],
+                        name in HIGHER_IS_BETTER)
+            for name in RUN.END_TO_END_UNITS}
+
+
+def report_lines(summary: dict, rev: str) -> list[str]:
+    """One table row per metric: each side's median and quartiles and the
+    working tree's wins and losses."""
+    lines = [f"  {'metric':<12}{'side':<14}{'median':>12}{'p25':>12}"
+             f"{'p75':>12}  tree wins"]
+    for name, s in summary.items():
+        unit = RUN.END_TO_END_UNITS[name]
+        better = "higher" if name in HIGHER_IS_BETTER else "lower"
+        for label, (median, lo, hi) in ((rev, s["base"]),
+                                        ("tree", s["change"])):
+            tail = (f"  {s['wins']}/{s['pairs']} (loses {s['losses']}; "
+                    f"{better} is better, {unit})" if label == "tree" else "")
+            lines.append(f"  {name:<12}{label:<14}{median:>12.6g}{lo:>12.6g}"
+                         f"{hi:>12.6g}{tail}")
+    return lines
 
 
 def use_checkout(source: str, build_dir: str) -> None:
@@ -168,7 +200,7 @@ def paired(args: argparse.Namespace) -> int:
     rev_binary = build(rev_source,
                        os.path.join(args.work_dir, "build-" + rev_commit))
     tree_binary = build(ROOT, os.path.join(args.work_dir, "build-tree"))
-    base, change, prints = [], [], set()
+    base_runs, change_runs, prints = [], [], set()
     for pair in range(args.pairs):
         order = [("rev", rev_binary), ("tree", tree_binary)]
         if not rev_runs_first(pair):
@@ -181,20 +213,20 @@ def paired(args: argparse.Namespace) -> int:
                     print(f"paired_bench: FAILED: pair {pair + 1}, {side}: "
                           f"{p}", file=sys.stderr)
                 return 1
-            got[side] = metrics[args.metric]["value"]
+            got[side] = {name: m["value"] for name, m in metrics.items()}
             prints.add(out["fingerprint"])
-        base.append(got["rev"])
-        change.append(got["tree"])
-        print(f"pair {pair + 1:>2}: {args.rev} {got['rev']:.6g}  "
-              f"tree {got['tree']:.6g}", flush=True)
-    s = judge(base, change)
-    print(f"\n{args.workload} {args.metric}, {s['pairs']} pairs of "
+        base_runs.append(got["rev"])
+        change_runs.append(got["tree"])
+        print(f"pair {pair + 1:>2}: {args.rev} "
+              f"{got['rev'][args.metric]:.6g}  "
+              f"tree {got['tree'][args.metric]:.6g}", flush=True)
+    summary = summarize(base_runs, change_runs)
+    print(f"\n{args.workload}, {len(base_runs)} pairs of "
           f"{args.seconds:g} s runs, seed {args.seed}")
-    for label, (median, lo, hi) in ((args.rev, s["base"]),
-                                    ("tree", s["change"])):
-        print(f"  {label:<12} median {median:.6g}  p25 {lo:.6g}  "
-              f"p75 {hi:.6g}")
-    print(f"  tree wins {s['wins']}/{s['pairs']} pairs "
+    for line in report_lines(summary, args.rev):
+        print(line)
+    s = summary[args.metric]
+    print(f"\n{args.metric}: tree wins {s['wins']}/{s['pairs']} pairs "
           f"(loses {s['losses']}); {args.rev} IQR {s['base_iqr']:.6g}")
     same = len(prints) == 1
     print(f"  fingerprints equal: {'yes' if same else 'NO'} "
@@ -247,6 +279,26 @@ def selftest() -> int:
     expect("good run problems", problems, [])
     expect("sample is the median", metrics["link_s"]["value"], 2.0)
     expect("scalar metric as is", metrics["peak_rss_mb"]["value"], 50.0)
+
+    # Every end-to-end metric is summarized from the same runs, each in its
+    # own direction: record_f and group_f win higher, the others lower.
+    base_runs = [{name: 1.0 for name in RUN.END_TO_END_UNITS}
+                 for _ in range(4)]
+    change_runs = [dict(run, link_s=0.5, record_f=1.5, group_f=0.5)
+                   for run in base_runs]
+    summary = summarize(base_runs, change_runs)
+    expect("every metric summarized", list(summary),
+           list(RUN.END_TO_END_UNITS))
+    expect("lower link_s wins", summary["link_s"]["wins"], 4)
+    expect("higher record_f wins", summary["record_f"]["wins"], 4)
+    expect("lower group_f loses", summary["group_f"]["losses"], 4)
+    expect("higher record_f verdict", summary["record_f"]["verdict"], "gain")
+    expect("equal setup_s ties", (summary["setup_s"]["wins"],
+                                  summary["setup_s"]["losses"]), (0, 0))
+    lines = report_lines(summary, "HEAD")
+    for name in RUN.END_TO_END_UNITS:
+        expect(f"report rows for {name}",
+               sum(line.split()[0] == name for line in lines[1:]), 2)
     expect("calls disagree fails",
            len(checked(dict(good, fingerprint_mismatches=1), 0.9)[0]), 1)
     expect("below the floor fails",
