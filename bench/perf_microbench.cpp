@@ -18,7 +18,6 @@
 #include "tglink/similarity/jaro.h"
 #include "tglink/similarity/phonetic.h"
 #include "tglink/similarity/qgram.h"
-#include "tglink/similarity/sim_batch.h"
 #include "tglink/synth/generator.h"
 
 namespace tglink {
@@ -159,24 +158,6 @@ void BM_PreMatcherBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreMatcherBuild)->Arg(5)->Arg(10)->Arg(20);
-
-// The same build with the scalar reference kernels, for the batched-kernel
-// speedup at a glance (BM_PreMatcherBuild runs the default batched mode).
-void BM_PreMatcherBuildScalar(benchmark::State& state) {
-  ScopedBatchKernels scalar_mode(false);
-  GeneratorConfig gen;
-  gen.scale = state.range(0) / 100.0;
-  gen.num_censuses = 2;
-  const SyntheticPair pair = GenerateCensusPair(gen, 0);
-  SimilarityFunction sim_func = configs::Omega2();
-  sim_func.set_year_gap(10);
-  for (auto _ : state) {
-    PreMatcher pm(pair.old_dataset, pair.new_dataset, sim_func,
-                  BlockingConfig::MakeDefault(), 0.5);
-    benchmark::DoNotOptimize(pm.scored_pairs().size());
-  }
-}
-BENCHMARK(BM_PreMatcherBuildScalar)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_ClusterRound(benchmark::State& state) {
   GeneratorConfig gen;

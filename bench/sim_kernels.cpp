@@ -1,5 +1,5 @@
-// Batched allocation-free similarity kernels vs the scalar reference path:
-// the tentpole benchmark behind BENCH_sim_kernels.json.
+// Batched allocation-free similarity kernels: the benchmark behind
+// BENCH_sim_kernels.json.
 //
 // Three sections:
 //   * per-kernel microbench, at --scale: ns/op for the scalar measure, the
@@ -9,10 +9,11 @@
 //     after asserting the batched kernel reproduces the scalar doubles
 //     bit-for-bit on every sampled pair;
 //   * pre-matching stage timing, at --scale (check-in runs use --scale=1.0,
-//     the paper's full Rawtenstall size): best-of-N PreMatcher construction
-//     in scalar vs batched kernel mode, after asserting both modes emit the
-//     identical scored-pair set, plus the simkernel.* pruning-counter
-//     breakdown of one batched build;
+//     the paper's full Rawtenstall size): best-of-N SimBatch scoring and
+//     PreMatcher construction, after asserting the PreMatcher keeps exactly
+//     the candidates whose fn.AggregateSimilarity reaches delta_low, with
+//     the same bits, plus the simkernel.* pruning-counter breakdown of one
+//     build;
 //   * quality twin, always at the table5 reference point (scale 0.25,
 //     seed 42, pair 2): the four table5_iterative configurations re-run with
 //     the batched kernels. Because the kernels are bit-identical and pruning
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions options = bench::ParseBenchOptions(argc, argv);
   const bench::ReportOnAbort abort_guard("sim_kernels", options);
   obs::RunReportBuilder report = bench::MakeRunReport("sim_kernels", options);
-  std::printf("== Batched similarity kernels vs scalar reference ==\n");
+  std::printf("== Batched similarity kernels ==\n");
 
   const SyntheticPair pair =
       GenerateCensusPair(bench::MakeGeneratorConfig(options),
@@ -187,88 +188,83 @@ int main(int argc, char** argv) {
   SimilarityFunction sim_func = config.sim_func;
   sim_func.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
 
-  // Keep-set equivalence before timing: both kernel modes must emit the
-  // identical scored-pair vector (ids and similarity bits).
-  {
-    ScopedBatchKernels scalar_mode(false);
-    const PreMatcher scalar(pair.old_dataset, pair.new_dataset, sim_func,
-                            config.blocking, config.delta_low);
-    SetBatchKernelsEnabled(true);
-    const PreMatcher batched(pair.old_dataset, pair.new_dataset, sim_func,
-                             config.blocking, config.delta_low);
-    const PreMatcher::KeptPairs sp = scalar.scored_pairs();
-    const PreMatcher::KeptPairs bp = batched.scored_pairs();
-    if (sp.size() != bp.size()) {
-      std::fprintf(stderr, "FATAL: keep-sets differ (scalar %zu, batched %zu)\n",
-                   sp.size(), bp.size());
-      return 1;
-    }
-    size_t i = 0;
-    for (auto s = sp.begin(), b = bp.begin(); s != sp.end(); ++s, ++b, ++i) {
-      const ScoredPair sv = *s;
-      const ScoredPair bv = *b;
-      if (sv.old_id != bv.old_id || sv.new_id != bv.new_id ||
-          sv.sim != bv.sim) {
-        std::fprintf(stderr, "FATAL: keep-sets differ at %zu\n", i);
-        return 1;
-      }
-    }
-    report.AddScalar("timing.prematch.kept_pairs",
-                     static_cast<double>(sp.size()));
-    std::printf("both kernel modes keep the identical %zu scored pairs\n",
-                sp.size());
-  }
-
-  struct Mode {
-    const char* name;
-    const char* slug;
-    bool batched;
-  };
-  const std::vector<Mode> modes = {
-      {"scalar reference kernels", "scalar", false},
-      {"batched pruning kernels", "batched", true},
-  };
-
-  // The similarity stage in isolation: candidate generation (identical in
-  // both modes) is hoisted out, so the timed region is exactly what the
-  // kernels change — SimCache construction (value interning + signature
-  // precomputation in batched mode) plus threshold scoring of every
-  // candidate. This is the "pre-matching similarity stage" of the ≥2x
-  // acceptance bar; the whole-PreMatcher row below includes the shared
-  // blocking/sort/merge overhead for context.
+  // The similarity stage in isolation: candidate generation is hoisted
+  // out, so the timed region is SimBatch construction (value interning +
+  // signature precomputation) plus threshold scoring of every candidate.
+  // The whole-PreMatcher row below includes the blocking and the pair
+  // store for context.
   const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
       pair.old_dataset, pair.new_dataset, config.blocking);
+
+  // Keep-set check before timing: the PreMatcher must keep exactly the
+  // candidates whose direct aggregate reaches delta_low, in candidate
+  // order, with the same similarity bits.
+  {
+    const PreMatcher pm(pair.old_dataset, pair.new_dataset, sim_func,
+                        config.blocking, config.delta_low);
+    const PreMatcher::KeptPairs kept = pm.scored_pairs();
+    auto it = kept.begin();
+    const auto end = kept.end();
+    size_t matched = 0;
+    for (const CandidatePair& cand : candidates) {
+      const double exact =
+          sim_func.AggregateSimilarity(pair.old_dataset.record(cand.old_id),
+                                       pair.new_dataset.record(cand.new_id));
+      if (exact < config.delta_low) continue;
+      if (it == end) {
+        std::fprintf(stderr, "FATAL: keep-set ends after %zu pairs\n",
+                     matched);
+        return 1;
+      }
+      const ScoredPair got = *it;
+      if (got.old_id != cand.old_id || got.new_id != cand.new_id ||
+          got.sim != exact) {
+        std::fprintf(stderr, "FATAL: keep-set differs at kept pair %zu\n",
+                     matched);
+        return 1;
+      }
+      ++it;
+      ++matched;
+    }
+    if (it != end || matched != kept.size()) {
+      std::fprintf(stderr, "FATAL: keep-sets differ (oracle %zu, kept %zu)\n",
+                   matched, kept.size());
+      return 1;
+    }
+    report.AddScalar("timing.prematch.kept_pairs",
+                     static_cast<double>(kept.size()));
+    std::printf("PreMatcher keeps the exact %zu pairs at delta_low %.2f\n",
+                kept.size(), config.delta_low);
+  }
+
   TextTable table;
-  table.SetHeader({"stage", "mode", "best s", "mean s", "pairs/s (best)"});
-  double simstage_best[2] = {0.0, 0.0};
-  double prematch_best[2] = {0.0, 0.0};
-  for (size_t m = 0; m < modes.size(); ++m) {
-    ScopedBatchKernels mode(modes[m].batched);
+  table.SetHeader({"stage", "best s", "mean s", "pairs/s (best)"});
+  const auto add_timing = [&](const char* stage, const std::string& key,
+                              double best, double sum) {
+    report.AddScalar(key + ".best_s", best)
+        .AddScalar(key + ".mean_s", sum / kReps);
+    table.AddRow({stage, TextTable::Fixed(best, 3),
+                  TextTable::Fixed(sum / kReps, 3),
+                  std::to_string(static_cast<size_t>(
+                      static_cast<double>(candidates.size()) / best))});
+  };
+  {
     double best = 0.0;
     double sum = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       Timer timer;
-      const SimCache cache(sim_func, pair.old_dataset, pair.new_dataset);
+      const SimBatch batch(sim_func, pair.old_dataset, pair.new_dataset);
       for (const CandidatePair& cand : candidates) {
-        sink += cache.AggregateWithThreshold(cand.old_id, cand.new_id,
+        sink += batch.AggregateWithThreshold(cand.old_id, cand.new_id,
                                              config.delta_low);
       }
       const double seconds = timer.ElapsedSeconds();
       sum += seconds;
       if (rep == 0 || seconds < best) best = seconds;
     }
-    simstage_best[m] = best;
-    report.AddScalar(std::string("timing.simstage.") + modes[m].slug +
-                         ".best_s", best)
-        .AddScalar(std::string("timing.simstage.") + modes[m].slug +
-                       ".mean_s", sum / kReps);
-    table.AddRow({"similarity stage", modes[m].name, TextTable::Fixed(best, 3),
-                  TextTable::Fixed(sum / kReps, 3),
-                  std::to_string(static_cast<size_t>(
-                      static_cast<double>(candidates.size()) / best))});
+    add_timing("similarity stage", "timing.simstage.batched", best, sum);
   }
-  for (size_t m = 0; m < modes.size(); ++m) {
-    ScopedBatchKernels mode(modes[m].batched);
+  {
     double best = 0.0;
     double sum = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -280,26 +276,11 @@ int main(int argc, char** argv) {
       sum += seconds;
       if (rep == 0 || seconds < best) best = seconds;
     }
-    prematch_best[m] = best;
-    report.AddScalar(std::string("timing.prematch.") + modes[m].slug +
-                         ".best_s", best)
-        .AddScalar(std::string("timing.prematch.") + modes[m].slug +
-                       ".mean_s", sum / kReps);
-    table.AddRow({"full PreMatcher", modes[m].name, TextTable::Fixed(best, 3),
-                  TextTable::Fixed(sum / kReps, 3),
-                  std::to_string(static_cast<size_t>(
-                      static_cast<double>(candidates.size()) / best))});
+    add_timing("full PreMatcher", "timing.prematch.batched", best, sum);
   }
   std::fputs(table.ToString().c_str(), stdout);
-  const double simstage_speedup = simstage_best[0] / simstage_best[1];
-  const double prematch_speedup = prematch_best[0] / prematch_best[1];
-  report.AddScalar("timing.simstage.speedup", simstage_speedup);
-  report.AddScalar("timing.prematch.speedup", prematch_speedup);
-  std::printf("similarity-stage speedup (scalar best / batched best): %.2fx\n",
-              simstage_speedup);
-  std::printf("full pre-matching speedup: %.2fx\n", prematch_speedup);
 
-  // Pruning breakdown of one batched build, from the simkernel.* counters.
+  // Pruning breakdown of one build, from the simkernel.* counters.
   {
     const char* const names[] = {
         "simkernel.screened",          "simkernel.pruned_by_length",
@@ -309,7 +290,6 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < std::size(names); ++i) {
       before[i] = CounterValue(names[i]);
     }
-    ScopedBatchKernels batched_mode(true);
     const PreMatcher pm(pair.old_dataset, pair.new_dataset, sim_func,
                         config.blocking, config.delta_low);
     sink += static_cast<double>(pm.scored_pairs().size());

@@ -20,7 +20,7 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                        const BlockingConfig& blocking, double min_threshold)
     : old_dataset_(old_dataset),
       new_dataset_(new_dataset),
-      sim_cache_(sim_func, old_dataset, new_dataset),
+      sim_batch_(sim_func, old_dataset, new_dataset),
       min_threshold_(min_threshold) {
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
@@ -64,7 +64,7 @@ PreMatcher::Segment PreMatcher::ScoreBatch(CandidateBatches& batches,
   // Score chunks in parallel, one old-record row at a time: each chunk
   // writes its own slice of the segment (a chunk may split a row; the next
   // chunk reloads the old side). Pairs below min_threshold come back as
-  // SimCache::kPruned or as their exact value; both are stored as kPruned,
+  // SimBatch::kPruned or as their exact value; both are stored as kPruned,
   // so the store does not depend on where the bounds pruned. Each chunk
   // tallies its kept similarities locally and adds them to the histogram
   // and the kept count once.
@@ -76,7 +76,7 @@ PreMatcher::Segment PreMatcher::ScoreBatch(CandidateBatches& batches,
               [&](size_t begin, size_t end) {
                 const std::span<double> out(seg.sims.data() + begin,
                                             end - begin);
-                sim_cache_.AggregateRowsWithThreshold(
+                sim_batch_.AggregateRowsWithThreshold(
                     std::span<const CandidatePair>(pairs).subspan(
                         begin, end - begin),
                     min_threshold_, out);
@@ -89,7 +89,7 @@ PreMatcher::Segment PreMatcher::ScoreBatch(CandidateBatches& batches,
                   if (Kept(sim)) {
                     kept_sims.Observe(sim);
                   } else {
-                    sim = SimCache::kPruned;
+                    sim = SimBatch::kPruned;
                   }
                 }
                 for (size_t i = begin; i < end; ++i) {
@@ -183,7 +183,7 @@ PreMatcher::PairSim PreMatcher::PairSimilarity(RecordId old_id,
     if (Kept(sim)) return {sim, true};
   }
   TGLINK_COUNTER_INC("simcache.prematch_miss");
-  return {sim_cache_.AggregateWithThreshold(old_id, new_id, min_sim), false};
+  return {sim_batch_.AggregateWithThreshold(old_id, new_id, min_sim), false};
 }
 
 Clustering PreMatcher::Cluster(double delta,

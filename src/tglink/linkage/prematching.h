@@ -14,12 +14,12 @@
 // The pair store. Blocking hands the candidates over in (old, new)-ordered
 // batches (CandidateBatches: one per inverted-index shard, or the whole
 // hash-blocking list as one). Each batch is scored one old-record row at a
-// time by the row scorer (SimCache::AggregateRowsWithThreshold) under the
+// time by the row scorer (SimBatch::AggregateRowsWithThreshold) under the
 // span "prematch.score", kept as one segment of the store, and freed. A
 // segment holds, per old record of its batch, a row of the candidates' new
 // ids (ascending, uint32_t) with their Ω2 values (double): 12 bytes per
 // candidate, each candidate held once. A value below min_threshold is
-// stored as SimCache::kPruned. The serial tally after scoring is
+// stored as SimBatch::kPruned. The serial tally after scoring is
 // "prematch.keep"; the store's logical size is the "prematch.store_bytes"
 // counter.
 //
@@ -28,7 +28,7 @@
 // kept pair (sim >= min_threshold) answers its stored value. Any other
 // pair — a "prematch miss": not a blocking candidate, or one scored below
 // min_threshold — is scored on demand through the thresholded kernels,
-// which may answer SimCache::kPruned when the pair provably cannot reach
+// which may answer SimBatch::kPruned when the pair provably cannot reach
 // the caller's cutoff. The global residual pass takes the candidates
 // between still-active records (ActiveCandidates), so a census pair is
 // blocked once.
@@ -45,7 +45,7 @@
 #include "tglink/blocking/blocking.h"
 #include "tglink/census/dataset.h"
 #include "tglink/similarity/composite.h"
-#include "tglink/similarity/sim_cache.h"
+#include "tglink/similarity/sim_batch.h"
 
 namespace tglink {
 
@@ -89,7 +89,7 @@ class PreMatcher {
              double min_threshold);
 
   /// One old record's row of the store: every blocking candidate of the
-  /// record, new ids ascending, with its Ω2 value — SimCache::kPruned when
+  /// record, new ids ascending, with its Ω2 value — SimBatch::kPruned when
   /// that is below min_threshold.
   struct Row {
     std::span<const RecordId> new_ids;
@@ -187,8 +187,8 @@ class PreMatcher {
   /// sim >= min_threshold) returns its cached value, found by a binary
   /// search in the old record's row. Any other pair is a miss, counted as
   /// "simcache.prematch_miss" and scored through
-  /// SimCache::AggregateWithThreshold(old_id, new_id, min_sim): the exact
-  /// aggregate, or SimCache::kPruned when the batched bounds prove it is
+  /// SimBatch::AggregateWithThreshold(old_id, new_id, min_sim): the exact
+  /// aggregate, or SimBatch::kPruned when the batched bounds prove it is
   /// below `min_sim`. With min_sim <= 0 every answer is exact. Safe to
   /// call concurrently.
   [[nodiscard]] PairSim PairSimilarity(RecordId old_id, RecordId new_id,
@@ -223,7 +223,7 @@ class PreMatcher {
 
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
-  SimCache sim_cache_;
+  SimBatch sim_batch_;
   double min_threshold_;
   // Old record o's row is row (o % batch_records_) of segment
   // (o / batch_records_).

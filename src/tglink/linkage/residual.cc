@@ -8,7 +8,7 @@
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
-#include "tglink/similarity/sim_cache.h"
+#include "tglink/similarity/sim_batch.h"
 #include "tglink/util/parallel.h"
 
 namespace tglink {
@@ -27,11 +27,11 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
   std::erase_if(candidates, [&](const CandidatePair& cand) {
     return !active_old[cand.old_id] || !active_new[cand.new_id];
   });
-  const SimCache sim_cache(sim_func, old_dataset, new_dataset);
+  const SimBatch sim_batch(sim_func, old_dataset, new_dataset);
   std::vector<double> sims(candidates.size());
   ParallelFor(candidates.size(), "residual.score_chunk",
               [&](size_t begin, size_t end) {
-                sim_cache.AggregateRowsWithThreshold(
+                sim_batch.AggregateRowsWithThreshold(
                     std::span<const CandidatePair>(candidates).subspan(
                         begin, end - begin),
                     sim_func.threshold(),

@@ -20,9 +20,9 @@
 //      the two /proc reads per scope are noise.
 //
 //  (c) Arena accounting — components that own large flat storage (SimBatch
-//      value arenas, CandidateIndex posting lists, SimCache memo shards,
-//      the thread pool) report their *logical* footprint once it is final
-//      via ReportArenaBytes(component, bytes). Logical sizes (size(), not
+//      value arenas, CandidateIndex posting lists, the thread pool) report
+//      their *logical* footprint once it is final via
+//      ReportArenaBytes(component, bytes). Logical sizes (size(), not
 //      capacity()) keep the numbers bit-deterministic across runs and
 //      machines, which is what lets tools/bench_diff.py gate them exactly.
 //
@@ -137,7 +137,7 @@ struct MemorySnapshot {
 [[nodiscard]] MemorySnapshot SnapshotMemory();
 
 /// Records `bytes` of logical footprint against `component` (e.g.
-/// "simbatch", "candindex", "simcache", "pool"). Callers report once, when
+/// "simbatch", "candindex", "pool"). Callers report once, when
 /// the figure is final (constructor end or destructor); repeated reports
 /// accumulate into bytes_total. Thread-safe.
 void ReportArenaBytes(std::string_view component, uint64_t bytes);

@@ -75,8 +75,8 @@ class SimilarityFunction {
                                            const PersonRecord& b) const;
 
   /// Similarity of one component: specs()[i] evaluated on (a, b), with the
-  /// missing flags ComponentSimilarity-style callers (and the memo layer in
-  /// similarity/sim_cache.h) need to apply the missing policy themselves.
+  /// missing flags ComponentSimilarity-style callers (and the batched scorer
+  /// in similarity/sim_batch.h) need to apply the missing policy themselves.
   [[nodiscard]] double ComponentSimilarity(const AttributeSpec& spec,
                                            const PersonRecord& a,
                                            const PersonRecord& b,
@@ -84,10 +84,10 @@ class SimilarityFunction {
                                            bool* missing_both) const;
 
   /// The aggregation arithmetic of Eq. 3, shared by the direct path
-  /// (AggregateSimilarity) and the memoized path (SimCache::Aggregate) so
+  /// (AggregateSimilarity) and the batched path (SimBatch::Aggregate) so
   /// the two can never drift: `component(i, &missing_one, &missing_both)`
   /// must return ComponentSimilarity of specs()[i] — from any source that
-  /// is bit-identical to it, e.g. a memo table of pure measure results.
+  /// is bit-identical to it, e.g. a kernel over interned values.
   template <typename ComponentFn>
   [[nodiscard]] double AggregateWith(ComponentFn&& component) const {
     double weighted_sum = 0.0;

@@ -17,15 +17,13 @@ namespace tglink {
 
 namespace {
 
-std::atomic<bool> g_batch_kernels_enabled{true};
-
 /// Source of SimBatch generations. A new batch can reuse a destroyed
 /// batch's address, so memo entries name their batch by generation, which
 /// is never reused; 0 marks an empty slot.
 std::atomic<uint64_t> g_next_generation{1};
 
 /// O1Value's answer for a present component whose value needs a kernel or
-/// the fallback; real values are in [0, 1].
+/// ComputeMeasure; real values are in [0, 1].
 constexpr double kNeedsKernel = -2.0;
 
 /// OldSide::run_va before a span's first Dice choice. Never a value id:
@@ -108,14 +106,6 @@ struct SimBatch::RowScratch {
   std::vector<PairState> pair;    // per spec
   std::vector<double> rem_after;  // suffix sums of pair[].contrib_ub
 };
-
-bool BatchKernelsEnabled() {
-  return g_batch_kernels_enabled.load(std::memory_order_relaxed);
-}
-
-void SetBatchKernelsEnabled(bool enabled) {
-  g_batch_kernels_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 SimBatch::SimBatch(const SimilarityFunction& fn,
                    const CensusDataset& old_dataset,
@@ -305,7 +295,7 @@ SimBatch::RowScratch& SimBatch::BindRowScratch() const {
       case Plan::kExactId:
       case Plan::kSoundex:
       case Plan::kFallback:
-        continue;  // O(1) or caller-memoized: no value-pair memo
+        continue;  // O(1) or ComputeMeasure: no value-pair memo
       case Plan::kBigramDice:
       case Plan::kTrigramDice:
       case Plan::kLevenshtein:
@@ -392,16 +382,14 @@ double SimBatch::O1Value(size_t spec_index, const RowScratch& row,
   return kNeedsKernel;
 }
 
-double SimBatch::ExactInRow(RowScratch* row, RecordId new_id,
-                            const FallbackFn& fallback) const {
+double SimBatch::ExactInRow(RowScratch* row, RecordId new_id) const {
   const PersonRecord& rb = new_dataset_.record(new_id);
   return fn_.AggregateWith([&](size_t i, bool* missing_one,
                                bool* missing_both) -> double {
     uint32_t vb = 0;
     double s = O1Value(i, *row, new_id, rb, &vb, missing_one, missing_both);
     if (s == kNeedsKernel) {
-      s = PresentValue(i, &row->old_side[i], vb, /*kernel_min=*/0.0,
-                       fallback);
+      s = PresentValue(i, &row->old_side[i], vb, /*kernel_min=*/0.0);
       TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
           << "batched measure " << MeasureName(fn_.specs()[i].measure)
           << " on " << FieldName(fn_.specs()[i].field) << " returned " << s;
@@ -410,8 +398,8 @@ double SimBatch::ExactInRow(RowScratch* row, RecordId new_id,
   });
 }
 
-double SimBatch::PrunedInRow(RowScratch* row, RecordId new_id, double min_sim,
-                             const FallbackFn& fallback) const {
+double SimBatch::PrunedInRow(RowScratch* row, RecordId new_id,
+                             double min_sim) const {
   const PersonRecord& rb = new_dataset_.record(new_id);
   const std::vector<AttributeSpec>& specs = fn_.specs();
   const MissingPolicy policy = fn_.missing_policy();
@@ -515,7 +503,7 @@ double SimBatch::PrunedInRow(RowScratch* row, RecordId new_id, double min_sim,
       const double needed = cutoff - exact_sum - row->rem_after[i];
       const double kernel_min =
           needed > 0.0 && spec.weight > 0.0 ? needed / spec.weight : 0.0;
-      s = PresentValue(i, &row->old_side[i], st.vb, kernel_min, fallback);
+      s = PresentValue(i, &row->old_side[i], st.vb, kernel_min);
       if (s == simkernel::kBelowMinSim) {
         pruned = true;  // the kernel already counted the bound type
         return 0.0;
@@ -566,13 +554,15 @@ double SimBatch::UpperBound(size_t spec_index, const OldSide& a,
 }
 
 double SimBatch::PresentValue(size_t spec_index, OldSide* side, uint32_t vb,
-                              double kernel_min,
-                              const FallbackFn& fallback) const {
+                              double kernel_min) const {
   const OldSide& a = *side;
   const SpecPlan& plan = plans_[spec_index];
   const FieldTable& t = tables_[plan.table];
   if (plan.plan == Plan::kFallback) {
-    return fallback(spec_index, a.va, vb, a.ref.view(), t.Ref(vb).view());
+    // The arena views hold the bytes GetFieldValue returns, so this is
+    // ComponentSimilarity's value for a present pair.
+    return ComputeMeasure(fn_.specs()[spec_index].measure, a.ref.view(),
+                          t.Ref(vb).view());
   }
   // The memo holds exact results only: a hit where the kernel would have
   // pruned yields the exact value, which the caller's running-cutoff check
@@ -612,21 +602,21 @@ double SimBatch::PresentValue(size_t spec_index, OldSide* side, uint32_t vb,
   return s;
 }
 
-double SimBatch::Aggregate(RecordId old_id, RecordId new_id,
-                           const FallbackFn& fallback) const {
+double SimBatch::Aggregate(RecordId old_id, RecordId new_id) const {
+  TGLINK_COUNTER_INC("similarity.agg_calls");
   RowScratch& row = BindRowScratch();
   LoadOldRecord(old_id, &row);
-  return ExactInRow(&row, new_id, fallback);
+  return ExactInRow(&row, new_id);
 }
 
 double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
-                                        double min_sim,
-                                        const FallbackFn& fallback) const {
-  if (min_sim <= 0.0) return Aggregate(old_id, new_id, fallback);
+                                        double min_sim) const {
+  if (min_sim <= 0.0) return Aggregate(old_id, new_id);
+  TGLINK_COUNTER_INC("similarity.agg_calls");
   TGLINK_COUNTER_INC("simkernel.screened");
   RowScratch& row = BindRowScratch();
   LoadOldRecord(old_id, &row);
-  return PrunedInRow(&row, new_id, min_sim, fallback);
+  return PrunedInRow(&row, new_id, min_sim);
 }
 
 const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
@@ -699,11 +689,11 @@ bool SimBatch::ChooseDiceSources(std::span<const CandidatePair> rest,
 
 void SimBatch::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
                                           double min_sim,
-                                          std::span<double> out,
-                                          const FallbackFn& fallback) const {
+                                          std::span<double> out) const {
   TGLINK_CHECK(out.size() == pairs.size())
       << "row scorer output holds " << out.size() << " values for "
       << pairs.size() << " pairs";
+  TGLINK_COUNTER_ADD("similarity.agg_calls", pairs.size());
   if (pairs.empty()) return;
   if (min_sim > 0.0) TGLINK_COUNTER_ADD("simkernel.screened", pairs.size());
   RowScratch& row = BindRowScratch();
@@ -735,8 +725,8 @@ void SimBatch::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
       row_kept = 0;
     }
     const double agg =
-        prune ? PrunedInRow(&row, pairs[k].new_id, min_sim, fallback)
-              : ExactInRow(&row, pairs[k].new_id, fallback);
+        prune ? PrunedInRow(&row, pairs[k].new_id, min_sim)
+              : ExactInRow(&row, pairs[k].new_id);
     out[k] = agg < min_sim ? kPruned : agg;
     ++row_pairs;
     row_kept += out[k] != kPruned;

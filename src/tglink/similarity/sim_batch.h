@@ -1,4 +1,5 @@
-// SimBatch — the batched similarity substrate behind SimCache.
+// SimBatch — the similarity scorer behind every Eq. 3 aggregate of the
+// pipeline (pre-matching Ω2, the residual passes, the collective baseline).
 //
 // Per field referenced by a SimilarityFunction, SimBatch interns the values
 // of both snapshots into a contiguous arena (offset+length StringRef views,
@@ -38,9 +39,9 @@
 // once the sum cannot recover ("simkernel.pruned_by_cutoff"). Every
 // rejection is sound: the result is kPruned exactly when the exact
 // aggregate is < min_sim (the property tests pin this), so callers that
-// keep pairs with sim >= min_sim see exactly the scalar keep-set. The
-// bookkeeping costs more than the kernels it skips when most pairs are
-// kept.
+// keep pairs with sim >= min_sim keep exactly the pairs whose exact
+// aggregate reaches it. The bookkeeping costs more than the kernels it
+// skips when most pairs are kept.
 //
 // Row scorer (AggregateRowsWithThreshold): scores a span of candidates
 // sorted by (old, new) — the order blocking emits — reloading the old side
@@ -81,8 +82,8 @@
 // gated "simbatch" arena. The single-pair entry points keep the merge.
 //
 // Measures without a batched kernel (Monge-Elkan, double-metaphone,
-// Smith-Waterman, LCS) are delegated to a caller-supplied fallback — in
-// practice SimCache's memo — and never prune.
+// Smith-Waterman, LCS) call ComputeMeasure on the two arena views,
+// unmemoized, and never prune.
 //
 // Value-pair memo: the string-kernel plans (Dice, edit and Jaro family —
 // not exact, Soundex, age or fallback) consult a per-thread direct-mapped
@@ -104,7 +105,6 @@
 #define TGLINK_SIMILARITY_SIM_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -116,41 +116,11 @@
 
 namespace tglink {
 
-/// Process-wide switch between the batched kernels (default) and the scalar
-/// reference path. Read by SimCache at construction time; flipping it does
-/// not affect already-built caches. The two modes produce bit-identical
-/// results — the toggle exists for A/B timing and for regression tests that
-/// prove exactly that.
-[[nodiscard]] bool BatchKernelsEnabled();
-void SetBatchKernelsEnabled(bool enabled);
-
-/// RAII toggle for tests/benches.
-class ScopedBatchKernels {
- public:
-  explicit ScopedBatchKernels(bool enabled) : prev_(BatchKernelsEnabled()) {
-    SetBatchKernelsEnabled(enabled);
-  }
-  ~ScopedBatchKernels() { SetBatchKernelsEnabled(prev_); }
-  ScopedBatchKernels(const ScopedBatchKernels&) = delete;
-  ScopedBatchKernels& operator=(const ScopedBatchKernels&) = delete;
-
- private:
-  bool prev_;
-};
-
 class SimBatch {
  public:
   /// "Provably below min_sim" sentinel returned by AggregateWithThreshold;
   /// real aggregates are in [0, 1].
   static constexpr double kPruned = simkernel::kBelowMinSim;
-
-  /// Exact component value for specs without a batched kernel; receives the
-  /// spec index, the interned value ids (stable for the lifetime of the
-  /// batch) and the two value strings. Must be a pure function of the two
-  /// strings, bit-identical to ComputeMeasure.
-  using FallbackFn = std::function<double(
-      size_t spec_index, uint32_t old_vid, uint32_t new_vid,
-      std::string_view a, std::string_view b)>;
 
   /// Interns every string field referenced by `fn` over both datasets and
   /// precomputes the per-value signatures the kernels need. All arguments
@@ -162,51 +132,31 @@ class SimBatch {
   SimBatch& operator=(const SimBatch&) = delete;
 
   /// Exact aggregate; bit-identical to
-  /// fn.AggregateSimilarity(old.record(o), new.record(n)).
-  [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id,
-                                 const FallbackFn& fallback) const;
+  /// fn.AggregateSimilarity(old.record(o), new.record(n)). Each entry point
+  /// counts "similarity.agg_calls" once per pair.
+  [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id) const;
 
   /// Exact aggregate if it reaches min_sim, else kPruned (proved by the
   /// bounds as early as possible). min_sim <= 0 disables pruning
   /// (identical to Aggregate).
   [[nodiscard]] double AggregateWithThreshold(RecordId old_id,
-                                              RecordId new_id, double min_sim,
-                                              const FallbackFn& fallback) const;
+                                              RecordId new_id,
+                                              double min_sim) const;
 
   /// out[k] = AggregateWithThreshold(pairs[k], min_sim) for every k, each
   /// pair evaluated exactly in one pass, with the old record's side loaded
   /// once per run of equal old ids (any order is correct; (old, new) order
   /// is the fast one). out.size() must equal pairs.size().
   void AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
-                                  double min_sim, std::span<double> out,
-                                  const FallbackFn& fallback) const;
+                                  double min_sim,
+                                  std::span<double> out) const;
 
   [[nodiscard]] const SimilarityFunction& fn() const { return fn_; }
 
-  // -- Substrate introspection (scalar-mode memo, tests, benches) ----------
-
-  /// True when specs()[i] reads an interned string table (i.e. is not an
-  /// age component).
-  [[nodiscard]] bool SpecUsesTable(size_t spec_index) const {
-    return plans_[spec_index].table >= 0;
-  }
-
-  /// Interned value ids of a record for spec i; SpecUsesTable(i) required.
-  [[nodiscard]] uint32_t OldValueId(size_t spec_index, RecordId r) const {
-    return tables_[plans_[spec_index].table].old_ids[r];
-  }
-  [[nodiscard]] uint32_t NewValueId(size_t spec_index, RecordId r) const {
-    return tables_[plans_[spec_index].table].new_ids[r];
-  }
-
-  /// Arena view of one interned value; SpecUsesTable(i) required.
-  [[nodiscard]] simkernel::StringRef ValueRef(size_t spec_index,
-                                              uint32_t vid) const {
-    return tables_[plans_[spec_index].table].Ref(vid);
-  }
+  // -- Substrate introspection (tests, benches) ----------------------------
 
   /// First byte of an interned value (0 for the empty/missing value);
-  /// SpecUsesTable(i) required.
+  /// specs()[i] must not be an age component.
   [[nodiscard]] unsigned char FirstChar(size_t spec_index,
                                         uint32_t vid) const {
     return tables_[plans_[spec_index].table].first_char[vid];
@@ -227,7 +177,7 @@ class SimBatch {
     kJaro,
     kJaroWinkler,
     kSoundex,    // packed precomputed Soundex codes
-    kFallback,   // no batched kernel: caller-supplied (memoized) measure
+    kFallback,   // no batched kernel: ComputeMeasure on the arena views
   };
 
   struct SpecPlan {
@@ -309,14 +259,12 @@ class SimBatch {
                                bool* missing_both) const;
 
   /// The exact aggregate of (row's old record, new_id), in one pass.
-  [[nodiscard]] double ExactInRow(RowScratch* row, RecordId new_id,
-                                  const FallbackFn& fallback) const;
+  [[nodiscard]] double ExactInRow(RowScratch* row, RecordId new_id) const;
 
   /// The exact aggregate of (row's old record, new_id) if it reaches
   /// min_sim > 0, else kPruned — early, as soon as the bounds prove it.
   [[nodiscard]] double PrunedInRow(RowScratch* row, RecordId new_id,
-                                   double min_sim,
-                                   const FallbackFn& fallback) const;
+                                   double min_sim) const;
 
   /// O(1) upper bound on a component O1Value left to a kernel (1 for the
   /// fallback); *len_ub gets the bound with gram-profile counts relaxed to
@@ -329,8 +277,7 @@ class SimBatch {
   /// memo), or kBelowMinSim when kernel_min > 0 proves it below. Counts
   /// the Dice merges it runs in side->merges.
   [[nodiscard]] double PresentValue(size_t spec_index, OldSide* side,
-                                    uint32_t vb, double kernel_min,
-                                    const FallbackFn& fallback) const;
+                                    uint32_t vb, double kernel_min) const;
 
   /// Row scorer, on loading an old record whose `rest` of the span starts
   /// with its first pair: gives each Dice spec whose old value starts a

@@ -19,9 +19,9 @@
 //   - Data members:   int count_ TGLINK_GUARDED_BY(mu_);
 //   - Internal helpers that assume the lock:  void F() TGLINK_REQUIRES(mu_);
 //   - Public entry points that take the lock: void G() TGLINK_EXCLUDES(mu_);
-//   - Scoped locking is the default (MutexLock / ReaderMutexLock /
-//     WriterMutexLock); manual Lock()/Unlock() is reserved for the thread
-//     pool's worker loop, where the lock is dropped around user code.
+//   - Scoped locking is the default (MutexLock); manual Lock()/Unlock() is
+//     reserved for the thread pool's worker loop, where the lock is dropped
+//     around user code.
 //
 // The macro set mirrors Abseil's (capability model, not the older
 // lockable model) so the names read the same as in upstream documentation:
@@ -33,7 +33,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__)
 #define TGLINK_THREAD_ANNOTATION_ATTRIBUTE_(x) __attribute__((x))
@@ -122,26 +121,6 @@ class TGLINK_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// std::shared_mutex with the "shared_mutex" capability: exclusive
-/// Lock/Unlock for writers, LockShared/UnlockShared for readers.
-class TGLINK_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() TGLINK_ACQUIRE() { mu_.lock(); }
-  void Unlock() TGLINK_RELEASE() { mu_.unlock(); }
-  void LockShared() TGLINK_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() TGLINK_RELEASE_SHARED() { mu_.unlock_shared(); }
-  [[nodiscard]] bool TryLock() TGLINK_TRY_ACQUIRE(true) {
-    return mu_.try_lock();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// Scoped exclusive hold of a Mutex — the default way to lock.
 class TGLINK_SCOPED_CAPABILITY MutexLock {
  public:
@@ -153,37 +132,6 @@ class TGLINK_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped exclusive (writer) hold of a SharedMutex.
-class TGLINK_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) TGLINK_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~WriterMutexLock() TGLINK_RELEASE() { mu_.Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared (reader) hold of a SharedMutex.
-class TGLINK_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) TGLINK_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderMutexLock() TGLINK_RELEASE() { mu_.UnlockShared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable paired with Mutex. Wait atomically releases the held

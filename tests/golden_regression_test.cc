@@ -25,7 +25,6 @@
 #include "tglink/blocking/blocking.h"
 #include "tglink/census/io.h"
 #include "tglink/eval/metrics.h"
-#include "tglink/similarity/sim_batch.h"
 #include "tglink/linkage/iterative.h"
 #include "tglink/synth/generator.h"
 #include "tglink/synth/scenario.h"
@@ -191,38 +190,6 @@ TEST(GoldenRegressionTest, RawtenstallScenarioIsByteIdenticalToDefaults) {
   for (size_t i = 0; i < a.gold.size(); ++i) {
     EXPECT_EQ(GoldToCsv(a.gold[i]), GoldToCsv(b.gold[i]))
         << "gold mapping " << i << " diverged";
-  }
-}
-
-TEST(GoldenRegressionTest, BatchedAndScalarKernelsMatchTheSameGolden) {
-  // The kernel-mode twin of the main gate: the scale-0.125 fingerprint
-  // (P/R/F and per-δ iteration stats) must be byte-identical whether the
-  // pipeline scores pairs through the batched pruning kernels (the
-  // default) or the scalar reference path — end-to-end proof that pruning
-  // never changes the keep-set and the kernels never change a bit.
-  GeneratorConfig gen;
-  gen.seed = kSeed;
-  gen.scale = kScale;
-  gen.num_censuses = 2;
-  const SyntheticPair pair = GenerateCensusPair(gen, 0);
-  auto gold = ResolveGold(pair.gold, pair.old_dataset, pair.new_dataset);
-  ASSERT_TRUE(gold.ok()) << gold.status().ToString();
-  const LinkageConfig config = configs::DefaultConfig();
-
-  std::string fingerprints[2];
-  for (const bool batched : {true, false}) {
-    ScopedBatchKernels mode(batched);
-    const LinkageResult result =
-        LinkCensusPair(pair.old_dataset, pair.new_dataset, config);
-    fingerprints[batched ? 0 : 1] = QualityJson(result, gold.value());
-  }
-  EXPECT_EQ(fingerprints[0], fingerprints[1])
-      << "batched kernels changed end-to-end linkage output";
-
-  auto expected = ReadFileToString(GoldenPath());
-  if (expected.ok()) {
-    EXPECT_EQ(fingerprints[0], expected.value())
-        << "batched-kernel fingerprint drifted from the golden file";
   }
 }
 

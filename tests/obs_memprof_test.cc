@@ -297,7 +297,7 @@ TEST(MemProfIntegrationTest, LinkCensusPairReportsEveryProductionArena) {
   SetParallelThreadCount(1);
 
   const MemorySnapshot snapshot = SnapshotMemory();
-  for (const char* name : {"simbatch", "candindex", "simcache", "pool"}) {
+  for (const char* name : {"simbatch", "candindex", "pool"}) {
     const ArenaStats* arena = Arena(snapshot, name);
     ASSERT_NE(arena, nullptr) << "arena " << name << " never reported";
     EXPECT_GT(arena->bytes_total, 0u) << "arena " << name << " reported zero";

@@ -11,7 +11,7 @@
 
 #include "tglink/blocking/blocking.h"
 #include "tglink/linkage/config.h"
-#include "tglink/similarity/sim_cache.h"
+#include "tglink/similarity/sim_batch.h"
 #include "tglink/synth/generator.h"
 #include "tglink/synth/scenario.h"
 #include "tglink/util/parallel.h"
@@ -205,7 +205,7 @@ TEST(PreMatchingTest, ScreenedLookupIsExactOrProvablyBelowCutoff) {
         }
         const double direct =
             f.AggregateSimilarity(old_d.record(o), new_d.record(n));
-        if (got.sim == SimCache::kPruned) {
+        if (got.sim == SimBatch::kPruned) {
           EXPECT_LT(direct, min_sim) << o << "," << n;
           ++pruned;
         } else {
@@ -285,7 +285,7 @@ std::vector<bool> PartlyActive(size_t n, uint64_t salt) {
 /// candidate of `blocking` scored by AggregateSimilarity — and returns the
 /// oracle's kept pairs. Each old record's row must hold exactly its
 /// candidates, new ids ascending, with the exact value bit for bit when it
-/// reaches `min_threshold` and SimCache::kPruned below it. The kept view
+/// reaches `min_threshold` and SimBatch::kPruned below it. The kept view
 /// must equal the kept list in order, and ActiveCandidates with every
 /// record active must equal the candidate list.
 std::vector<ScoredPair> ExpectStoreMatchesOracle(
@@ -304,7 +304,7 @@ std::vector<ScoredPair> ExpectStoreMatchesOracle(
       const RecordId n = candidates[next].new_id;
       const double exact =
           f.AggregateSimilarity(old_d.record(o), new_d.record(n));
-      const double want = exact >= min_threshold ? exact : SimCache::kPruned;
+      const double want = exact >= min_threshold ? exact : SimBatch::kPruned;
       if (exact >= min_threshold) kept.push_back({o, n, exact});
       if (k >= row.new_ids.size()) {
         ADD_FAILURE() << "row " << o << " ends after " << k << " entries";

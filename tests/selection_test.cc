@@ -84,7 +84,9 @@ TEST(SelectionTest, TieBreaksAreDeterministic) {
 
 TEST(SelectionTest, RecordLinksMirrorAcceptedVertices) {
   SelectionFixture fx;
-  fx.Run({MakeSubgraph(0, 0, 0.9, {{4, 7, 0.8}, {5, 8, 0.9}})});
+  const SelectionResult result =
+      fx.Run({MakeSubgraph(0, 0, 0.9, {{4, 7, 0.8}, {5, 8, 0.9}})});
+  EXPECT_EQ(result.accepted_subgraphs, 1u);
   EXPECT_EQ(fx.records.size(), 2u);
   EXPECT_EQ(fx.records.NewFor(4), 7u);
   EXPECT_EQ(fx.records.OldFor(8), 5u);

@@ -10,9 +10,10 @@
 //   * pruning soundness: with any min_sim, a kernel either returns the
 //     exact scalar value or the kBelowMinSim sentinel, and the sentinel is
 //     only ever returned when the true similarity is < min_sim;
-//   * aggregate identity: SimCache in batched mode reproduces the scalar
-//     mode bit-for-bit on full synthetic census pairs from every corruption
-//     preset, and AggregateWithThreshold keeps exactly the scalar keep-set;
+//   * aggregate identity: SimBatch reproduces fn.AggregateSimilarity
+//     bit-for-bit on full synthetic census pairs from every corruption
+//     preset, and AggregateWithThreshold keeps exactly the pairs whose
+//     exact aggregate reaches the cutoff;
 //   * memo isolation: the per-thread value-pair memo of the string kernels
 //     never serves one batch's value to another, including a batch rebuilt
 //     in a destroyed batch's storage;
@@ -43,7 +44,6 @@
 #include "tglink/linkage/config.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/similarity/sim_batch.h"
-#include "tglink/similarity/sim_cache.h"
 #include "tglink/synth/presets.h"
 #include "tglink/util/parallel.h"
 #include "tests/paper_example.h"
@@ -165,9 +165,9 @@ TEST_F(SimilarityKernelPropertyTest, PruningIsSoundAtEveryCutoff) {
 }
 
 // Full-pipeline identity on synthetic censuses: every corruption preset x
-// 10 seeds (preset coverage is deterministic, not sampled). The batched
-// SimCache must reproduce the scalar one bit-for-bit, and the threshold
-// path must keep exactly the scalar keep-set.
+// 10 seeds (preset coverage is deterministic, not sampled). SimBatch must
+// reproduce fn.AggregateSimilarity bit-for-bit, and the threshold path must
+// keep exactly the pairs whose exact aggregate reaches the cutoff.
 TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
   for (const GeneratorConfig& preset : proptest::AllPresets()) {
     proptest::Runner runner("simkernel.aggregate_identity",
@@ -184,16 +184,14 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
       const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
           pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
 
-      ScopedBatchKernels scalar_mode(false);
-      const SimCache scalar(fn, pair.old_dataset, pair.new_dataset);
-      SetBatchKernelsEnabled(true);
-      const SimCache batched(fn, pair.old_dataset, pair.new_dataset);
+      const SimBatch batched(fn, pair.old_dataset, pair.new_dataset);
       const double min_sim = 0.5 + 0.4 * (c.rng().NextBounded(5) / 5.0);
 
-      const std::vector<double> scalar_sims = ParallelMap<double>(
-          candidates.size(), "proptest.scalar_chunk", [&](size_t i) {
-            return scalar.Aggregate(candidates[i].old_id,
-                                    candidates[i].new_id);
+      const std::vector<double> exact_sims = ParallelMap<double>(
+          candidates.size(), "proptest.exact_chunk", [&](size_t i) {
+            return fn.AggregateSimilarity(
+                pair.old_dataset.record(candidates[i].old_id),
+                pair.new_dataset.record(candidates[i].new_id));
           });
       const std::vector<double> batched_sims = ParallelMap<double>(
           candidates.size(), "proptest.batched_chunk", [&](size_t i) {
@@ -207,22 +205,22 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
                                                   min_sim);
           });
       for (size_t i = 0; i < candidates.size(); ++i) {
-        c.ExpectTrue(batched_sims[i] == scalar_sims[i],
+        c.ExpectTrue(batched_sims[i] == exact_sims[i],
                      "pair " + std::to_string(i) + ": batched " +
-                         std::to_string(batched_sims[i]) + " != scalar " +
-                         std::to_string(scalar_sims[i]));
-        if (pruned_sims[i] == SimCache::kPruned) {
-          c.ExpectTrue(scalar_sims[i] < min_sim,
+                         std::to_string(batched_sims[i]) + " != exact " +
+                         std::to_string(exact_sims[i]));
+        if (pruned_sims[i] == SimBatch::kPruned) {
+          c.ExpectTrue(exact_sims[i] < min_sim,
                        "pair " + std::to_string(i) +
                            " pruned at min_sim " + std::to_string(min_sim) +
-                           " but scalar sim is " +
-                           std::to_string(scalar_sims[i]));
+                           " but exact sim is " +
+                           std::to_string(exact_sims[i]));
         } else {
-          c.ExpectTrue(pruned_sims[i] == scalar_sims[i],
+          c.ExpectTrue(pruned_sims[i] == exact_sims[i],
                        "pair " + std::to_string(i) +
                            ": threshold path " +
-                           std::to_string(pruned_sims[i]) + " != scalar " +
-                           std::to_string(scalar_sims[i]));
+                           std::to_string(pruned_sims[i]) + " != exact " +
+                           std::to_string(exact_sims[i]));
         }
       }
     });
@@ -233,9 +231,9 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
 
 /// A composite function touching every SimBatch plan: both Dice gram sizes,
 /// the full edit/Jaro family, Soundex, exact sex, the temporal age
-/// component, and a fallback measure (Monge-Elkan) that batched mode must
-/// route through the memoized scalar path. Several specs share a field so
-/// the per-field table reuse is exercised too.
+/// component, and a fallback measure (Monge-Elkan) that SimBatch scores
+/// with ComputeMeasure. Several specs share a field so the per-field table
+/// reuse is exercised too.
 SimilarityFunction AllPlanFunction() {
   return SimilarityFunction(
       {
@@ -254,9 +252,10 @@ SimilarityFunction AllPlanFunction() {
 }
 
 // The Omega2 pipeline only exercises the Dice/exact plans; this property
-// pins batched-vs-scalar bit-identity and threshold soundness for EVERY
-// plan the batch layer implements, under all three missing policies (the
-// policy changes the Eq. 3 denominator and the pruning bound arithmetic).
+// pins bit-identity with fn.AggregateSimilarity and threshold soundness
+// for EVERY plan the batch layer implements, under all three missing
+// policies (the policy changes the Eq. 3 denominator and the pruning bound
+// arithmetic).
 TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
   proptest::Runner runner("simkernel.all_plans_identity", /*iterations=*/10);
   runner.Run([](proptest::Case& c) {
@@ -271,23 +270,22 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
       fn.set_missing_policy(policy);
       fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
 
-      ScopedBatchKernels scalar_mode(false);
-      const SimCache scalar(fn, pair.old_dataset, pair.new_dataset);
-      SetBatchKernelsEnabled(true);
-      const SimCache batched(fn, pair.old_dataset, pair.new_dataset);
+      const SimBatch batched(fn, pair.old_dataset, pair.new_dataset);
       // High cutoffs force the running-cutoff path to hand every kernel a
       // nonzero kernel_min, so the in-kernel bound rejects fire too.
       const double min_sim = 0.5 + 0.1 * c.rng().NextBounded(5);
       for (const CandidatePair& cand : candidates) {
-        const double expected = scalar.Aggregate(cand.old_id, cand.new_id);
+        const double expected =
+            fn.AggregateSimilarity(pair.old_dataset.record(cand.old_id),
+                                   pair.new_dataset.record(cand.new_id));
         const double got = batched.Aggregate(cand.old_id, cand.new_id);
         c.ExpectTrue(got == expected,
                      "policy " + std::to_string(static_cast<int>(policy)) +
-                         ": batched " + std::to_string(got) + " != scalar " +
+                         ": batched " + std::to_string(got) + " != exact " +
                          std::to_string(expected));
         const double pruned =
             batched.AggregateWithThreshold(cand.old_id, cand.new_id, min_sim);
-        if (pruned == SimCache::kPruned) {
+        if (pruned == SimBatch::kPruned) {
           c.ExpectTrue(expected < min_sim,
                        "pruned at min_sim " + std::to_string(min_sim) +
                            " but exact sim is " + std::to_string(expected));
@@ -337,26 +335,16 @@ struct MemoFixture {
   }
 };
 
-/// The measures without a batched kernel, unmemoized.
-SimBatch::FallbackFn DirectFallback(const SimilarityFunction& fn) {
-  return [&fn](size_t spec_index, uint32_t, uint32_t, std::string_view a,
-               std::string_view b) {
-    return ComputeMeasure(fn.specs()[spec_index].measure, a, b);
-  };
-}
-
 /// Scores candidate i of `fx` through `batch` twice — exactly, then under
-/// `min_sim` with the memo warm — and checks both against the scalar path.
+/// `min_sim` with the memo warm — and checks both against the exact path.
 void ExpectExactAndPrunedOrExact(const SimBatch& batch, const MemoFixture& fx,
                                  size_t i, double min_sim,
                                  const std::string& what) {
-  const SimBatch::FallbackFn fallback = DirectFallback(fx.fn);
   const CandidatePair& c = fx.candidates[i];
   const double exact = fx.Exact(c);
-  EXPECT_EQ(batch.Aggregate(c.old_id, c.new_id, fallback), exact)
+  EXPECT_EQ(batch.Aggregate(c.old_id, c.new_id), exact)
       << what << " pair " << i;
-  const double got =
-      batch.AggregateWithThreshold(c.old_id, c.new_id, min_sim, fallback);
+  const double got = batch.AggregateWithThreshold(c.old_id, c.new_id, min_sim);
   if (got == SimBatch::kPruned) {
     EXPECT_LT(exact, min_sim) << what << " pair " << i;
   } else {
@@ -401,14 +389,12 @@ TEST_F(SimilarityKernelPropertyTest, ValuePairMemoNeverCrossesBatches) {
 
   // Scored in parallel the thresholded values must not depend on which
   // worker's memo served them.
-  const SimBatch::FallbackFn fallback = DirectFallback(fx_c.fn);
   const auto score = [&](int threads) {
     SetParallelThreadCount(threads);
     return ParallelMap<double>(
         fx_c.candidates.size(), "proptest.memo_chunk", [&](size_t i) {
           const CandidatePair& c = fx_c.candidates[i];
-          return other->AggregateWithThreshold(c.old_id, c.new_id, 0.6,
-                                               fallback);
+          return other->AggregateWithThreshold(c.old_id, c.new_id, 0.6);
         });
   };
   const std::vector<double> serial = score(1);
@@ -428,16 +414,14 @@ TEST_F(SimilarityKernelPropertyTest, ValuePairMemoNeverCrossesBatches) {
 std::vector<double> ScoreRowsInSpans(const SimBatch& batch,
                                      const std::vector<CandidatePair>& candidates,
                                      const std::vector<size_t>& cuts,
-                                     double min_sim,
-                                     const SimBatch::FallbackFn& fallback) {
+                                     double min_sim) {
   std::vector<double> out(candidates.size());
   size_t begin = 0;
   for (size_t k = 0; k <= cuts.size(); ++k) {
     const size_t end = k < cuts.size() ? cuts[k] : candidates.size();
     batch.AggregateRowsWithThreshold(
         std::span<const CandidatePair>(candidates).subspan(begin, end - begin),
-        min_sim, std::span<double>(out).subspan(begin, end - begin),
-        fallback);
+        min_sim, std::span<double>(out).subspan(begin, end - begin));
     begin = end;
   }
   return out;
@@ -452,11 +436,10 @@ void ExpectRowsMatchSinglePairs(proptest::Case& c, const SimBatch& batch,
                                 const std::vector<CandidatePair>& candidates,
                                 const std::vector<double>& rows,
                                 double min_sim, const std::string& what) {
-  const SimBatch::FallbackFn fallback = DirectFallback(fn);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const CandidatePair& cand = candidates[i];
-    const double single = batch.AggregateWithThreshold(
-        cand.old_id, cand.new_id, min_sim, fallback);
+    const double single =
+        batch.AggregateWithThreshold(cand.old_id, cand.new_id, min_sim);
     const double exact =
         fn.AggregateSimilarity(pair.old_dataset.record(cand.old_id),
                                pair.new_dataset.record(cand.new_id));
@@ -520,7 +503,6 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnEveryPreset) {
            {linkage.sim_func, linkage.sim_func_rem, AllPlanFunction()}) {
         fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
         const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
-        const SimBatch::FallbackFn fallback = DirectFallback(fn);
         const double min_sim = fn.threshold();
         std::vector<double> rows(candidates.size());
         ParallelFor(candidates.size(), "proptest.rows_chunk",
@@ -529,16 +511,14 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnEveryPreset) {
                           std::span<const CandidatePair>(candidates).subspan(
                               begin, end - begin),
                           min_sim,
-                          std::span<double>(rows).subspan(begin, end - begin),
-                          fallback);
+                          std::span<double>(rows).subspan(begin, end - begin));
                     });
         ExpectRowsMatchSinglePairs(c, batch, fn, pair, candidates, rows,
                                    min_sim, fn.ToString());
         // Spans cut elsewhere choose their Dice sources elsewhere; the
         // output may not change.
         const std::vector<double> spans = ScoreRowsInSpans(
-            batch, candidates, RandomCuts(c, candidates.size(), 8), min_sim,
-            fallback);
+            batch, candidates, RandomCuts(c, candidates.size(), 8), min_sim);
         c.ExpectTrue(spans == rows, "random spans differ from the chunks, " +
                                         fn.ToString());
       }
@@ -570,7 +550,7 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerMatchesSinglePairOnAllPlans) {
       const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
       const double min_sim = 0.4 + 0.1 * c.rng().NextBounded(6);
       const std::vector<double> rows = ScoreRowsInSpans(
-          batch, candidates, {}, min_sim, DirectFallback(fn));
+          batch, candidates, {}, min_sim);
       ExpectRowsMatchSinglePairs(
           c, batch, fn, pair, candidates, rows, min_sim,
           "policy " + std::to_string(static_cast<int>(policy)));
@@ -598,7 +578,7 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerExactAtRandomChunkBoundaries) {
     const SimBatch batch(fn, pair.old_dataset, pair.new_dataset);
     for (const double min_sim : {0.0, 0.3, 0.5, 0.7, 0.9, 1.0}) {
       const std::vector<double> rows = ScoreRowsInSpans(
-          batch, candidates, cuts, min_sim, DirectFallback(fn));
+          batch, candidates, cuts, min_sim);
       ExpectRowsMatchSinglePairs(c, batch, fn, pair, candidates, rows,
                                  min_sim, "chunked");
     }
@@ -636,8 +616,7 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerTwoBatchesOnOneThread) {
       const size_t len = std::min(kSpan, fx.candidates.size() - begin);
       batch.AggregateRowsWithThreshold(
           std::span<const CandidatePair>(fx.candidates).subspan(begin, len),
-          min_sim, std::span<double>(*rows).subspan(begin, len),
-          DirectFallback(fx.fn));
+          min_sim, std::span<double>(*rows).subspan(begin, len));
     };
     const size_t n =
         std::max(fx_a.candidates.size(), fx_other.candidates.size());
@@ -648,11 +627,10 @@ TEST_F(SimilarityKernelPropertyTest, RowScorerTwoBatchesOnOneThread) {
     const auto check = [min_sim](const SimBatch& batch, const MemoFixture& fx,
                                  const std::vector<double>& rows,
                                  const std::string& what) {
-      const SimBatch::FallbackFn fallback = DirectFallback(fx.fn);
       for (size_t i = 0; i < fx.candidates.size(); ++i) {
         const CandidatePair& c = fx.candidates[i];
-        EXPECT_EQ(rows[i], batch.AggregateWithThreshold(c.old_id, c.new_id,
-                                                        min_sim, fallback))
+        EXPECT_EQ(rows[i],
+                  batch.AggregateWithThreshold(c.old_id, c.new_id, min_sim))
             << what << " pair " << i;
       }
     };
@@ -846,8 +824,7 @@ TEST_F(SimilarityKernelPropertyTest, PostingCountsDoNotOverflow) {
   }
   const uint64_t builds_before = CounterValue("simkernel.dice_acc_builds");
   std::vector<double> rows(candidates.size());
-  batch.AggregateRowsWithThreshold(candidates, 0.0, rows,
-                                   DirectFallback(fn));
+  batch.AggregateRowsWithThreshold(candidates, 0.0, rows);
   EXPECT_GT(CounterValue("simkernel.dice_acc_builds"), builds_before);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const CandidatePair& c = candidates[i];

@@ -3,15 +3,13 @@
 // compilers the annotation macros must expand to *nothing* — not even a
 // token — so a GCC release build of annotated headers is byte-for-byte the
 // unannotated program. The functional cases then prove the wrappers behave
-// like the primitives they replace (lock exclusion, reader concurrency,
-// condition-variable handoff), so migrating a subsystem onto them is purely
-// a static-analysis change.
+// like the primitives they replace (lock exclusion, condition-variable
+// handoff), so migrating a subsystem onto them is purely a static-analysis
+// change.
 
 #include "tglink/util/thread_annotations.h"
 
-#include <atomic>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -24,14 +22,8 @@ namespace {
 
 static_assert(sizeof(Mutex) == sizeof(std::mutex),
               "Mutex must add no state over std::mutex");
-static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex),
-              "SharedMutex must add no state over std::shared_mutex");
 static_assert(sizeof(MutexLock) == sizeof(Mutex*),
               "MutexLock must hold exactly the mutex reference");
-static_assert(sizeof(ReaderMutexLock) == sizeof(SharedMutex*),
-              "ReaderMutexLock must hold exactly the mutex reference");
-static_assert(sizeof(WriterMutexLock) == sizeof(SharedMutex*),
-              "WriterMutexLock must hold exactly the mutex reference");
 
 // --- zero-cost: macros vanish entirely on non-Clang compilers --------------
 
@@ -101,59 +93,6 @@ TEST(ThreadAnnotationsTest, TryLockReportsContention) {
   mu.Unlock();
   ASSERT_TRUE(mu.TryLock());
   mu.Unlock();
-}
-
-TEST(ThreadAnnotationsTest, SharedMutexAdmitsParallelReaders) {
-  SharedMutex mu;
-  std::atomic<int> readers_inside{0};
-  std::atomic<int> peak_readers{0};
-  std::atomic<bool> go{false};
-  constexpr int kReaders = 4;
-  std::vector<std::thread> threads;
-  threads.reserve(kReaders);
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      while (!go.load()) {
-      }
-      ReaderMutexLock lock(mu);
-      const int inside = readers_inside.fetch_add(1) + 1;
-      int peak = peak_readers.load();
-      while (inside > peak && !peak_readers.compare_exchange_weak(peak, inside)) {
-      }
-      // Linger long enough that overlapping holds are overwhelmingly
-      // likely; correctness does not depend on the overlap (see below).
-      for (volatile int spin = 0; spin < 50000; ++spin) {
-      }
-      readers_inside.fetch_sub(1);
-    });
-  }
-  go.store(true);
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(readers_inside.load(), 0);
-  // At minimum the locks all completed; on any real scheduler several
-  // readers overlapped. Single-core schedulers may serialize legitimately,
-  // so assert only that sharing never produced mutual exclusion deadlock
-  // and that at least one reader ran.
-  EXPECT_GE(peak_readers.load(), 1);
-}
-
-TEST(ThreadAnnotationsTest, WriterMutexLockIsExclusive) {
-  SharedMutex mu;
-  int64_t value = 0;
-  constexpr int kThreads = 4;
-  constexpr int kIterations = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&mu, &value] {
-      for (int i = 0; i < kIterations; ++i) {
-        WriterMutexLock lock(mu);
-        ++value;
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(value, static_cast<int64_t>(kThreads) * kIterations);
 }
 
 TEST(ThreadAnnotationsTest, CondVarHandsOffUnderMutex) {

@@ -1,13 +1,13 @@
 // Data-race hammers for the shared-state subsystems the thread-safety
 // annotations now cover, meant to run under the tsan preset (they pass —
 // slowly — on plain builds too). Each case maximizes the interleavings the
-// static analysis reasons about: SimCache's sharded memo under mixed
-// insert/read traffic that crosses shard boundaries, and the metrics
-// registry taking snapshots while other threads concurrently register and
-// update metrics. A TSan report here means either an annotation is wrong
-// (a field marked guarded that is touched unlocked) or a lock was dropped
-// in a migration — both are exactly what the analyze preset + this suite
-// exist to catch from opposite directions (compile time vs run time).
+// static analysis reasons about: the metrics registry taking snapshots
+// while other threads concurrently register and update metrics, and the
+// memory profiler's stages and arenas under the same contention. A TSan
+// report here means either an annotation is wrong (a field marked guarded
+// that is touched unlocked) or a lock was dropped in a migration — both are
+// exactly what the analyze preset + this suite exist to catch from
+// opposite directions (compile time vs run time).
 
 #include <atomic>
 #include <cstdint>
@@ -19,78 +19,9 @@
 
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
-#include "tglink/similarity/sim_batch.h"
-#include "tglink/similarity/sim_cache.h"
-#include "tests/paper_example.h"
 
 namespace tglink {
 namespace {
-
-using namespace testing_example;
-
-// A similarity function built entirely from fallback measures — the ones
-// without batch kernels (Monge-Elkan, Smith-Waterman, double-metaphone,
-// LCS) — so that even in batched mode every component comparison goes
-// through the sharded memo and its SharedMutex discipline. The split-mix
-// shard hash spreads the (old value, new value) id pairs of the census
-// fixtures across shards, so concurrent threads constantly interleave an
-// exclusive insert on one shard with shared reads on others.
-SimilarityFunction FallbackHeavySimFunc() {
-  SimilarityFunction fn({{Field::kFirstName, Measure::kMongeElkan, 2.0},
-                         {Field::kSurname, Measure::kSmithWaterman, 2.0},
-                         {Field::kFirstName, Measure::kDoubleMetaphone, 1.0},
-                         {Field::kAddress, Measure::kLcsSubstring, 1.0}},
-                        /*threshold=*/0.8);
-  fn.set_year_gap(10);
-  return fn;
-}
-
-TEST(TsanHammerTest, SimCacheCrossShardInsertReadInterleaving) {
-  const CensusDataset old_d = MakeCensus1871();
-  const CensusDataset new_d = MakeCensus1881();
-  const SimilarityFunction fn = FallbackHeavySimFunc();
-  for (const bool batched : {true, false}) {
-    ScopedBatchKernels mode(batched);
-    const SimCache cache(fn, old_d, new_d);
-    ASSERT_EQ(cache.batched(), batched);
-
-    const size_t num_old = old_d.num_records();
-    const size_t num_new = new_d.num_records();
-    constexpr int kThreads = 4;
-    constexpr int kRounds = 30;
-    std::atomic<bool> mismatch{false};
-
-    // Every thread walks the full cross product, each starting at a
-    // different offset so early iterations mix first-touch inserts from one
-    // thread with memo reads of the same pair from another. Values must be
-    // bit-identical to the direct path no matter which thread populated the
-    // memo entry.
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        const size_t total = num_old * num_new;
-        for (int round = 0; round < kRounds; ++round) {
-          for (size_t k = 0; k < total; ++k) {
-            const size_t flat = (k + static_cast<size_t>(t) * 7) % total;
-            const RecordId o = static_cast<RecordId>(flat / num_new);
-            const RecordId n = static_cast<RecordId>(flat % num_new);
-            const double got = cache.Aggregate(o, n);
-            const double want =
-                fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
-            if (got != want) mismatch.store(true);
-          }
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    EXPECT_FALSE(mismatch.load()) << "batched=" << batched;
-    // The fallback measures generated real memo traffic (otherwise this
-    // test silently stopped exercising the shard locks).
-    EXPECT_GT(cache.misses(), 0u) << "batched=" << batched;
-    EXPECT_GT(cache.hits(), 0u) << "batched=" << batched;
-  }
-}
 
 TEST(TsanHammerTest, MetricsRegistryConcurrentSnapshotDuringRegistration) {
   // A private registry keeps the hammer isolated from GlobalMetrics(), so

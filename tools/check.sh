@@ -158,8 +158,8 @@ if [ "$quick" -eq 0 ]; then
   done
   note ran "fuzz smoke"
 
-  # The multi-threaded surface — pool, sim-cache, obs — under TSan. Scoped
-  # to the thread-hammer tests so the stage stays bounded; the full suite
+  # The multi-threaded surface — pool, similarity scorer, obs — under TSan.
+  # Scoped to the thread-hammer tests so the stage stays bounded; the full suite
   # already runs under release and asan above. The kernel property suite
   # runs as its _mt twin (one worker per hardware thread, and its memo test
   # at 4), prematching_test's cluster oracle at 1 and 2 threads.
@@ -186,11 +186,11 @@ if [ "$quick" -eq 0 ]; then
              qgram_test alignment_test double_metaphone_test \
              measure_properties_test edit_distance_test jaro_test \
              phonetic_test numeric_token_test composite_test \
-             sim_cache_test similarity_kernel_property_test
+             sim_batch_test similarity_kernel_property_test
   stage "ctest: coverage (blocking + similarity suites)"
   find "$root/build-coverage" -name '*.gcda' -delete
   ctest --preset coverage -R \
-    '^(blocking_test|candidate_index_test|candidate_index_property_test(_mt)?|sorted_neighborhood_test|qgram_test|alignment_test|double_metaphone_test|measure_properties_test|edit_distance_test|jaro_test|phonetic_test|numeric_token_test|composite_test|sim_cache_test|similarity_kernel_property_test(_mt)?)$'
+    '^(blocking_test|candidate_index_test|candidate_index_property_test(_mt)?|sorted_neighborhood_test|qgram_test|alignment_test|double_metaphone_test|measure_properties_test|edit_distance_test|jaro_test|phonetic_test|numeric_token_test|composite_test|sim_batch_test|similarity_kernel_property_test(_mt)?)$'
   stage "coverage gate: blocking + similarity >= 90% lines"
   python3 tools/check_coverage.py --build-dir "$root/build-coverage" \
     --filter src/tglink/blocking/ --filter src/tglink/similarity/ \

@@ -433,7 +433,7 @@ def lint_file(ctx: FileContext) -> list[Finding]:
         if not mutex_exempt and MUTEX_RE.search(scrubbed):
             add(i, "raw-mutex",
                 "raw std synchronization primitive in library code; use "
-                "Mutex/SharedMutex/MutexLock/CondVar from "
+                "Mutex/MutexLock/CondVar from "
                 "tglink/util/thread_annotations.h so the lock discipline "
                 "is visible to -Wthread-safety")
 
