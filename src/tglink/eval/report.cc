@@ -41,7 +41,10 @@ std::string TextTable::ToString() const {
   if (!header_.empty()) {
     out += render_row(header_);
     std::string rule;
-    for (size_t w : widths) rule += "|" + std::string(w + 2, '-');
+    for (size_t w : widths) {
+      rule += '|';
+      rule.append(w + 2, '-');
+    }
     out += rule + "|\n";
   }
   for (const auto& row : rows_) out += render_row(row);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace tglink {
 
@@ -28,6 +29,14 @@ HouseholdGraph::HouseholdGraph(GroupId group, std::vector<RecordId> members)
   std::sort(members_.begin(), members_.end());
 }
 
+namespace {
+
+bool EdgeBefore(const RelEdge& e, RecordId a, RecordId b) {
+  return e.a != a ? e.a < a : e.b < b;
+}
+
+}  // namespace
+
 void HouseholdGraph::AddEdge(RecordId a, RecordId b, RelType type,
                              int age_diff, bool age_diff_known) {
   assert(a != b);
@@ -43,18 +52,49 @@ void HouseholdGraph::AddEdge(RecordId a, RecordId b, RelType type,
   edge.type = type;
   edge.age_diff = age_diff;
   edge.age_diff_known = age_diff_known;
-  const uint32_t idx = static_cast<uint32_t>(edges_.size());
-  const bool inserted = edge_index_.emplace(PairKey(a, b), idx).second;
-  assert(inserted && "duplicate edge");
-  (void)inserted;
-  edges_.push_back(edge);
+  if (edges_.empty() || EdgeBefore(edges_.back(), a, b)) {
+    edges_.push_back(edge);
+    return;
+  }
+  const auto it = std::lower_bound(
+      edges_.begin(), edges_.end(), a,
+      [b](const RelEdge& e, RecordId x) { return EdgeBefore(e, x, b); });
+  assert((it->a != a || it->b != b) && "duplicate edge");
+  edges_.insert(it, edge);
 }
 
 const RelEdge* HouseholdGraph::EdgeBetween(RecordId a, RecordId b) const {
-  if (a > b) std::swap(a, b);
-  auto it = edge_index_.find(PairKey(a, b));
-  if (it == edge_index_.end()) return nullptr;
-  return &edges_[it->second];
+  const auto slot_a = std::lower_bound(members_.begin(), members_.end(), a);
+  const auto slot_b = std::lower_bound(members_.begin(), members_.end(), b);
+  if (slot_a == members_.end() || *slot_a != a || slot_b == members_.end() ||
+      *slot_b != b || a == b) {
+    return nullptr;
+  }
+  return EdgeAtSlots(static_cast<size_t>(slot_a - members_.begin()),
+                     static_cast<size_t>(slot_b - members_.begin()));
+}
+
+size_t HouseholdGraph::SlotOf(RecordId r) const {
+  assert(std::binary_search(members_.begin(), members_.end(), r));
+  return static_cast<size_t>(
+      std::lower_bound(members_.begin(), members_.end(), r) - members_.begin());
+}
+
+const RelEdge* HouseholdGraph::EdgeAtSlots(size_t i, size_t j) const {
+  assert(i != j && i < members_.size() && j < members_.size());
+  if (i > j) std::swap(i, j);
+  const size_t m = members_.size();
+  if (edges_.size() == m * (m - 1) / 2) {
+    // Complete: slot i's edges go to slots i+1..m-1, rows in slot order.
+    return &edges_[i * (2 * m - i - 1) / 2 + (j - i - 1)];
+  }
+  const RecordId a = members_[i];
+  const RecordId b = members_[j];
+  const auto it = std::lower_bound(
+      edges_.begin(), edges_.end(), a,
+      [b](const RelEdge& e, RecordId x) { return EdgeBefore(e, x, b); });
+  if (it == edges_.end() || it->a != a || it->b != b) return nullptr;
+  return &*it;
 }
 
 int HouseholdGraph::OrientedAgeDiff(const RelEdge& edge, RecordId x,

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "tglink/census/record.h"
@@ -41,7 +40,11 @@ struct RelEdge {
   bool age_diff_known = false;
 };
 
-/// Enriched household graph: complete over the household's members.
+/// Enriched household graph: complete over the household's members. Edges
+/// are held sorted by (a, b); an edge is found through the member slots
+/// (positions in the sorted `members()`), in O(1) when the graph is
+/// complete, by binary search over the edges otherwise. No index beyond the
+/// edges themselves, so a star graph costs its m - 1 edges, not m^2.
 class HouseholdGraph {
  public:
   HouseholdGraph() = default;
@@ -49,11 +52,13 @@ class HouseholdGraph {
 
   GroupId group() const { return group_; }
   const std::vector<RecordId>& members() const { return members_; }
+  /// Sorted by (a, b).
   const std::vector<RelEdge>& edges() const { return edges_; }
   size_t num_edges() const { return edges_.size(); }
 
   /// Adds an edge; endpoints are canonicalized to a < b (flipping the sign
-  /// of age_diff as needed). Both endpoints must be members.
+  /// of age_diff as needed). Both endpoints must be members. Adding edges in
+  /// ascending (a, b) order, as enrichment does, appends in O(1).
   void AddEdge(RecordId a, RecordId b, RelType type, int age_diff,
                bool age_diff_known);
 
@@ -61,19 +66,21 @@ class HouseholdGraph {
   /// pair has an edge.
   const RelEdge* EdgeBetween(RecordId a, RecordId b) const;
 
+  /// Slot of member `r`: its position in members(). `r` must be a member.
+  size_t SlotOf(RecordId r) const;
+
+  /// Edge between the members in slots i != j, or nullptr. Its endpoint
+  /// `a` is the member in the lower slot.
+  const RelEdge* EdgeAtSlots(size_t i, size_t j) const;
+
   /// Signed age difference age(x) - age(y) along the edge between x and y.
   /// Only meaningful when the edge exists and its age_diff_known is true.
   int OrientedAgeDiff(const RelEdge& edge, RecordId x, RecordId y) const;
 
  private:
-  static uint64_t PairKey(RecordId a, RecordId b) {
-    return (static_cast<uint64_t>(a) << 32) | b;
-  }
-
   GroupId group_ = kInvalidGroup;
-  std::vector<RecordId> members_;
-  std::vector<RelEdge> edges_;
-  std::unordered_map<uint64_t, uint32_t> edge_index_;  // PairKey(a<b) -> idx
+  std::vector<RecordId> members_;  // sorted; a member's slot is its index
+  std::vector<RelEdge> edges_;     // sorted by (a, b)
 };
 
 }  // namespace tglink

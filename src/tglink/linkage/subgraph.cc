@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "tglink/obs/memprof.h"
@@ -14,22 +15,24 @@ namespace tglink {
 
 namespace {
 
-/// Relationship-property similarity of an old edge vs a new edge, oriented
-/// from vertex i to vertex j on both sides. Returns a negative value when
-/// the edges do not match (different type, or age differences deviating
-/// beyond the tolerance).
+/// Relationship-property similarity of the old edge between member slots
+/// old_i and old_j vs the new edge between new_i and new_j, both oriented
+/// from the i to the j endpoint. Returns a negative value when the edges do
+/// not match (missing, different type, or age differences deviating beyond
+/// the tolerance). Both the edge screen and subgraph edge construction
+/// decide a match here.
 double EdgePropertySimilarity(const HouseholdGraph& old_graph,
-                              const HouseholdGraph& new_graph,
-                              const SubgraphVertex& vi,
-                              const SubgraphVertex& vj,
+                              const HouseholdGraph& new_graph, size_t old_i,
+                              size_t old_j, size_t new_i, size_t new_j,
                               const LinkageConfig& config) {
-  const RelEdge* old_edge = old_graph.EdgeBetween(vi.old_id, vj.old_id);
-  const RelEdge* new_edge = new_graph.EdgeBetween(vi.new_id, vj.new_id);
+  const RelEdge* old_edge = old_graph.EdgeAtSlots(old_i, old_j);
+  const RelEdge* new_edge = new_graph.EdgeAtSlots(new_i, new_j);
   if (old_edge == nullptr || new_edge == nullptr) return -1.0;
   if (old_edge->type != new_edge->type) return -1.0;
   if (old_edge->age_diff_known && new_edge->age_diff_known) {
-    const int d_old = old_graph.OrientedAgeDiff(*old_edge, vi.old_id, vj.old_id);
-    const int d_new = new_graph.OrientedAgeDiff(*new_edge, vi.new_id, vj.new_id);
+    // An edge's `a` sits in the lower slot: age_diff is oriented low -> high.
+    const int d_old = old_i < old_j ? old_edge->age_diff : -old_edge->age_diff;
+    const int d_new = new_i < new_j ? new_edge->age_diff : -new_edge->age_diff;
     const double rp_sim =
         AgeDiffSimilarity(d_old, d_new, config.edge_age_tolerance);
     return rp_sim > 0.0 ? rp_sim : -1.0;
@@ -111,13 +114,22 @@ GroupPairSubgraph ScoreGroupPair(GroupId old_group, GroupId new_group,
               if (a.old_id != b.old_id) return a.old_id < b.old_id;
               return a.new_id < b.new_id;
             });
-  std::vector<SubgraphVertex> vertices;
+  struct PlacedVertex {
+    SubgraphVertex vertex;
+    size_t old_slot;  // of vertex.old_id in old_graph
+    size_t new_slot;  // of vertex.new_id in new_graph
+  };
+  std::vector<PlacedVertex> vertices;
   for (const SubgraphVertex& cand : candidates) {
     const bool taken = std::any_of(
-        vertices.begin(), vertices.end(), [&cand](const SubgraphVertex& v) {
-          return v.old_id == cand.old_id || v.new_id == cand.new_id;
+        vertices.begin(), vertices.end(), [&cand](const PlacedVertex& v) {
+          return v.vertex.old_id == cand.old_id ||
+                 v.vertex.new_id == cand.new_id;
         });
-    if (!taken) vertices.push_back(cand);
+    if (!taken) {
+      vertices.push_back({cand, old_graph.SlotOf(cand.old_id),
+                          new_graph.SlotOf(cand.new_id)});
+    }
   }
 
   // 3. Edges: vertex pairs whose old and new records are connected by
@@ -126,7 +138,8 @@ GroupPairSubgraph ScoreGroupPair(GroupId old_group, GroupId new_group,
   for (uint32_t i = 0; i < vertices.size(); ++i) {
     for (uint32_t j = i + 1; j < vertices.size(); ++j) {
       const double rp_sim = EdgePropertySimilarity(
-          old_graph, new_graph, vertices[i], vertices[j], config);
+          old_graph, new_graph, vertices[i].old_slot, vertices[j].old_slot,
+          vertices[i].new_slot, vertices[j].new_slot, config);
       if (rp_sim >= 0.0) edges.push_back({i, j, rp_sim});
     }
   }
@@ -141,7 +154,7 @@ GroupPairSubgraph ScoreGroupPair(GroupId old_group, GroupId new_group,
   for (uint32_t i = 0; i < vertices.size(); ++i) {
     if (!covered[i]) continue;
     new_index[i] = static_cast<uint32_t>(subgraph.vertices.size());
-    subgraph.vertices.push_back(vertices[i]);
+    subgraph.vertices.push_back(vertices[i].vertex);
   }
   subgraph.edges.reserve(edges.size());
   for (const SubgraphEdge& e : edges) {
@@ -178,6 +191,7 @@ struct AgedNewRecord {
   int age;  // -1 = missing, so unaged records sort first
   GroupId group;
   RecordId id;
+  uint32_t slot;  // in its household graph
 };
 
 /// The active, labelled new records sorted by (label, age, id): label L
@@ -190,6 +204,7 @@ struct NewLabelIndex {
 };
 
 NewLabelIndex BuildNewLabelIndex(const CensusDataset& new_dataset,
+                                 const std::vector<HouseholdGraph>& new_graphs,
                                  const Clustering& clustering) {
   NewLabelIndex index;
   index.begin.reserve(clustering.num_labels + 1);
@@ -198,7 +213,9 @@ NewLabelIndex BuildNewLabelIndex(const CensusDataset& new_dataset,
   for (const std::vector<RecordId>& members : clustering.label_new_members) {
     for (RecordId n : members) {
       const PersonRecord& rec = new_dataset.record(n);
-      index.records.push_back({rec.age, rec.group, n});
+      index.records.push_back(
+          {rec.age, rec.group, n,
+           static_cast<uint32_t>(new_graphs[rec.group].SlotOf(n))});
     }
     const auto first = index.records.begin() + index.begin.back();
     std::sort(first, index.records.end(),
@@ -215,20 +232,21 @@ NewLabelIndex BuildNewLabelIndex(const CensusDataset& new_dataset,
 }
 
 /// An equally labelled (old, new) pair whose ages pass the vertex gate's
-/// age test, tagged with the new record's group.
+/// age test: the new record's group and both records' slots in their
+/// household graphs.
 struct PotentialPair {
   GroupId new_group;
-  RecordId old_id;
-  RecordId new_id;
+  uint32_t old_slot;
+  uint32_t new_slot;
 };
 
-/// Appends old record `o`'s potential pairs within `label`: every unaged
-/// new record, plus the aged ones inside VertexGate's age window
-/// |age(o) + year_gap - age(n)| <= tolerance — all aged ones when `o` is
-/// unaged or the gate is off (tolerance <= 0).
+/// Appends the potential pairs within `label` of the old record o in
+/// `old_slot`: every unaged new record, plus the aged ones inside
+/// VertexGate's age window |age(o) + year_gap - age(n)| <= tolerance — all
+/// aged ones when o is unaged or the gate is off (tolerance <= 0).
 void AppendPotentialPairs(const NewLabelIndex& index, uint32_t label,
-                          RecordId o, int old_age, int year_gap, int tolerance,
-                          std::vector<PotentialPair>* out) {
+                          uint32_t old_slot, int old_age, int year_gap,
+                          int tolerance, std::vector<PotentialPair>* out) {
   const auto unaged = index.records.begin() + index.begin[label];
   const auto aged = index.records.begin() + index.aged_begin[label];
   auto window_first = aged;
@@ -243,19 +261,42 @@ void AppendPotentialPairs(const NewLabelIndex& index, uint32_t label,
         [](int age, const AgedNewRecord& r) { return age < r.age; });
   }
   for (auto it = unaged; it != aged; ++it) {
-    out->push_back({it->group, o, it->id});
+    out->push_back({it->group, old_slot, it->slot});
   }
   for (auto it = window_first; it != window_last; ++it) {
-    out->push_back({it->group, o, it->id});
+    out->push_back({it->group, old_slot, it->slot});
   }
+}
+
+/// The edge screen: true when two of one group pair's potential `pairs`
+/// sit on distinct old and distinct new records and their old and new
+/// edges match. Vertices are admitted potential pairs on distinct records,
+/// and a vertex without a matching edge is pruned, so a group pair failing
+/// the screen always builds an empty subgraph.
+bool HasMatchingEdge(std::span<const PotentialPair> pairs,
+                     const HouseholdGraph& old_graph,
+                     const HouseholdGraph& new_graph,
+                     const LinkageConfig& config) {
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const PotentialPair& p = pairs[i];
+    for (size_t j = i + 1; j < pairs.size(); ++j) {
+      const PotentialPair& q = pairs[j];
+      if (p.old_slot == q.old_slot || p.new_slot == q.new_slot) continue;
+      if (EdgePropertySimilarity(old_graph, new_graph, p.old_slot, q.old_slot,
+                                 p.new_slot, q.new_slot, config) >= 0.0) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 /// What one old household's potential pairs into one new group span;
 /// valid while `stamp` is that household's index + 1 (0: never set).
 struct GroupTally {
   size_t stamp = 0;
-  RecordId first_old = 0;
-  RecordId first_new = 0;
+  uint32_t first_old = 0;  // slot
+  uint32_t first_new = 0;  // slot
   bool two_old = false;
   bool two_new = false;
   size_t size = 0;  // potential pairs into the group
@@ -286,7 +327,8 @@ struct ChunkCandidates {
   std::vector<SubgraphVertex> candidates;
   std::vector<CandidateRange> ranges;  // ascending (old group, new group)
   uint64_t potential_pairs = 0;
-  uint64_t evaluated = 0;  // group pairs whose potential pairs were admitted
+  uint64_t evaluated = 0;  // group pairs passing the two-by-two rule
+  uint64_t screened_out = 0;  // of those, group pairs failing the edge screen
   uint64_t miss_vertices = 0;
 };
 
@@ -295,13 +337,16 @@ class VertexPass {
  public:
   VertexPass(const CensusDataset& old_dataset, const CensusDataset& new_dataset,
              const std::vector<HouseholdGraph>& old_graphs,
+             const std::vector<HouseholdGraph>& new_graphs,
              const Clustering& clustering, const PreMatcher& prematcher,
              const LinkageConfig& config, double delta)
       : old_dataset_(old_dataset),
         old_graphs_(old_graphs),
+        new_graphs_(new_graphs),
         clustering_(clustering),
+        config_(config),
         gate_(old_dataset, new_dataset, prematcher, config, delta),
-        index_(BuildNewLabelIndex(new_dataset, clustering)),
+        index_(BuildNewLabelIndex(new_dataset, new_graphs, clustering)),
         year_gap_(new_dataset.year() - old_dataset.year()),
         tolerance_(config.vertex_age_tolerance) {}
 
@@ -310,10 +355,12 @@ class VertexPass {
   void Run(size_t og, HouseholdScratch* scratch, ChunkCandidates* out) const {
     std::vector<PotentialPair>& potential = scratch->potential;
     potential.clear();
-    for (RecordId o : old_graphs_[og].members()) {
+    const std::vector<RecordId>& members = old_graphs_[og].members();
+    for (uint32_t slot = 0; slot < members.size(); ++slot) {
+      const RecordId o = members[slot];
       const uint32_t label = clustering_.old_labels[o];
       if (label == Clustering::kNoLabel) continue;
-      AppendPotentialPairs(index_, label, o, old_dataset_.record(o).age,
+      AppendPotentialPairs(index_, label, slot, old_dataset_.record(o).age,
                            year_gap_, tolerance_, &potential);
     }
     out->potential_pairs += potential.size();
@@ -328,11 +375,11 @@ class VertexPass {
     for (const PotentialPair& p : potential) {
       GroupTally& t = tally[p.new_group];
       if (t.stamp != og + 1) {
-        t = {og + 1, p.old_id, p.new_id, false, false, 0, 0};
+        t = {og + 1, p.old_slot, p.new_slot, false, false, 0, 0};
         groups.push_back(p.new_group);
       }
-      t.two_old = t.two_old || p.old_id != t.first_old;
-      t.two_new = t.two_new || p.new_id != t.first_new;
+      t.two_old = t.two_old || p.old_slot != t.first_old;
+      t.two_new = t.two_new || p.new_slot != t.first_new;
       ++t.size;
     }
     const auto evaluated = [&tally](GroupId ng) {
@@ -358,11 +405,22 @@ class VertexPass {
       const auto end = grouped.begin() + tally[ng].end;
       const auto begin = end - tally[ng].size;
       ++out->evaluated;
+      // Reads only the household graphs, so a group pair failing it costs
+      // no similarity lookup.
+      if (!HasMatchingEdge(std::span<const PotentialPair>(begin, end),
+                           old_graphs_[og], new_graphs_[ng], config_)) {
+        ++out->screened_out;
+        continue;
+      }
+      const std::vector<RecordId>& new_members = new_graphs_[ng].members();
       const size_t first = out->candidates.size();
       for (auto it = begin; it != end; ++it) {
         SubgraphVertex vertex;
         bool miss = false;
-        if (!gate_.Admit(it->old_id, it->new_id, &vertex, &miss)) continue;
+        if (!gate_.Admit(members[it->old_slot], new_members[it->new_slot],
+                         &vertex, &miss)) {
+          continue;
+        }
         out->candidates.push_back(vertex);
         out->miss_vertices += miss ? 1 : 0;
       }
@@ -378,7 +436,9 @@ class VertexPass {
  private:
   const CensusDataset& old_dataset_;
   const std::vector<HouseholdGraph>& old_graphs_;
+  const std::vector<HouseholdGraph>& new_graphs_;
   const Clustering& clustering_;
+  const LinkageConfig& config_;
   const VertexGate gate_;
   const NewLabelIndex index_;
   const int year_gap_;
@@ -417,8 +477,8 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const LinkageConfig& config, double delta) {
   TGLINK_TRACE_SPAN("subgraph.build_score", delta);
   TGLINK_MEM_STAGE("subgraph.build_score");
-  const VertexPass pass(old_dataset, new_dataset, old_graphs, clustering,
-                        prematcher, config, delta);
+  const VertexPass pass(old_dataset, new_dataset, old_graphs, new_graphs,
+                        clustering, prematcher, config, delta);
 
   // Each chunk of old households fills the slot of its first household, so
   // reading the slots in order lists the group pairs in ascending (old
@@ -434,6 +494,7 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
   std::vector<std::pair<const ChunkCandidates*, CandidateRange>> work;
   uint64_t potential_pairs = 0;
   uint64_t evaluated = 0;
+  uint64_t screened_out = 0;
   uint64_t miss_vertices = 0;
   for (const ChunkCandidates& chunk : found) {
     for (const CandidateRange& range : chunk.ranges) {
@@ -441,6 +502,7 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     }
     potential_pairs += chunk.potential_pairs;
     evaluated += chunk.evaluated;
+    screened_out += chunk.screened_out;
     miss_vertices += chunk.miss_vertices;
   }
 
@@ -465,6 +527,7 @@ std::vector<GroupPairSubgraph> BuildAllSubgraphs(
   }
   TGLINK_COUNTER_ADD("subgraph.potential_pairs", potential_pairs);
   TGLINK_COUNTER_ADD("subgraph.candidate_group_pairs", evaluated);
+  TGLINK_COUNTER_ADD("subgraph.screened_out", screened_out);
   TGLINK_COUNTER_ADD("subgraph.miss_vertices", miss_vertices);
   TGLINK_COUNTER_ADD("subgraph.built", subgraphs.size());
   TGLINK_COUNTER_ADD("subgraph.pruned_empty", evaluated - subgraphs.size());

@@ -93,18 +93,28 @@ GroupPairSubgraph BuildGroupPairSubgraph(
 ///     is evaluated only when they span >= 2 distinct old and >= 2 distinct
 ///     new records. Otherwise the greedy 1:1 step leaves at most one
 ///     vertex, which has no edge and is always pruned.
-///  3. Admission. Each potential pair of an evaluated group pair goes
+///  3. Edge screen. An evaluated group pair goes on only when two of its
+///     potential pairs sit on distinct old and distinct new records and
+///     their old and new edges match — same unified RelType, and
+///     AgeDiffSimilarity > 0 when both age differences are known: the test
+///     subgraph edge construction applies. Vertices are potential pairs on
+///     distinct records and a vertex without a matching edge is pruned, so
+///     a group pair failing the screen always yields an empty subgraph; the
+///     screen reads only the household graphs and costs no similarity
+///     lookup.
+///  4. Admission. Each potential pair of a screened-in group pair goes
 ///     through the vertex rule of BuildGroupPairSubgraph (kept-pair
 ///     binary search or screened miss lookup); group pairs with >= 2
 ///     admitted candidates are built and scored.
 ///
 /// Counters: "subgraph.potential_pairs" counts the potential pairs of
-/// step 1; "subgraph.candidate_group_pairs" the group pairs evaluated in
-/// step 3; "subgraph.built" those yielding a non-empty subgraph and
-/// "subgraph.pruned_empty" the rest of the evaluated ones;
-/// "subgraph.miss_vertices" the admitted candidates of evaluated group
-/// pairs whose pair pre-matching did not keep. "simcache.prematch_miss"
-/// counts every miss lookup made, admitted or not.
+/// step 1; "subgraph.candidate_group_pairs" the group pairs evaluated, i.e.
+/// passing step 2; "subgraph.screened_out" those of them rejected by step
+/// 3; "subgraph.built" those yielding a non-empty subgraph and
+/// "subgraph.pruned_empty" the rest of the evaluated ones (screened-out
+/// pairs included); "subgraph.miss_vertices" the admitted candidates of
+/// group pairs passing step 3 whose pair pre-matching did not keep.
+/// "simcache.prematch_miss" counts every miss lookup made, admitted or not.
 std::vector<GroupPairSubgraph> BuildAllSubgraphs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const std::vector<HouseholdGraph>& old_graphs,

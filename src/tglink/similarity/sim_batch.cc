@@ -225,7 +225,6 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     posting_bytes += table.gram3_postings.LogicalBytes();
     arena_bytes += table.arena.size();
     arena_bytes += table.offsets.size() * sizeof(uint32_t);
-    arena_bytes += table.first_char.size();
     arena_bytes += table.old_ids.size() * sizeof(uint32_t);
     arena_bytes += table.new_ids.size() * sizeof(uint32_t);
     arena_bytes += table.gram2_data.size() * sizeof(uint32_t);
@@ -252,9 +251,6 @@ int SimBatch::BuildFieldTable(Field field) {
     if (inserted) {
       table.arena.append(it->first);
       table.offsets.push_back(static_cast<uint32_t>(table.arena.size()));
-      table.first_char.push_back(
-          it->first.empty() ? 0
-                            : static_cast<unsigned char>(it->first.front()));
     }
     return it->second;
   };

@@ -155,13 +155,6 @@ class SimBatch {
 
   // -- Substrate introspection (tests, benches) ----------------------------
 
-  /// First byte of an interned value (0 for the empty/missing value);
-  /// specs()[i] must not be an age component.
-  [[nodiscard]] unsigned char FirstChar(size_t spec_index,
-                                        uint32_t vid) const {
-    return tables_[plans_[spec_index].table].first_char[vid];
-  }
-
   /// Total distinct values interned across all field tables.
   [[nodiscard]] size_t num_interned_values() const;
 
@@ -196,7 +189,6 @@ class SimBatch {
   struct FieldTable {
     std::string arena;
     std::vector<uint32_t> offsets;  // per value id, size num_values()+1
-    std::vector<unsigned char> first_char;
     std::vector<uint32_t> old_ids;  // per old record
     std::vector<uint32_t> new_ids;  // per new record
     // Sorted packed gram profiles, concatenated; gramN_starts has

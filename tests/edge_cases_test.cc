@@ -61,10 +61,10 @@ TEST(EdgeCaseTest, AllRecordsIdenticallyNamed) {
     for (int m = 0; m < 3; ++m) {
       const int age = 20 + 10 * h + m;
       old_members.push_back(MakeRecord(
-          "o" + std::to_string(h) + "_" + std::to_string(m), "john", "smith",
+          NumberedId(NumberedId("o", h) + "_", m), "john", "smith",
           Sex::kMale, age, m == 0 ? Role::kHead : Role::kSon, "x", ""));
       new_members.push_back(MakeRecord(
-          "n" + std::to_string(h) + "_" + std::to_string(m), "john", "smith",
+          NumberedId(NumberedId("n", h) + "_", m), "john", "smith",
           Sex::kMale, age + 10, m == 0 ? Role::kHead : Role::kSon, "x", ""));
     }
     old_d.AddHousehold("oh" + std::to_string(h), std::move(old_members));

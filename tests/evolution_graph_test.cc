@@ -26,16 +26,16 @@ struct ChainFixture {
                         role == Role::kWife ? Sex::kFemale : Sex::kMale, age,
                         role, "", "");
     };
-    d.AddHousehold("x" + std::to_string(year),
+    d.AddHousehold(NumberedId("x", year),
                    {rec("x1", "a", 40, Role::kHead),
                     rec("x2", "b", 38, Role::kWife)});
     if (with_y) {
-      d.AddHousehold("y" + std::to_string(year),
+      d.AddHousehold(NumberedId("y", year),
                      {rec("y1", "c", 50, Role::kHead),
                       rec("y2", "d", 48, Role::kWife)});
     }
     if (with_z) {
-      d.AddHousehold("z" + std::to_string(year),
+      d.AddHousehold(NumberedId("z", year),
                      {rec("z1", "e", 30, Role::kHead)});
     }
     return d;

@@ -23,10 +23,10 @@ struct Fixture {
                         role == Role::kWife ? Sex::kFemale : Sex::kMale, age,
                         role, "", "");
     };
-    d.AddHousehold("x" + std::to_string(year),
+    d.AddHousehold(NumberedId("x", year),
                    {rec("x1_", "a", 40, Role::kHead),
                     rec("x2_", "b", 38, Role::kWife)});
-    d.AddHousehold("y" + std::to_string(year),
+    d.AddHousehold(NumberedId("y", year),
                    {rec("y1_", "c", 50, Role::kHead)});
     return d;
   }
@@ -146,7 +146,7 @@ TEST(TrajectoriesTest, SplitFollowsLargestBranch) {
   CensusDataset old_d(1851);
   std::vector<PersonRecord> members;
   for (int i = 0; i < 5; ++i) {
-    members.push_back(MakeRecord("o" + std::to_string(i), "p", "x",
+    members.push_back(MakeRecord(NumberedId("o", i), "p", "x",
                                  Sex::kMale, 30 + i,
                                  i == 0 ? Role::kHead : Role::kSon, "", ""));
   }

@@ -82,7 +82,9 @@ TEST_P(KinshipRolesTest, ChildRolesImplyParentage) {
 TEST_P(KinshipRolesTest, ServantsAndLodgersAreNotFamily) {
   for (RecordId r = 0; r < snapshot_.dataset.num_records(); ++r) {
     const Role role = snapshot_.dataset.record(r).role;
-    if (role == Role::kServant) EXPECT_TRUE(PersonOf(r).is_servant);
+    if (role == Role::kServant) {
+      EXPECT_TRUE(PersonOf(r).is_servant);
+    }
     if (role == Role::kLodger) {
       // Lodger role is also the fallback for non-kin; at minimum the person
       // must not be the head's spouse or child.

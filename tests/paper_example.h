@@ -47,6 +47,14 @@ inline PersonRecord MakeRecord(const std::string& id, const std::string& fn,
   return r;
 }
 
+/// `prefix` followed by `n` in decimal. Spelled without the
+/// `const char* + std::string&&` overload, whose inlined insert GCC 12
+/// flags with a false-positive -Wrestrict.
+inline std::string NumberedId(std::string prefix, int n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 inline CensusDataset MakeCensus1871() {
   CensusDataset d(1871);
   d.AddHousehold(

@@ -83,8 +83,8 @@ TEST(ProfileTest, DetectsImplausibleParentAndAges) {
 TEST(ProfileTest, WarningCapRespected) {
   CensusDataset d(1871);
   for (int i = 0; i < 10; ++i) {
-    d.AddHousehold("h" + std::to_string(i),
-                   {MakeRecord("r" + std::to_string(i), "a", "x", Sex::kMale,
+    d.AddHousehold(NumberedId("h", i),
+                   {MakeRecord(NumberedId("r", i), "a", "x", Sex::kMale,
                                30, Role::kLodger, "", "")});
   }
   EXPECT_EQ(ProfileDataset(d, 3).warnings.size(), 3u);

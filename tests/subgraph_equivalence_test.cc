@@ -5,16 +5,20 @@
 // pairs and the unscreened SimilarityFunction::AggregateSimilarity for
 // every other pair. The library lists each old household's potential
 // pairs through an age window, evaluates only group pairs whose potential
-// pairs span two old and two new records, screens misses against δ and
-// builds only group pairs with >= 2 candidates; both must agree bit for bit
-// over every δ round of a real LinkCensusPair schedule, on every scenario
-// preset, at 1 and 2 threads, with the default vertex age gate and with the
-// gate off (the paper regime, which takes whole label ranges). Runs under
-// the `tsan` preset too (tools/check.sh).
+// pairs span two old and two new records, screens those by household edges
+// before any lookup, screens misses against δ and builds only group pairs
+// with >= 2 candidates; both must agree bit for bit over every δ round of a
+// real LinkCensusPair schedule, on every scenario preset, at 1 and 2
+// threads, with the default vertex age gate and with the gate off (the
+// paper regime, which takes whole label ranges). Every group pair the edge
+// screen rejects must also build empty through BuildGroupPairSubgraph.
+// Runs under the `tsan` preset too (tools/check.sh).
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -164,29 +168,84 @@ GroupPairSubgraph ReferenceGroupPair(const Reference& ref, GroupId old_group,
   return subgraph;
 }
 
-/// Every group pair sharing a label, rebuilt; the non-empty ones in
-/// ascending (old group, new group) order.
-std::vector<GroupPairSubgraph> ReferenceAllSubgraphs(const Reference& ref) {
+/// Every group pair sharing a label, as (old group, new group) ascending.
+std::vector<std::pair<GroupId, GroupId>> ReferenceGroupPairs(
+    const Reference& ref) {
   const Clustering& clustering = ref.clustering;
-  std::vector<uint64_t> keys;
+  std::vector<std::pair<GroupId, GroupId>> pairs;
   for (uint32_t label = 0; label < clustering.num_labels; ++label) {
     for (RecordId o : clustering.label_old_members[label]) {
-      const uint64_t go = ref.old_d.record(o).group;
       for (RecordId n : clustering.label_new_members[label]) {
-        keys.push_back((go << 32) | ref.new_d.record(n).group);
+        pairs.emplace_back(ref.old_d.record(o).group,
+                           ref.new_d.record(n).group);
       }
     }
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+/// Every group pair sharing a label, rebuilt; the non-empty ones in
+/// ascending (old group, new group) order.
+std::vector<GroupPairSubgraph> ReferenceAllSubgraphs(const Reference& ref) {
   std::vector<GroupPairSubgraph> out;
-  for (uint64_t key : keys) {
-    GroupPairSubgraph sub =
-        ReferenceGroupPair(ref, static_cast<GroupId>(key >> 32),
-                           static_cast<GroupId>(key & 0xFFFFFFFFu));
+  for (const auto& [old_group, new_group] : ReferenceGroupPairs(ref)) {
+    GroupPairSubgraph sub = ReferenceGroupPair(ref, old_group, new_group);
     if (!sub.empty()) out.push_back(std::move(sub));
   }
   return out;
+}
+
+/// The two rules the library applies to a group pair before any lookup,
+/// read directly: its potential pairs are the equally labelled member
+/// pairs inside the vertex age window; it is evaluated when they span two
+/// old and two new records, and screened in when two of them on distinct
+/// records are joined by matching edges.
+struct ScreenVerdict {
+  bool evaluated = false;
+  bool screened_in = false;
+};
+
+ScreenVerdict ReferenceScreen(const Reference& ref, GroupId old_group,
+                              GroupId new_group) {
+  const HouseholdGraph& old_graph = ref.old_graphs[old_group];
+  const HouseholdGraph& new_graph = ref.new_graphs[new_group];
+  const int gate = ref.config.vertex_age_tolerance;
+  const int year_gap = ref.new_d.year() - ref.old_d.year();
+  std::vector<SubgraphVertex> potential;
+  std::set<RecordId> olds, news;
+  for (RecordId o : old_graph.members()) {
+    const uint32_t label = ref.clustering.old_labels[o];
+    if (label == Clustering::kNoLabel) continue;
+    const PersonRecord& old_rec = ref.old_d.record(o);
+    for (RecordId n : new_graph.members()) {
+      if (ref.clustering.new_labels[n] != label) continue;
+      const PersonRecord& new_rec = ref.new_d.record(n);
+      if (gate > 0 && old_rec.has_age() && new_rec.has_age() &&
+          std::abs(old_rec.age + year_gap - new_rec.age) > gate) {
+        continue;
+      }
+      potential.push_back({o, n, 0.0});
+      olds.insert(o);
+      news.insert(n);
+    }
+  }
+  ScreenVerdict verdict;
+  verdict.evaluated = olds.size() >= 2 && news.size() >= 2;
+  for (size_t i = 0; i < potential.size() && !verdict.screened_in; ++i) {
+    for (size_t j = i + 1; j < potential.size(); ++j) {
+      const SubgraphVertex& p = potential[i];
+      const SubgraphVertex& q = potential[j];
+      if (p.old_id == q.old_id || p.new_id == q.new_id) continue;
+      if (EdgePropertySimilarity(old_graph, new_graph, p, q, ref.config) >=
+          0.0) {
+        verdict.screened_in = true;
+        break;
+      }
+    }
+  }
+  return verdict;
 }
 
 void ExpectSameSubgraphs(const std::vector<GroupPairSubgraph>& got,
@@ -224,15 +283,23 @@ constexpr double kScale = 0.05;
 constexpr int kPair = 2;
 constexpr uint64_t kSeed = 42;
 
+/// What the library reported over one preset's rounds.
+struct PresetCounts {
+  uint64_t miss_vertices = 0;
+  uint64_t screened_out = 0;
+};
+
 /// Replays LinkCensusPair's subgraph rounds (linkage/iterative.cc) on one
 /// preset under `config`, checking each round against the reference before
-/// selecting from it. Returns the number of miss vertices the library
-/// reported.
-uint64_t CheckPreset(const ScenarioPreset& preset,
-                     const LinkageConfig& config) {
+/// selecting from it: the built subgraphs bit for bit, the evaluated and
+/// screened-out group pair counts, and that every group pair the screen
+/// rejects gives an empty BuildGroupPairSubgraph.
+PresetCounts CheckPreset(const ScenarioPreset& preset,
+                         const LinkageConfig& config) {
+  PresetCounts counts;
   auto scenario = ParseScenario(preset.json);
   EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
-  if (!scenario.ok()) return 0;
+  if (!scenario.ok()) return counts;
   GeneratorConfig gen = scenario.value().config;
   gen.seed = kSeed;
   gen.scale = kScale;
@@ -254,6 +321,10 @@ uint64_t CheckPreset(const ScenarioPreset& preset,
 
   obs::Counter& misses =
       obs::GlobalMetrics().GetCounter("subgraph.miss_vertices");
+  obs::Counter& evaluated =
+      obs::GlobalMetrics().GetCounter("subgraph.candidate_group_pairs");
+  obs::Counter& screened_out =
+      obs::GlobalMetrics().GetCounter("subgraph.screened_out");
   const uint64_t misses0 = misses.Value();
   GroupMapping group_mapping;
   RecordMapping record_mapping(old_d.num_records(), new_d.num_records());
@@ -266,12 +337,37 @@ uint64_t CheckPreset(const ScenarioPreset& preset,
     ++rounds;
     const Clustering clustering =
         prematcher.Cluster(delta, active_old, active_new);
+    const uint64_t evaluated0 = evaluated.Value();
+    const uint64_t screened_out0 = screened_out.Value();
     std::vector<GroupPairSubgraph> got =
         BuildAllSubgraphs(old_d, new_d, old_graphs, new_graphs, clustering,
                           prematcher, config, delta);
+    const uint64_t got_evaluated = evaluated.Value() - evaluated0;
+    const uint64_t got_screened_out = screened_out.Value() - screened_out0;
     const Reference ref{old_d,      new_d, old_graphs, new_graphs, clustering,
                         fn,         kept,  config,     delta};
     ExpectSameSubgraphs(got, ReferenceAllSubgraphs(ref));
+
+    uint64_t want_evaluated = 0;
+    uint64_t want_screened_out = 0;
+    for (const auto& [old_group, new_group] : ReferenceGroupPairs(ref)) {
+      const ScreenVerdict verdict = ReferenceScreen(ref, old_group, new_group);
+      if (!verdict.evaluated) continue;
+      ++want_evaluated;
+      if (verdict.screened_in) continue;
+      ++want_screened_out;
+      EXPECT_TRUE(BuildGroupPairSubgraph(old_group, new_group,
+                                         old_graphs[old_group],
+                                         new_graphs[new_group], clustering,
+                                         prematcher, config, old_d, new_d,
+                                         delta)
+                      .empty())
+          << "screened-out group pair (" << old_group << ", " << new_group
+          << ") builds a subgraph";
+    }
+    EXPECT_EQ(got_evaluated, want_evaluated);
+    EXPECT_EQ(got_screened_out, want_screened_out);
+    counts.screened_out += got_screened_out;
     const SelectionResult selection =
         SelectGroupLinks(std::move(got), &group_mapping, &record_mapping,
                          &active_old, &active_new);
@@ -279,7 +375,8 @@ uint64_t CheckPreset(const ScenarioPreset& preset,
   }
   EXPECT_GE(rounds, 2);
   EXPECT_GT(record_mapping.size(), 0u);
-  return misses.Value() - misses0;
+  counts.miss_vertices = misses.Value() - misses0;
+  return counts;
 }
 
 /// (threads, gate off): gate off sets vertex_age_tolerance to 0.
@@ -299,9 +396,13 @@ TEST_P(SubgraphEquivalenceTest, EveryPresetMatchesTheCrossProductReference) {
   uint64_t miss_vertices = 0;
   for (const ScenarioPreset& preset : ScenarioPresets()) {
     SCOPED_TRACE(std::string(preset.name));
-    miss_vertices += CheckPreset(preset, config);
+    const PresetCounts counts = CheckPreset(preset, config);
+    // Every preset must exercise the edge screen, or its exactness goes
+    // unchecked there.
+    EXPECT_GT(counts.screened_out, 0u);
+    miss_vertices += counts.miss_vertices;
   }
-  // The grid must exercise the miss path, or the screen goes untested.
+  // The grid must exercise the miss path, or the miss screen goes untested.
   EXPECT_GT(miss_vertices, 0u);
 }
 

@@ -520,5 +520,109 @@ TEST(SubgraphSkipRuleTest, PotentialPairsSharingOneNewRecordMakeNoLookups) {
   EXPECT_TRUE(t.Build(0, 0).empty());
 }
 
+/// Old g0 = {John 39, Elizabeth 37} and g1 = {John 60, Elizabeth 58}, both
+/// head and wife; new h0 = {John 49 (head), Elizabeth of `eliz_role` aged
+/// `eliz_age`} and h1 = {John 70, Elizabeth 68}, head and wife. Blocking
+/// chains each name through g1 and h1 but never pairs g0 with h0, so h0's
+/// pairs share labels with g0's yet are prematch misses; (g1, h1) is built
+/// from kept pairs.
+TinyLinkage ChainedCouples(Role eliz_role, int eliz_age) {
+  CensusDataset old_d(1871);
+  AddCouple(&old_d, "g0", 39, 37);
+  AddCouple(&old_d, "g1", 60, 58);
+  CensusDataset new_d(1881);
+  new_d.AddHousehold(
+      "h0", {MakeRecord("h0_john", "john", "ashworth", Sex::kMale, 49,
+                        Role::kHead, "", ""),
+             MakeRecord("h0_eliz", "elizabeth", "ashworth", Sex::kFemale,
+                        eliz_age, eliz_role, "", "")});
+  AddCouple(&new_d, "h1", 70, 68);
+  BlockingConfig blocking;
+  blocking.passes = {
+      KeyTable({{"g0_john", "p"}, {"h1_john", "p"},
+                {"g0_eliz", "e"}, {"h1_eliz", "e"}}),
+      KeyTable({{"g1_john", "q"}, {"h1_john", "q"}, {"h0_john", "q"},
+                {"g1_eliz", "f"}, {"h1_eliz", "f"}, {"h0_eliz", "f"}}),
+  };
+  return TinyLinkage(old_d, new_d, Fig3NameSimilarity(), blocking, 1.0);
+}
+
+/// Counters of one BuildAllSubgraphs call over a ChainedCouples fixture.
+struct ScreenRun {
+  std::set<std::pair<GroupId, GroupId>> built;
+  uint64_t evaluated = 0;
+  uint64_t screened_out = 0;
+  uint64_t lookups = 0;
+};
+
+ScreenRun RunScreen(const TinyLinkage& t) {
+  const CounterDelta evaluated("subgraph.candidate_group_pairs");
+  const CounterDelta screened_out("subgraph.screened_out");
+  const CounterDelta lookups("simcache.prematch_miss");
+  ScreenRun run;
+  run.built = GroupPairs(t.BuildAll());
+  run.evaluated = evaluated.Get();
+  run.screened_out = screened_out.Get();
+  run.lookups = lookups.Get();
+  return run;
+}
+
+TEST(SubgraphEdgeScreenTest, FixtureMakesMissesOnlyBetweenG0AndH0) {
+  const TinyLinkage t = ChainedCouples(Role::kWife, 47);
+  const RecordId g0_john = 0, g0_eliz = 1, h0_john = 0, h0_eliz = 1;
+  ASSERT_EQ(t.clustering.old_labels[g0_john], t.clustering.new_labels[h0_john]);
+  ASSERT_EQ(t.clustering.old_labels[g0_eliz], t.clustering.new_labels[h0_eliz]);
+  ASSERT_FALSE(t.prematcher.PairSimilarity(g0_john, h0_john, 0.0).kept);
+  ASSERT_FALSE(t.prematcher.PairSimilarity(g0_eliz, h0_eliz, 0.0).kept);
+
+  const ScreenRun run = RunScreen(t);
+  EXPECT_EQ(run.built,
+            (std::set<std::pair<GroupId, GroupId>>{{0, 0}, {1, 1}}));
+  EXPECT_EQ(run.evaluated, 2u);
+  EXPECT_EQ(run.screened_out, 0u);
+  EXPECT_EQ(run.lookups, 2u);  // John and Elizabeth of (g0, h0)
+}
+
+TEST(SubgraphEdgeScreenTest, EdgesOfDifferentTypeAreScreenedOut) {
+  // h0's Elizabeth is John's daughter: a parent-child edge against g0's
+  // spouse edge. (g0, h0) passes the two-by-two rule but has no matching
+  // edge, so it is rejected before either of its miss lookups.
+  const TinyLinkage t = ChainedCouples(Role::kDaughter, 47);
+  const ScreenRun run = RunScreen(t);
+  EXPECT_EQ(run.built, (std::set<std::pair<GroupId, GroupId>>{{1, 1}}));
+  EXPECT_EQ(run.evaluated, 2u);
+  EXPECT_EQ(run.screened_out, 1u);
+  EXPECT_EQ(run.lookups, 0u);
+  EXPECT_TRUE(t.Build(0, 0).empty());
+}
+
+TEST(SubgraphEdgeScreenTest, AgeDifferencesBeyondToleranceAreScreenedOut) {
+  // h0's Elizabeth at 41 is inside the vertex age window (47 - 6), but the
+  // couple's age difference moves from 2 to 8, beyond the edge tolerance.
+  const TinyLinkage t = ChainedCouples(Role::kWife, 41);
+  ASSERT_LT(t.config.edge_age_tolerance, 6);
+  const ScreenRun run = RunScreen(t);
+  EXPECT_EQ(run.built, (std::set<std::pair<GroupId, GroupId>>{{1, 1}}));
+  EXPECT_EQ(run.evaluated, 2u);
+  EXPECT_EQ(run.screened_out, 1u);
+  EXPECT_EQ(run.lookups, 0u);
+  EXPECT_TRUE(t.Build(0, 0).empty());
+}
+
+TEST(SubgraphEdgeScreenTest, UnknownAgeDifferencePassesTheScreen) {
+  // h0's Elizabeth has no recorded age: the spouse edges agree in type and
+  // the unknown age difference scores the agnostic 0.5, so (g0, h0) goes
+  // on to its two miss lookups and is built.
+  const TinyLinkage t = ChainedCouples(Role::kWife, -1);
+  const ScreenRun run = RunScreen(t);
+  EXPECT_EQ(run.built,
+            (std::set<std::pair<GroupId, GroupId>>{{0, 0}, {1, 1}}));
+  EXPECT_EQ(run.screened_out, 0u);
+  EXPECT_EQ(run.lookups, 2u);
+  const GroupPairSubgraph sub = t.Build(0, 0);
+  ASSERT_EQ(sub.edges.size(), 1u);
+  EXPECT_EQ(sub.edges[0].rp_sim, 0.5);
+}
+
 }  // namespace
 }  // namespace tglink
