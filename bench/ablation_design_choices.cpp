@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   };
   for (const Variant& variant : variants) {
     LinkageConfig config = configs::DefaultConfig();
-    bench::ApplyBlockingOption(options, &config);
     variant.tweak(&config);
     Timer timer;
     const LinkageResult result =

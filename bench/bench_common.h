@@ -46,10 +46,6 @@ struct BenchOptions {
   /// default, today's behaviour), 0 = one per hardware thread. Results are
   /// identical for every value — see util/parallel.h.
   int threads = 1;
-  /// Candidate generation: "hash" (multi-pass hash blocking, the default),
-  /// "index" (inverted candidate index; same candidate set, faster at
-  /// scale), or "exhaustive" (the paper's cross product).
-  std::string blocking = "hash";
   /// > 0 starts the obs heartbeat: one stderr line every N seconds with the
   /// current stage, pairs/sec and live RSS (long full-scale runs).
   double heartbeat_s = 0.0;
@@ -141,13 +137,6 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
       if (options.trace_path.empty()) {
         detail::OptionError("--trace", arg + 8, "a file path");
       }
-    } else if (std::strncmp(arg, "--blocking=", 11) == 0) {
-      options.blocking = arg + 11;
-      if (options.blocking != "hash" && options.blocking != "index" &&
-          options.blocking != "exhaustive") {
-        detail::OptionError("--blocking", arg + 11,
-                            "hash, index or exhaustive");
-      }
     } else if (std::strncmp(arg, "--heartbeat=", 12) == 0) {
       options.heartbeat_s = detail::ParseDoubleValue("--heartbeat", arg + 12);
       if (options.heartbeat_s <= 0.0) {
@@ -186,16 +175,13 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
         presets += " " + name;
       }
       std::printf(
-          "options: --scale=F --seed=N --pair=K --threads=N --blocking=M "
+          "options: --scale=F --seed=N --pair=K --threads=N "
           "--scenario=NAME --heartbeat=S --report=FILE --trace=FILE\n"
           "  --scale=F    fraction of Table 1 dataset sizes (default 0.25)\n"
           "  --seed=N     synthetic-data RNG seed (default 42)\n"
           "  --pair=K     successive census pair index (default 2)\n"
           "  --threads=N  worker threads; 1 = serial (default), 0 = one per\n"
           "               hardware thread; results are identical either way\n"
-          "  --blocking=M candidate generation: hash (default), index\n"
-          "               (inverted candidate index; identical candidates,\n"
-          "               faster at scale) or exhaustive (cross product)\n"
           "  --scenario=NAME  generator calibration profile: a preset name\n"
           "               or a tglink.scenario/1 JSON file; --scale/--seed/\n"
           "               --pair still override its generator block.\n"
@@ -220,22 +206,6 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
   return options;
 }
 
-/// The BlockingConfig selected by --blocking.
-inline BlockingConfig MakeBlockingConfig(const BenchOptions& options) {
-  if (options.blocking == "index") return BlockingConfig::MakeInvertedIndex();
-  if (options.blocking == "exhaustive") {
-    return BlockingConfig::MakeExhaustive();
-  }
-  return BlockingConfig::MakeDefault();
-}
-
-/// Applies --blocking to a linkage configuration (pre-matching and residual
-/// candidate generation both flow through config->blocking).
-inline void ApplyBlockingOption(const BenchOptions& options,
-                                LinkageConfig* config) {
-  config->blocking = MakeBlockingConfig(options);
-}
-
 /// A RunReportBuilder pre-populated with the shared harness options.
 inline obs::RunReportBuilder MakeRunReport(const std::string& tool,
                                            const BenchOptions& options) {
@@ -244,7 +214,6 @@ inline obs::RunReportBuilder MakeRunReport(const std::string& tool,
       .AddOption("seed", options.seed)
       .AddOption("pair", static_cast<uint64_t>(options.pair_index))
       .AddOption("threads", static_cast<uint64_t>(ParallelThreadCount()))
-      .AddOption("blocking", options.blocking)
       .AddOption("scenario",
                  options.scenario.empty() ? "default" : options.scenario)
       .AddOption("scenario_hash", options.scenario_hash.empty()

@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
               "%.2f) ==\n",
               options.scale);
 
-  LinkageConfig config = configs::DefaultConfig();
-  bench::ApplyBlockingOption(options, &config);
+  const LinkageConfig config = configs::DefaultConfig();
   std::vector<RecordMapping> record_mappings;
   std::vector<GroupMapping> group_mappings;
   Timer timer;

@@ -129,21 +129,6 @@ void BM_BlockingCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockingCandidates)->Arg(5)->Arg(10)->Arg(20);
 
-void BM_InvertedIndexCandidates(benchmark::State& state) {
-  GeneratorConfig gen;
-  gen.scale = state.range(0) / 100.0;
-  gen.num_censuses = 2;
-  const SyntheticPair pair = GenerateCensusPair(gen, 0);
-  const BlockingConfig blocking = BlockingConfig::MakeInvertedIndex();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, blocking));
-  }
-  state.SetLabel(std::to_string(pair.old_dataset.num_records()) + " x " +
-                 std::to_string(pair.new_dataset.num_records()) + " records");
-}
-BENCHMARK(BM_InvertedIndexCandidates)->Arg(5)->Arg(10)->Arg(20);
-
 void BM_PreMatcherBuild(benchmark::State& state) {
   GeneratorConfig gen;
   gen.scale = state.range(0) / 100.0;

@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
     cell.scenario_hash = scenario.content_hash;
     const bench::EvalPair ep = bench::MakeEvalPair(cell);
 
-    LinkageConfig config = configs::DefaultConfig();
-    bench::ApplyBlockingOption(options, &config);
+    const LinkageConfig config = configs::DefaultConfig();
     Timer timer;
     const LinkageResult result =
         LinkCensusPair(ep.pair.old_dataset, ep.pair.new_dataset, config);

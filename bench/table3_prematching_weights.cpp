@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   for (int w = 1; w <= 2; ++w) {
     for (double delta_low : delta_lows) {
       LinkageConfig config = configs::DefaultConfig();
-      bench::ApplyBlockingOption(options, &config);
       config.sim_func = (w == 1) ? configs::Omega1() : configs::Omega2();
       config.delta_low = delta_low;
       Timer timer;

@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
                      "rec R%", "rec F%"});
     for (const auto& [alpha, beta] : weights) {
       LinkageConfig config = configs::DefaultConfig();
-      bench::ApplyBlockingOption(options, &config);
       config.group_weights = {alpha, beta};
       if (!gate) config.vertex_age_tolerance = 0;
       const LinkageResult result =

@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
                      "rec R%", "rec F%", "iterations"});
     for (const bool iterative : {false, true}) {
       LinkageConfig config = configs::DefaultConfig();
-      bench::ApplyBlockingOption(options, &config);
       if (!iterative) config.delta_high = config.delta_low = 0.5;
       if (!safety_nets) {
         config.vertex_age_tolerance = 0;

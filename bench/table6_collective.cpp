@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
                 TextTable::Fixed(cl_seconds, 1)});
 
   timer.Reset();
-  LinkageConfig ours_config = configs::DefaultConfig();
-  bench::ApplyBlockingOption(options, &ours_config);
+  const LinkageConfig ours_config = configs::DefaultConfig();
   const LinkageResult ours =
       LinkCensusPair(ep.pair.old_dataset, ep.pair.new_dataset, ours_config);
   const double ours_seconds = timer.ElapsedSeconds();

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
               "==\n",
               options.scale);
 
-  LinkageConfig config = configs::DefaultConfig();
-  bench::ApplyBlockingOption(options, &config);
+  const LinkageConfig config = configs::DefaultConfig();
   std::vector<RecordMapping> record_mappings;
   std::vector<GroupMapping> group_mappings;
   for (size_t i = 0; i + 1 < series.snapshots.size(); ++i) {

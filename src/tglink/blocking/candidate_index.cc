@@ -15,22 +15,6 @@
 
 namespace tglink {
 
-CandidateIndexConfig CandidateIndexConfig::MakeDefault() {
-  CandidateIndexConfig config;
-  config.passes = BlockingConfig::MakeDefault().passes;
-  return config;
-}
-
-CandidateIndexConfig CandidateIndexConfig::FromBlocking(
-    const BlockingConfig& blocking) {
-  CandidateIndexConfig config;
-  config.passes = blocking.passes;
-  config.max_posting_len = blocking.max_posting_len;
-  config.fallback_window = blocking.fallback_window;
-  config.min_shared_passes = blocking.min_shared_passes;
-  return config;
-}
-
 std::vector<RecordId> GallopingIntersect(const std::vector<RecordId>& a,
                                          const std::vector<RecordId>& b) {
   TGLINK_DCHECK(std::is_sorted(a.begin(), a.end()))
@@ -78,14 +62,17 @@ std::vector<RecordId> UnionSortedPostings(
 
 CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
                                const CensusDataset& new_dataset,
-                               CandidateIndexConfig config)
+                               BlockingConfig config)
     : config_(std::move(config)),
       old_dataset_(old_dataset),
       new_dataset_(new_dataset) {
   TGLINK_TRACE_SPAN("candindex.build");
   TGLINK_MEM_STAGE("candindex.build");
+  config_.batch_records = std::max<size_t>(1, config_.batch_records);
   const size_t num_old = old_dataset_.num_records();
   const size_t num_new = new_dataset_.num_records();
+  TGLINK_COUNTER_ADD("blocking.cross_product_pairs",
+                     static_cast<uint64_t>(num_old) * num_new);
   old_record_tokens_.resize(num_old);
 
   std::vector<uint32_t> old_posting_len;  // per token, old-side list length
@@ -185,7 +172,13 @@ CandidateIndex::CandidateIndex(const CensusDataset& old_dataset,
   index_bytes += fallback_old.size() * sizeof(RecordId);
   index_bytes += fallback_new.size() * sizeof(RecordId);
   obs::ReportArenaBytes("candindex", index_bytes);
-  fallback_pairs_ = FallbackPairs(fallback_old, fallback_new);
+  if (config_.fallback_window > 0) {
+    // The recall net for pairs that lived exclusively in pruned blocks.
+    SortedNeighborhoodConfig snm = SortedNeighborhoodConfig::MakeDefault();
+    snm.window = config_.fallback_window;
+    fallback_pairs_ = SortedNeighborhoodPairs(old_dataset_, fallback_old,
+                                              new_dataset_, fallback_new, snm);
+  }
 }
 
 void CandidateIndex::AppendPairsForOldRecord(
@@ -262,63 +255,8 @@ void CandidateIndex::AppendPairsForOldRecord(
   for (RecordId n : *scratch) out->push_back({old_id, n});
 }
 
-std::vector<CandidatePair> CandidateIndex::FallbackPairs(
-    const std::vector<RecordId>& fallback_old,
-    const std::vector<RecordId>& fallback_new) const {
-  if (config_.fallback_window == 0 ||
-      (fallback_old.empty() && fallback_new.empty())) {
-    return {};
-  }
-  // Sorted-neighborhood over only the flagged records: both sides are
-  // sorted together by the conventional census roster key and every
-  // cross-snapshot pair within the window becomes a candidate. This is the
-  // recall net for pairs that lived exclusively in pruned blocks.
-  const BlockKeyFn key = SurnameFirstNameSortKey();
-  struct Entry {
-    std::string key;
-    RecordId id;
-    bool is_old;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(fallback_old.size() + fallback_new.size());
-  for (RecordId r : fallback_old) {
-    std::string k = key(old_dataset_.record(r));
-    if (!k.empty()) entries.push_back({std::move(k), r, true});
-  }
-  for (RecordId r : fallback_new) {
-    std::string k = key(new_dataset_.record(r));
-    if (!k.empty()) entries.push_back({std::move(k), r, false});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.is_old != b.is_old) return a.is_old;
-              return a.id < b.id;
-            });
-  std::vector<uint64_t> pair_keys;
-  const size_t w = std::max<size_t>(2, config_.fallback_window);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    for (size_t j = i + 1; j < entries.size() && j < i + w; ++j) {
-      if (entries[i].is_old == entries[j].is_old) continue;
-      const RecordId o = entries[i].is_old ? entries[i].id : entries[j].id;
-      const RecordId n = entries[i].is_old ? entries[j].id : entries[i].id;
-      pair_keys.push_back((static_cast<uint64_t>(o) << 32) | n);
-    }
-  }
-  std::sort(pair_keys.begin(), pair_keys.end());
-  pair_keys.erase(std::unique(pair_keys.begin(), pair_keys.end()),
-                  pair_keys.end());
-  std::vector<CandidatePair> pairs;
-  pairs.reserve(pair_keys.size());
-  for (uint64_t k : pair_keys) {
-    pairs.push_back({static_cast<RecordId>(k >> 32),
-                     static_cast<RecordId>(k & 0xFFFFFFFFu)});
-  }
-  return pairs;
-}
-
 size_t CandidateIndex::num_shards() const {
-  const size_t batch = std::max<size_t>(1, config_.batch_records);
+  const size_t batch = config_.batch_records;
   return (old_dataset_.num_records() + batch - 1) / batch;
 }
 
@@ -329,7 +267,7 @@ size_t CandidateIndex::num_shards() const {
 // statically checked by the lint's nondeterministic-iteration rule (the
 // interner map above is lookup-only, never iterated).
 std::vector<CandidatePair> CandidateIndex::ShardPairs(size_t shard) const {
-  const size_t batch = std::max<size_t>(1, config_.batch_records);
+  const size_t batch = config_.batch_records;
   const size_t begin = shard * batch;
   const size_t end = std::min(old_dataset_.num_records(), begin + batch);
   std::vector<CandidatePair> pairs;
@@ -357,7 +295,7 @@ std::vector<CandidatePair> CandidateIndex::ShardPairs(size_t shard) const {
                    });
     pairs = std::move(merged);
   }
-  TGLINK_COUNTER_ADD("candindex.pairs_emitted", pairs.size());
+  TGLINK_COUNTER_ADD("blocking.candidate_pairs", pairs.size());
   return pairs;
 }
 

@@ -1,6 +1,7 @@
 #include "tglink/blocking/sorted_neighborhood.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "tglink/obs/metrics.h"
@@ -22,21 +23,21 @@ SortedNeighborhoodConfig SortedNeighborhoodConfig::MakeDefault() {
 }
 
 std::vector<CandidatePair> SortedNeighborhoodPairs(
-    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const CensusDataset& old_dataset, const std::vector<RecordId>& old_ids,
+    const CensusDataset& new_dataset, const std::vector<RecordId>& new_ids,
     const SortedNeighborhoodConfig& config) {
-  TGLINK_TRACE_SPAN("blocking.sorted_neighborhood");
   struct Entry {
     std::string key;
     RecordId id;
     bool is_old;
   };
   std::vector<Entry> entries;
-  entries.reserve(old_dataset.num_records() + new_dataset.num_records());
-  for (RecordId r = 0; r < old_dataset.num_records(); ++r) {
+  entries.reserve(old_ids.size() + new_ids.size());
+  for (RecordId r : old_ids) {
     std::string key = config.key(old_dataset.record(r));
     if (!key.empty()) entries.push_back({std::move(key), r, true});
   }
-  for (RecordId r = 0; r < new_dataset.num_records(); ++r) {
+  for (RecordId r : new_ids) {
     std::string key = config.key(new_dataset.record(r));
     if (!key.empty()) entries.push_back({std::move(key), r, false});
   }
@@ -66,6 +67,21 @@ std::vector<CandidatePair> SortedNeighborhoodPairs(
     pairs.push_back({static_cast<RecordId>(key >> 32),
                      static_cast<RecordId>(key & 0xFFFFFFFFu)});
   }
+  return pairs;
+}
+
+std::vector<CandidatePair> SortedNeighborhoodPairs(
+    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const SortedNeighborhoodConfig& config) {
+  TGLINK_TRACE_SPAN("blocking.sorted_neighborhood");
+  const auto all_ids = [](const CensusDataset& dataset) {
+    std::vector<RecordId> ids(dataset.num_records());
+    std::iota(ids.begin(), ids.end(), RecordId{0});
+    return ids;
+  };
+  std::vector<CandidatePair> pairs =
+      SortedNeighborhoodPairs(old_dataset, all_ids(old_dataset), new_dataset,
+                              all_ids(new_dataset), config);
   TGLINK_COUNTER_ADD("blocking.snm_candidate_pairs", pairs.size());
   return pairs;
 }

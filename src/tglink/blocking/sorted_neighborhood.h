@@ -27,9 +27,17 @@ struct SortedNeighborhoodConfig {
   static SortedNeighborhoodConfig MakeDefault();
 };
 
-/// Generates deduplicated candidate pairs, sorted by (old_id, new_id).
+/// Generates deduplicated candidate pairs, sorted by (old_id, new_id),
+/// over every record of both snapshots.
 [[nodiscard]] std::vector<CandidatePair> SortedNeighborhoodPairs(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
+    const SortedNeighborhoodConfig& config);
+
+/// As above over only the listed records of each side (the candidate
+/// index's fallback runs it over the records that carried a pruned key).
+[[nodiscard]] std::vector<CandidatePair> SortedNeighborhoodPairs(
+    const CensusDataset& old_dataset, const std::vector<RecordId>& old_ids,
+    const CensusDataset& new_dataset, const std::vector<RecordId>& new_ids,
     const SortedNeighborhoodConfig& config);
 
 /// Sorting key "surname first_name" — the conventional choice for census

@@ -61,10 +61,8 @@ struct LinkageConfig {
   int vertex_age_tolerance = 6;
 
   /// Candidate-pair generation, once per census pair: pre-matching scores
-  /// the candidates and the global residual pass reuses them. The inverted
-  /// index emits the same candidate set as BlockingConfig::MakeDefault()'s
-  /// hash blocking (pinned by candidate_index_property_test), faster.
-  BlockingConfig blocking = BlockingConfig::MakeInvertedIndex();
+  /// the candidates and the global residual pass reuses them.
+  BlockingConfig blocking = BlockingConfig::MakeDefault();
 
   /// Ablation switch: when false, households are compared on the raw
   /// head-relative role edges without enrichment (no implicit edges between

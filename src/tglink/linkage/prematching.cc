@@ -5,6 +5,7 @@
 #include <cassert>
 #include <span>
 
+#include "tglink/blocking/candidate_index.h"
 #include "tglink/graph/union_find.h"
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
@@ -24,8 +25,12 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
       min_threshold_(min_threshold) {
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
-  CandidateBatches batches(old_dataset, new_dataset, blocking);
-  batch_records_ = batches.batch_records();
+  const CandidateIndex index = [&] {
+    TGLINK_TRACE_SPAN("blocking.generate_candidates");
+    TGLINK_MEM_STAGE("blocking.generate_candidates");
+    return CandidateIndex(old_dataset, new_dataset, blocking);
+  }();
+  batch_records_ = index.batch_records();
   {
     // A lone batch is scored from this thread, so its chunks spread over
     // the pool. Several batches are scored one per pool task; their chunks
@@ -33,12 +38,12 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
     // function of its batch alone, so the store is bit-identical for every
     // thread count.
     TGLINK_TRACE_SPAN("prematch.score");
-    if (batches.size() == 1) {
-      segments_.push_back(ScoreBatch(batches, 0));
+    if (index.num_shards() == 1) {
+      segments_.push_back(ScoreBatch(index, 0));
     } else {
       segments_ = ParallelMap<Segment>(
-          batches.size(), "prematch.score_batch",
-          [this, &batches](size_t b) { return ScoreBatch(batches, b); });
+          index.num_shards(), "prematch.score_batch",
+          [this, &index](size_t b) { return ScoreBatch(index, b); });
     }
   }
   TGLINK_TRACE_SPAN("prematch.keep");
@@ -56,9 +61,9 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
   TGLINK_COUNTER_ADD("prematch.store_bytes", store_bytes);
 }
 
-PreMatcher::Segment PreMatcher::ScoreBatch(CandidateBatches& batches,
+PreMatcher::Segment PreMatcher::ScoreBatch(const CandidateIndex& index,
                                            size_t b) const {
-  const std::vector<CandidatePair> pairs = batches.Take(b);
+  const std::vector<CandidatePair> pairs = index.ShardPairs(b);
   TGLINK_CHECK(pairs.size() <= UINT32_MAX)
       << "candidate batch of " << pairs.size() << " pairs";
   // Score chunks in parallel, one old-record row at a time: each chunk

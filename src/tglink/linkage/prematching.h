@@ -12,9 +12,8 @@
 // to a serial run.
 //
 // The pair store. Blocking hands the candidates over in (old, new)-ordered
-// batches (CandidateBatches: one per inverted-index shard, or the whole
-// hash-blocking list as one). Each batch is scored one old-record row at a
-// time by the row scorer (SimBatch::AggregateRowsWithThreshold) under the
+// batches, one per candidate-index shard (CandidateIndex::ShardPairs). Each
+// batch is scored one old-record row at a time by the row scorer (SimBatch::AggregateRowsWithThreshold) under the
 // span "prematch.score", kept as one segment of the store, and freed. A
 // segment holds, per old record of its batch, a row of the candidates' new
 // ids (ascending, uint32_t) with their Ω2 values (double): 12 bytes per
@@ -48,6 +47,8 @@
 #include "tglink/similarity/sim_batch.h"
 
 namespace tglink {
+
+class CandidateIndex;
 
 struct ScoredPair {
   RecordId old_id;
@@ -211,9 +212,9 @@ class PreMatcher {
     size_t num_kept = 0;            // sims >= min_threshold
   };
 
-  /// Scores batch `b` of `batches` into a segment; the batch is freed on
-  /// return.
-  Segment ScoreBatch(CandidateBatches& batches, size_t b) const;
+  /// Scores shard `b` of `index` into a segment; the shard's pairs are
+  /// freed on return.
+  Segment ScoreBatch(const CandidateIndex& index, size_t b) const;
 
   [[nodiscard]] bool Kept(double sim) const { return sim >= min_threshold_; }
   /// A kept pair clustered at `delta`: sim within 1e-12 of it or above.

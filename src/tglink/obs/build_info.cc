@@ -9,6 +9,9 @@
 
 // Configure-time injection (src/CMakeLists.txt); the fallbacks keep the
 // file compiling when someone builds it outside the CMake tree.
+#if __has_include("tglink/obs/build_sha.h")
+#include "tglink/obs/build_sha.h"
+#endif
 #ifndef TGLINK_BUILD_GIT_SHA
 #define TGLINK_BUILD_GIT_SHA "unknown"
 #endif

@@ -67,11 +67,12 @@ TEST(BlockingTest, DefaultBlockingKeepsSameNamePairs) {
   EXPECT_TRUE(set.count({2, 6}));
 }
 
-TEST(BlockingTest, MaxBlockSizeSkipsOversizedBlocks) {
+TEST(BlockingTest, MaxPostingLenPrunesOversizedBlocks) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   BlockingConfig tiny = BlockingConfig::MakeDefault();
-  tiny.max_block_size = 1;  // everything is oversized
+  tiny.max_posting_len = 1;  // every shared key is oversized
+  tiny.fallback_window = 0;  // and the sorted-neighborhood net is off
   EXPECT_TRUE(GenerateCandidatePairs(old_d, new_d, tiny).empty());
 }
 

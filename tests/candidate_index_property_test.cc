@@ -1,17 +1,19 @@
-// Differential verification of the inverted candidate index against the
-// multi-pass hash blocking it replaces (satellite of the candidate-index
-// tentpole; see DESIGN.md §9):
+// Differential verification of the inverted candidate index against
+// brute-force multi-pass hash blocking (tests/hash_blocking.h; see
+// DESIGN.md §9):
 //
-//   * equivalence: with pruning disabled, GeneratePairs() emits EXACTLY the
-//     candidate-pair set of blocking.cc hash blocking, across >= 50 seeded
+//   * equivalence: with pruning disabled, GenerateCandidatePairs emits
+//     EXACTLY hash blocking's candidate-pair set, across >= 50 seeded
 //     synthetic datasets covering every corruption preset AND every
 //     scenario-registry profile (the adversarial regimes produce token
 //     distributions — duplicated records, dissolved households, mass
-//     renames — the friendly presets never do);
+//     renames — the friendly presets never do), plus the golden census
+//     pair of golden_regression_test;
 //   * batching: the shards, emitted on the pool at 1 and 4 threads and
 //     concatenated in order, are the list GeneratePairs() returns, for
-//     random shard sizes with pruning on and off; and CandidateBatches's
-//     batches concatenate to GenerateCandidatePairs's list in every mode;
+//     random shard sizes with pruning on and off;
+//   * cross product: MakeExhaustive() emits exactly old x new, records with
+//     no name at all included, and its shards concatenate to that list;
 //   * pruning: a token is pruned under exactly the condition hash blocking
 //     skips an oversized block (old + new > cap), so at an equal cap the
 //     pruned index plus its sorted-neighborhood fallback emits a superset
@@ -35,6 +37,7 @@
 #include "tglink/blocking/blocking.h"
 #include "tglink/eval/gold.h"
 #include "tglink/util/parallel.h"
+#include "tests/hash_blocking.h"
 #include "tests/proptest.h"
 
 namespace tglink {
@@ -92,9 +95,25 @@ double GoldRecall(const std::vector<CandidatePair>& candidates,
   return static_cast<double>(found) / gold.record_links.size();
 }
 
+/// Empty when the default index emits exactly hash blocking's pairs over
+/// the default passes; otherwise what differs.
+std::string IndexVsHashMismatch(const SyntheticPair& pair) {
+  const BlockingConfig blocking = BlockingConfig::MakeDefault();
+  const std::vector<CandidatePair> expected =
+      testing_oracle::HashBlockingPairs(pair.old_dataset, pair.new_dataset,
+                                        blocking.passes);
+  const std::vector<CandidatePair> actual =
+      GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, blocking);
+  if (SamePairs(expected, actual)) return "";
+  return "index pairs != hash pairs (" + DescribePair(pair) + ": hash " +
+         std::to_string(expected.size()) + ", index " +
+         std::to_string(actual.size()) + ")";
+}
+
 // Pruning-disabled index output == hash blocking output, exactly, for 60
 // datasets: every corruption regime — classic presets and scenario
-// profiles — x 5 seeds (regime coverage is deterministic, not sampled).
+// profiles — x 5 seeds (regime coverage is deterministic, not sampled),
+// plus the golden census pair (default generator, scale 0.125, seed 42).
 TEST_F(CandidateIndexPropertyTest, ExactEquivalenceWithHashBlocking) {
   for (const proptest::NamedScenarioConfig& regime : AllRegimes()) {
     proptest::Runner runner("candidate_index.equivalence." + regime.name,
@@ -104,23 +123,20 @@ TEST_F(CandidateIndexPropertyTest, ExactEquivalenceWithHashBlocking) {
       gen.seed = c.rng().Next();
       gen.scale = c.scale();
       gen.num_censuses = 2;
-      const SyntheticPair pair = GenerateCensusPair(gen, 0);
-
-      const BlockingConfig hash = BlockingConfig::MakeDefault();
-      const std::vector<CandidatePair> expected =
-          GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, hash);
-
-      const std::vector<CandidatePair> actual = GenerateCandidatePairs(
-          pair.old_dataset, pair.new_dataset,
-          BlockingConfig::MakeInvertedIndex());
-      c.ExpectTrue(SamePairs(expected, actual),
-                   "index pairs != hash pairs (" + DescribePair(pair) +
-                       ": hash " + std::to_string(expected.size()) +
-                       ", index " + std::to_string(actual.size()) + ")");
+      const std::string mismatch =
+          IndexVsHashMismatch(GenerateCensusPair(gen, 0));
+      c.ExpectTrue(mismatch.empty(), mismatch);
     });
     EXPECT_TRUE(runner.AllPassed()) << runner.Report();
     EXPECT_GE(runner.iterations_ran(), 5);
   }
+
+  GeneratorConfig golden;
+  golden.seed = 42;
+  golden.scale = 0.125;
+  golden.num_censuses = 2;
+  EXPECT_EQ(IndexVsHashMismatch(GenerateCensusPair(golden, 0)), "")
+      << "golden census pair";
 }
 
 /// True when every pair of `shard` has an old id in [begin, end).
@@ -142,7 +158,7 @@ TEST_F(CandidateIndexPropertyTest, PooledShardsConcatenateToGeneratePairs) {
     const SyntheticPair pair = proptest::RandomCensusPair(&c);
     const size_t num_old = pair.old_dataset.num_records();
     for (const size_t max_posting_len : {size_t{0}, size_t{48}}) {
-      CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
+      BlockingConfig config = BlockingConfig::MakeDefault();
       config.max_posting_len = max_posting_len;
       // Odd shard sizes probe shard-boundary handling.
       config.batch_records = 1 + c.rng().NextBounded(257);
@@ -183,43 +199,49 @@ TEST_F(CandidateIndexPropertyTest, PooledShardsConcatenateToGeneratePairs) {
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
 }
 
-// CandidateBatches hands over GenerateCandidatePairs's list: its batches,
-// taken on the pool and concatenated in order, equal it in every blocking
-// mode, each batch holding only the old ids of its range.
-TEST_F(CandidateIndexPropertyTest, CandidateBatchesConcatenateToTheList) {
-  proptest::Runner runner("candidate_index.candidate_batches",
-                          /*iterations=*/10);
+// The cross product is one more key: MakeExhaustive() emits exactly
+// old x new in (old, new) order, records whose name fields are all missing
+// included (the name passes leave those out), and its shards, taken on the
+// pool, concatenate to that list at random shard sizes.
+TEST_F(CandidateIndexPropertyTest, ExhaustiveEmitsTheCrossProduct) {
+  proptest::Runner runner("candidate_index.exhaustive", /*iterations=*/10);
   runner.Run([](proptest::Case& c) {
-    const SyntheticPair pair = proptest::RandomCensusPair(&c);
-    BlockingConfig pruned = BlockingConfig::MakeInvertedIndex();
-    pruned.max_posting_len = 48;
-    for (const BlockingConfig& blocking :
-         {BlockingConfig::MakeInvertedIndex(), pruned,
-          BlockingConfig::MakeDefault(), BlockingConfig::MakeExhaustive()}) {
-      const std::vector<CandidatePair> list = GenerateCandidatePairs(
-          pair.old_dataset, pair.new_dataset, blocking);
-      CandidateBatches batches(pair.old_dataset, pair.new_dataset, blocking);
-      const size_t per = batches.batch_records();
-      const std::vector<std::vector<CandidatePair>> parts =
-          ParallelMap<std::vector<CandidatePair>>(
-              batches.size(), "test.batch",
-              [&batches](size_t b) { return batches.Take(b); });
-      std::vector<CandidatePair> joined;
-      bool in_range = true;
-      for (size_t b = 0; b < parts.size(); ++b) {
-        in_range = in_range && WithinOldRange(parts[b], b * per, (b + 1) * per);
-        joined.insert(joined.end(), parts[b].begin(), parts[b].end());
+    SyntheticPair pair = proptest::RandomCensusPair(&c);
+    for (CensusDataset* dataset : {&pair.old_dataset, &pair.new_dataset}) {
+      for (RecordId r = 0; r < dataset->num_records(); ++r) {
+        if (c.rng().NextBounded(4) != 0) continue;
+        dataset->mutable_record(r)->first_name.clear();
+        dataset->mutable_record(r)->surname.clear();
       }
-      const size_t num_old = pair.old_dataset.num_records();
-      const std::string mode =
-          "mode " + std::to_string(static_cast<int>(blocking.mode)) +
-          ", max_posting_len " + std::to_string(blocking.max_posting_len);
-      c.ExpectTrue(batches.size() == (num_old + per - 1) / per,
-                   "batches do not cover the old records, " + mode);
-      c.ExpectTrue(in_range, "a batch holds a foreign old id, " + mode);
-      c.ExpectTrue(SamePairs(list, joined),
-                   "batches != GenerateCandidatePairs, " + mode);
     }
+    const size_t num_old = pair.old_dataset.num_records();
+    const size_t num_new = pair.new_dataset.num_records();
+    std::vector<CandidatePair> cross;
+    cross.reserve(num_old * num_new);
+    for (RecordId o = 0; o < num_old; ++o) {
+      for (RecordId n = 0; n < num_new; ++n) cross.push_back({o, n});
+    }
+
+    BlockingConfig exhaustive = BlockingConfig::MakeExhaustive();
+    exhaustive.batch_records = 1 + c.rng().NextBounded(257);
+    c.ExpectTrue(SamePairs(cross, GenerateCandidatePairs(pair.old_dataset,
+                                                         pair.new_dataset,
+                                                         exhaustive)),
+                 "exhaustive pairs != old x new (" + DescribePair(pair) + ")");
+
+    const CandidateIndex index(pair.old_dataset, pair.new_dataset,
+                               exhaustive);
+    const std::vector<std::vector<CandidatePair>> shards =
+        ParallelMap<std::vector<CandidatePair>>(
+            index.num_shards(), "test.shard",
+            [&index](size_t s) { return index.ShardPairs(s); });
+    std::vector<CandidatePair> joined;
+    for (const std::vector<CandidatePair>& shard : shards) {
+      joined.insert(joined.end(), shard.begin(), shard.end());
+    }
+    c.ExpectTrue(SamePairs(cross, joined),
+                 "exhaustive shards != old x new (batch " +
+                     std::to_string(exhaustive.batch_records) + ")");
   });
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
 }
@@ -244,12 +266,12 @@ TEST_F(CandidateIndexPropertyTest, PrunedRecallNoWorseThanBaseline) {
           ResolveGold(pair.gold, pair.old_dataset, pair.new_dataset);
       ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
 
-      BlockingConfig capped_hash = BlockingConfig::MakeDefault();
-      capped_hash.max_block_size = kCap;
-      const std::vector<CandidatePair> baseline = GenerateCandidatePairs(
-          pair.old_dataset, pair.new_dataset, capped_hash);
+      BlockingConfig pruned = BlockingConfig::MakeDefault();
+      const std::vector<CandidatePair> baseline =
+          testing_oracle::HashBlockingPairs(pair.old_dataset,
+                                            pair.new_dataset, pruned.passes,
+                                            kCap);
 
-      BlockingConfig pruned = BlockingConfig::MakeInvertedIndex();
       pruned.max_posting_len = kCap;
       pruned.fallback_window = 12;
       const std::vector<CandidatePair> candidates = GenerateCandidatePairs(
@@ -276,8 +298,7 @@ TEST_F(CandidateIndexPropertyTest, PrunedRecallNoWorseThanBaseline) {
 
       // Pruning must still be a reduction relative to no cap at all.
       const std::vector<CandidatePair> uncapped = GenerateCandidatePairs(
-          pair.old_dataset, pair.new_dataset,
-          BlockingConfig::MakeInvertedIndex());
+          pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
       c.ExpectTrue(candidates.size() <= uncapped.size(),
                    "pruning + fallback grew the candidate set: " +
                        std::to_string(candidates.size()) + " > " +
@@ -294,9 +315,8 @@ TEST_F(CandidateIndexPropertyTest, ConjunctiveModeIsSubsetOfUnion) {
   runner.Run([](proptest::Case& c) {
     const SyntheticPair pair = proptest::RandomCensusPair(&c);
     const std::vector<CandidatePair> unioned = GenerateCandidatePairs(
-        pair.old_dataset, pair.new_dataset,
-        BlockingConfig::MakeInvertedIndex());
-    BlockingConfig conj = BlockingConfig::MakeInvertedIndex();
+        pair.old_dataset, pair.new_dataset, BlockingConfig::MakeDefault());
+    BlockingConfig conj = BlockingConfig::MakeDefault();
     conj.min_shared_passes = 2;
     const std::vector<CandidatePair> intersected =
         GenerateCandidatePairs(pair.old_dataset, pair.new_dataset, conj);

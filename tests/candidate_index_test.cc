@@ -87,14 +87,11 @@ TEST(CandidateIndexTest, EmptyDatasetsProduceNoPairs) {
   const CensusDataset empty_old(1871);
   const CensusDataset empty_new(1881);
   const CensusDataset some = SingleRecordCensus(1881, {{"john", "ashworth"}});
-  const CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
+  const BlockingConfig config = BlockingConfig::MakeDefault();
   EXPECT_TRUE(
       CandidateIndex(empty_old, empty_new, config).GeneratePairs().empty());
   EXPECT_TRUE(CandidateIndex(empty_old, some, config).GeneratePairs().empty());
   EXPECT_EQ(CandidateIndex(empty_old, some, config).num_shards(), 0u);
-  EXPECT_EQ(CandidateBatches(empty_old, some, BlockingConfig::MakeDefault())
-                .size(),
-            0u);
 }
 
 // Records whose names produce only empty blocking keys never enter any
@@ -104,7 +101,7 @@ TEST(CandidateIndexTest, EmptyKeysMeanEmptyPostingLists) {
   const CensusDataset new_d =
       SingleRecordCensus(1881, {{"", ""}, {"john", "ashworth"}});
   const CandidateIndex index(old_d, new_d,
-                             CandidateIndexConfig::MakeDefault());
+                             BlockingConfig::MakeDefault());
   EXPECT_EQ(index.num_tokens(), 3u);  // john ashworth's three passes only
   EXPECT_TRUE(index.GeneratePairs().empty());
 }
@@ -114,7 +111,7 @@ TEST(CandidateIndexTest, SingleRecordBlockEmitsExactlyOnePair) {
   const CensusDataset new_d = SingleRecordCensus(
       1881, {{"john", "ashworth"}, {"peter", "greenwood"}});
   const std::vector<CandidatePair> pairs =
-      CandidateIndex(old_d, new_d, CandidateIndexConfig::MakeDefault())
+      CandidateIndex(old_d, new_d, BlockingConfig::MakeDefault())
           .GeneratePairs();
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].old_id, 0u);
@@ -128,7 +125,7 @@ TEST(CandidateIndexTest, DuplicateKeysPerRecordEmitOnce) {
   const CensusDataset old_d = SingleRecordCensus(1871, {{"smith", "smith"}});
   const CensusDataset new_d = SingleRecordCensus(1881, {{"smith", "smith"}});
   const CandidateIndex index(old_d, new_d,
-                             CandidateIndexConfig::MakeDefault());
+                             BlockingConfig::MakeDefault());
   const std::vector<CandidatePair> pairs = index.GeneratePairs();
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].old_id, 0u);
@@ -140,7 +137,7 @@ TEST(CandidateIndexTest, DuplicateKeysPerRecordEmitOnce) {
 TEST(CandidateIndexTest, AllKeysPrunedWithoutFallbackEmitsNothing) {
   const CensusDataset old_d = testing_example::MakeCensus1871();
   const CensusDataset new_d = testing_example::MakeCensus1881();
-  CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
+  BlockingConfig config = BlockingConfig::MakeDefault();
   config.max_posting_len = 1;  // every shared token is oversized
   config.fallback_window = 0;  // and the recall net is off
   const CandidateIndex index(old_d, new_d, config);
@@ -153,7 +150,7 @@ TEST(CandidateIndexTest, AllKeysPrunedWithoutFallbackEmitsNothing) {
 TEST(CandidateIndexTest, AllKeysPrunedFallbackRecoversNamesakes) {
   const CensusDataset old_d = testing_example::MakeCensus1871();
   const CensusDataset new_d = testing_example::MakeCensus1881();
-  CandidateIndexConfig config = CandidateIndexConfig::MakeDefault();
+  BlockingConfig config = BlockingConfig::MakeDefault();
   config.max_posting_len = 1;
   config.fallback_window = 8;
   const std::vector<CandidatePair> pairs =
@@ -177,7 +174,7 @@ TEST(CandidateIndexTest, FallbackWindowBoundaryIsExclusive) {
   const CensusDataset old_d = SingleRecordCensus(1871, {{"x", "aaa"}});
   const CensusDataset new_d = SingleRecordCensus(
       1881, {{"x", "aab"}, {"x", "aac"}, {"x", "aad"}});
-  CandidateIndexConfig config;
+  BlockingConfig config;
   config.passes = {[](const PersonRecord&) { return std::string("k"); }};
   config.max_posting_len = 1;  // the constant token (length 4) is pruned
 
@@ -200,7 +197,7 @@ TEST(CandidateIndexTest, CountersReflectPaperExample) {
   const CensusDataset old_d = testing_example::MakeCensus1871();
   const CensusDataset new_d = testing_example::MakeCensus1881();
   const CandidateIndex index(old_d, new_d,
-                             CandidateIndexConfig::MakeDefault());
+                             BlockingConfig::MakeDefault());
   EXPECT_GT(index.num_tokens(), 0u);
   // Every record contributes one posting per pass (all names non-empty).
   EXPECT_EQ(index.num_postings(),

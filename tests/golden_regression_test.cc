@@ -5,9 +5,6 @@
 // Any change to blocking, similarity, subgraph scoring, selection, or the
 // residual matcher that shifts quality shows up as a one-line JSON diff.
 //
-// The same run is repeated with inverted-index blocking; it must produce
-// the identical mapping (the index's equivalence guarantee, end to end).
-//
 // Every scenario preset carries its own fingerprint under tests/golden/
 // (scenario_<name>.json) at a smaller grid scale, and the rawtenstall
 // preset is additionally pinned BYTE-identical to the default generator —
@@ -22,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tglink/blocking/blocking.h"
 #include "tglink/census/io.h"
 #include "tglink/eval/metrics.h"
 #include "tglink/linkage/iterative.h"
@@ -112,15 +108,6 @@ TEST(GoldenRegressionTest, FullLinkageMatchesCheckedInGolden) {
   EXPECT_EQ(expected.value(), actual)
       << "linkage quality drifted from the golden fingerprint; if the "
          "change is intentional, regenerate with TGLINK_REGEN_GOLDEN=1";
-
-  // End-to-end equivalence: hash blocking must yield the byte-identical
-  // quality fingerprint of the default inverted-index path.
-  LinkageConfig hash_config = config;
-  hash_config.blocking = BlockingConfig::MakeDefault();
-  const LinkageResult hash_result =
-      LinkCensusPair(pair.old_dataset, pair.new_dataset, hash_config);
-  EXPECT_EQ(QualityJson(hash_result, gold.value()), actual)
-      << "hash blocking changed end-to-end linkage output";
 }
 
 // The scenario grid's coordinates: small enough to keep the whole preset

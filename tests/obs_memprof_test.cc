@@ -288,8 +288,7 @@ TEST(MemProfIntegrationTest, LinkCensusPairReportsEveryProductionArena) {
                 for (size_t i = begin; i < end; ++i) sink[i] = static_cast<int>(i);
               });
 
-  LinkageConfig config = configs::DefaultConfig();
-  config.blocking = BlockingConfig::MakeInvertedIndex();
+  const LinkageConfig config = configs::DefaultConfig();
   const LinkageResult result =
       LinkCensusPair(testing_example::MakeCensus1871(),
                      testing_example::MakeCensus1881(), config);

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "tglink/blocking/blocking.h"
+#include "tglink/blocking/candidate_index.h"
 #include "tglink/linkage/config.h"
 #include "tglink/similarity/sim_batch.h"
 #include "tglink/synth/generator.h"
 #include "tglink/synth/scenario.h"
 #include "tglink/util/parallel.h"
+#include "tests/hash_blocking.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -281,8 +283,8 @@ std::vector<bool> PartlyActive(size_t n, uint64_t salt) {
   return active;
 }
 
-/// Checks the pair store against the brute-force oracle — every blocking
-/// candidate of `blocking` scored by AggregateSimilarity — and returns the
+/// Checks the pair store against the brute-force oracle — every pair of
+/// `candidates` scored by AggregateSimilarity — and returns the
 /// oracle's kept pairs. Each old record's row must hold exactly its
 /// candidates, new ids ascending, with the exact value bit for bit when it
 /// reaches `min_threshold` and SimBatch::kPruned below it. The kept view
@@ -291,9 +293,7 @@ std::vector<bool> PartlyActive(size_t n, uint64_t salt) {
 std::vector<ScoredPair> ExpectStoreMatchesOracle(
     const PreMatcher& pm, const CensusDataset& old_d,
     const CensusDataset& new_d, const SimilarityFunction& f,
-    const BlockingConfig& blocking, double min_threshold) {
-  const std::vector<CandidatePair> candidates =
-      GenerateCandidatePairs(old_d, new_d, blocking);
+    const std::vector<CandidatePair>& candidates, double min_threshold) {
   std::vector<ScoredPair> kept;
   size_t next = 0;  // first candidate of the current old record
   for (RecordId o = 0; o < old_d.num_records(); ++o) {
@@ -358,12 +358,14 @@ TEST_P(PreMatchingClusterOracleTest, MultiShardStoreMatchesOracle) {
   const SyntheticPair pair = GenerateCensusPair(gen, 2);
   const CensusDataset& old_d = pair.old_dataset;
   const CensusDataset& new_d = pair.new_dataset;
-  ASSERT_GT(CandidateBatches(old_d, new_d, config.blocking).size(), 1u);
+  ASSERT_GT(CandidateIndex(old_d, new_d, config.blocking).num_shards(), 1u);
   SimilarityFunction f = config.sim_func;
   f.set_year_gap(new_d.year() - old_d.year());
   const PreMatcher pm(old_d, new_d, f, config.blocking, config.delta_low);
   const std::vector<ScoredPair> kept = ExpectStoreMatchesOracle(
-      pm, old_d, new_d, f, config.blocking, config.delta_low);
+      pm, old_d, new_d, f,
+      testing_oracle::HashBlockingPairs(old_d, new_d, config.blocking.passes),
+      config.delta_low);
   const std::vector<bool> all_old(old_d.num_records(), true);
   const std::vector<bool> all_new(new_d.num_records(), true);
   const Clustering got = pm.Cluster(config.delta_high, all_old, all_new);
@@ -405,10 +407,11 @@ TEST_P(PreMatchingClusterOracleTest, MatchesBruteForceUnionFind) {
     // oracle for the configured index) with its exact aggregate, or kPruned
     // below δ_low; the kept pairs are those reaching δ_low, in (old, new)
     // order.
-    const std::vector<ScoredPair> kept =
-        ExpectStoreMatchesOracle(pm, old_d, new_d, f,
-                                 BlockingConfig::MakeDefault(),
-                                 config.delta_low);
+    const std::vector<ScoredPair> kept = ExpectStoreMatchesOracle(
+        pm, old_d, new_d, f,
+        testing_oracle::HashBlockingPairs(old_d, new_d,
+                                          config.blocking.passes),
+        config.delta_low);
 
     const size_t n_old = old_d.num_records();
     const size_t n_new = new_d.num_records();

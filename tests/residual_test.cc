@@ -123,9 +123,8 @@ ResidualOutcome RunResidual(const CensusDataset& old_d,
 
 // LinkCensusPair hands the pre-matching store's active candidates to the
 // global residual pass instead of blocking again; on every scenario preset
-// that must give exactly the links of the BlockingConfig form, with hash
-// blocking and with the configured default, for all records active and for
-// a third of them already matched.
+// that must give exactly the links of the BlockingConfig form, for all
+// records active and for a third of them already matched.
 TEST(ResidualTest, PreMatcherActiveCandidatesGiveTheBlockingConfigLinks) {
   const LinkageConfig config = configs::DefaultConfig();
   for (const ScenarioPreset& preset : ScenarioPresets()) {
@@ -160,16 +159,13 @@ TEST(ResidualTest, PreMatcherActiveCandidatesGiveTheBlockingConfigLinks) {
           pm.ActiveCandidates(old_masks[m], new_masks[m]), old_masks[m],
           new_masks[m]);
       EXPECT_GT(got.added, 0u);
-      for (const BlockingConfig& blocking :
-           {BlockingConfig::MakeDefault(), config.blocking}) {
-        const ResidualOutcome want = RunResidual(
-            old_d, new_d, f_rem, blocking, old_masks[m], new_masks[m]);
-        EXPECT_EQ(got.added, want.added);
-        EXPECT_EQ(got.records, want.records);
-        EXPECT_EQ(got.groups, want.groups);
-        EXPECT_EQ(got.active_old, want.active_old);
-        EXPECT_EQ(got.active_new, want.active_new);
-      }
+      const ResidualOutcome want = RunResidual(
+          old_d, new_d, f_rem, config.blocking, old_masks[m], new_masks[m]);
+      EXPECT_EQ(got.added, want.added);
+      EXPECT_EQ(got.records, want.records);
+      EXPECT_EQ(got.groups, want.groups);
+      EXPECT_EQ(got.active_old, want.active_old);
+      EXPECT_EQ(got.active_new, want.active_new);
     }
   }
 }

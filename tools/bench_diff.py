@@ -10,10 +10,12 @@ Usage:
 
 Comparison policy, per metric class:
 
-  options     scale/seed/pair/blocking/scenario must match exactly —
-              otherwise the two runs measured different experiments
-              (exit 2, not 1). A missing scenario reads as "default", so
-              pre-scenario baselines stay comparable. Options ending in
+  options     scale/seed/pair/scenario must match exactly — otherwise the
+              two runs measured different experiments (exit 2, not 1). A
+              missing scenario reads as "default", so pre-scenario
+              baselines stay comparable. The retired "blocking" option
+              (hash or index, which emit the same candidates) is not part
+              of a run's identity. Options ending in
               "hash" (scenario content hashes) must match exactly when
               both sides carry them; one-sided is a note.
   quality     byte-deterministic at fixed options, so every counted field
@@ -44,7 +46,7 @@ import sys
 
 # Options that define the experiment; a mismatch means the comparison is
 # meaningless rather than a regression.
-IDENTITY_OPTIONS = ("scale", "seed", "pair", "blocking", "scenario")
+IDENTITY_OPTIONS = ("scale", "seed", "pair", "scenario")
 # Absent identity options read as these values, so baselines written before
 # an option existed remain comparable without regeneration.
 IDENTITY_DEFAULTS = {"scenario": "default"}
@@ -279,8 +281,7 @@ def _fixture_report() -> dict:
         "build": {"git_sha": "abc", "compiler": "GNU 12.2.0", "flags": "",
                   "build_type": "Release", "preset": "release",
                   "hostname": "h", "threads": 1},
-        "options": {"scale": 0.125, "seed": 42, "pair": 2,
-                    "threads": 1, "blocking": "hash"},
+        "options": {"scale": 0.125, "seed": 42, "pair": 2, "threads": 1},
         "scalars": {"link_seconds": 2.0, "record_links": 900.0},
         "quality": {"default.record": {
             "precision": 0.9, "recall": 0.8, "f_measure": 0.847,
@@ -355,6 +356,12 @@ def selftest() -> int:
     other = _fixture_report()
     other["options"]["scale"] = 0.25
     expect("option mismatch", _fixture_report(), other, True)
+
+    # Baselines written while a --blocking option chose between hash
+    # blocking and the index (the same candidate set) stay comparable.
+    legacy = _fixture_report()
+    legacy["options"]["blocking"] = "hash"
+    expect("retired blocking option", legacy, _fixture_report(), False)
 
     # The fixture predates --scenario; an explicit "default" run must still
     # compare clean against it, while a real scenario must not.

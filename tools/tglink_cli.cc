@@ -22,15 +22,12 @@
 //
 //   tglink_cli link --old FILE --old-year Y1 --new FILE --new-year Y2
 //              --out MAPPINGS [--delta-low F] [--alpha F] [--beta F]
-//              [--non-iterative] [--omega1] [--threads N]
-//              [--blocking hash|index|exhaustive] [--heartbeat S]
+//              [--non-iterative] [--omega1] [--threads N] [--heartbeat S]
 //              [--report FILE] [--trace FILE]
 //       Runs iterative record and group linkage, writes the mappings CSV;
 //       --threads picks the worker count (1 = serial, 0 = hardware; the
-//       mappings are identical either way), --blocking selects candidate
-//       generation (index = inverted candidate index: the same candidate
-//       set as hash blocking, faster at scale), --report writes a
-//       RunReport JSON, --trace a Chrome trace.
+//       mappings are identical either way), --report writes a RunReport
+//       JSON, --trace a Chrome trace.
 //
 //   tglink_cli evaluate --old FILE --old-year Y1 --new FILE --new-year Y2
 //              --mappings FILE --gold FILE [--protocol full|verified]
@@ -294,20 +291,6 @@ int CmdStats(const Args& args) {
 
 LinkageConfig ConfigFromArgs(const Args& args) {
   LinkageConfig config = configs::DefaultConfig();
-  const std::string blocking = args.Get("blocking", "hash");
-  if (blocking == "hash") {
-    config.blocking = BlockingConfig::MakeDefault();
-  } else if (blocking == "index") {
-    config.blocking = BlockingConfig::MakeInvertedIndex();
-  } else if (blocking == "exhaustive") {
-    config.blocking = BlockingConfig::MakeExhaustive();
-  } else {
-    std::fprintf(stderr,
-                 "bad value '%s' for --blocking (expected hash, index or "
-                 "exhaustive)\n",
-                 blocking.c_str());
-    std::exit(2);
-  }
   if (args.Has("omega1")) config.sim_func = configs::Omega1();
   config.delta_low = args.GetDouble("delta-low", config.delta_low);
   config.delta_high = args.GetDouble("delta-high", config.delta_high);
