@@ -66,36 +66,33 @@ void BM_Soundex(benchmark::State& state) {
 BENCHMARK(BM_Soundex);
 
 // Scalar measure vs batched kernel, per measure: state.range(0) selects the
-// variant (0 = scalar ComputeMeasure, 1 = batched without pruning, 2 =
-// batched under a 0.7 cutoff), so each kernel reports three comparable rows.
+// variant (0 = scalar ComputeMeasure, 1 = batched), so each kernel reports
+// two comparable rows.
 void BM_KernelVsScalar(benchmark::State& state, Measure measure) {
-  const int variant = static_cast<int>(state.range(0));
-  const double min_sim = variant == 2 ? 0.7 : 0.0;
+  const bool batched = state.range(0) == 1;
   size_t i = 0;
   for (auto _ : state) {
     const auto& pair = kNamePairs[i++ % std::size(kNamePairs)];
     benchmark::DoNotOptimize(
-        variant == 0 ? ComputeMeasure(measure, pair[0], pair[1])
-                     : simkernel::BatchMeasure(measure, pair[0], pair[1],
-                                               min_sim));
+        batched ? simkernel::BatchMeasure(measure, pair[0], pair[1])
+                : ComputeMeasure(measure, pair[0], pair[1]));
   }
-  state.SetLabel(variant == 0 ? "scalar"
-                              : (variant == 1 ? "batched" : "batched@0.7"));
+  state.SetLabel(batched ? "batched" : "scalar");
 }
 BENCHMARK_CAPTURE(BM_KernelVsScalar, qgram_dice, Measure::kQGramDice)
-    ->Arg(0)->Arg(1)->Arg(2);
+    ->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_KernelVsScalar, trigram_dice, Measure::kTrigramDice)
-    ->Arg(0)->Arg(1)->Arg(2);
+    ->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_KernelVsScalar, levenshtein, Measure::kLevenshtein)
-    ->Arg(0)->Arg(1)->Arg(2);
+    ->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_KernelVsScalar, damerau, Measure::kDamerau)
-    ->Arg(0)->Arg(1)->Arg(2);
+    ->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_KernelVsScalar, jaro, Measure::kJaro)
-    ->Arg(0)->Arg(1)->Arg(2);
+    ->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_KernelVsScalar, jaro_winkler, Measure::kJaroWinkler)
-    ->Arg(0)->Arg(1)->Arg(2);
+    ->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_KernelVsScalar, soundex, Measure::kSoundexEqual)
-    ->Arg(0)->Arg(1)->Arg(2);
+    ->Arg(0)->Arg(1);
 
 /// One fully configured record-pair similarity (ω2, five attributes).
 void BM_AggregateSimilarity(benchmark::State& state) {

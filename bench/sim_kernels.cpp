@@ -2,23 +2,24 @@
 // BENCH_sim_kernels.json.
 //
 // Three sections:
-//   * per-kernel microbench, at --scale: ns/op for the scalar measure, the
-//     batched kernel without pruning, and the batched kernel under a 0.7
-//     cutoff, over value pairs drawn from the synthetic generator's name /
-//     address vocabularies (real length distributions, not toy constants) —
-//     after asserting the batched kernel reproduces the scalar doubles
-//     bit-for-bit on every sampled pair;
+//   * per-kernel microbench, at --scale: the scalar measure against the
+//     batched kernel over value pairs drawn from the synthetic generator's
+//     name / address vocabularies (real length distributions, not toy
+//     constants) — after asserting the batched kernel reproduces the scalar
+//     doubles bit-for-bit on every sampled pair. The report holds each
+//     variant's best loop time over the sample (micro.<kernel>.*_seconds);
+//     ns/op is printed only;
 //   * pre-matching stage timing, at --scale (check-in runs use --scale=1.0,
 //     the paper's full Rawtenstall size): best-of-N SimBatch row scoring and
 //     PreMatcher construction, after asserting the PreMatcher keeps exactly
 //     the candidates whose fn.AggregateSimilarity reaches delta_low, with
-//     the same bits, plus the simkernel.* pruning-counter breakdown of one
-//     build;
+//     the same bits;
 //   * quality twin, always at the table5 reference point (scale 0.25,
 //     seed 42, pair 2): the four table5_iterative configurations re-run with
-//     the batched kernels. Because the kernels are bit-identical and pruning
-//     is keep-set-exact, the resulting "quality" block must be byte-identical
-//     to BENCH_table5_iterative.json's.
+//     the batched kernels. Because the kernels are bit-identical and the
+//     threshold keeps exactly the pairs whose exact aggregate reaches it,
+//     the resulting "quality" block must be byte-identical to
+//     BENCH_table5_iterative.json's.
 //
 //   ./sim_kernels [--scale=1.0] [--seed=42] [--report=FILE]
 
@@ -32,7 +33,6 @@
 #include "bench_common.h"
 #include "tglink/eval/report.h"
 #include "tglink/linkage/prematching.h"
-#include "tglink/obs/metrics.h"
 #include "tglink/similarity/batch_kernels.h"
 #include "tglink/similarity/sim_batch.h"
 
@@ -77,10 +77,6 @@ std::vector<std::pair<std::string_view, std::string_view>> SampleValuePairs(
   return samples;
 }
 
-uint64_t CounterValue(const char* name) {
-  return obs::GlobalMetrics().GetCounter(name).Value();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,28 +104,18 @@ int main(int argc, char** argv) {
       {"soundex", Measure::kSoundexEqual},
   };
   constexpr size_t kSamplePairs = 4096;
-  constexpr double kMicroCutoff = 0.7;
   constexpr int kReps = 5;
   const auto samples = SampleValuePairs(pair, kSamplePairs);
 
   // Bit-identity sanity before timing anything: the batched kernel must
-  // return the scalar measure's exact double on every sampled pair, and
-  // under the cutoff it may only replace values provably below it.
+  // return the scalar measure's exact double on every sampled pair.
   for (const KernelRow& k : kernels) {
     for (const auto& [a, b] : samples) {
       const double expected = ComputeMeasure(k.measure, a, b);
-      const double got = simkernel::BatchMeasure(k.measure, a, b, 0.0);
+      const double got = simkernel::BatchMeasure(k.measure, a, b);
       if (got != expected) {
         std::fprintf(stderr, "FATAL: %s batched %.17g != scalar %.17g\n",
                      k.slug, got, expected);
-        return 1;
-      }
-      const double pruned =
-          simkernel::BatchMeasure(k.measure, a, b, kMicroCutoff);
-      if (pruned != expected &&
-          !(pruned == simkernel::kBelowMinSim && expected < kMicroCutoff)) {
-        std::fprintf(stderr, "FATAL: %s pruning unsound (%.17g vs %.17g)\n",
-                     k.slug, pruned, expected);
         return 1;
       }
     }
@@ -138,52 +124,32 @@ int main(int argc, char** argv) {
               kernels.size(), samples.size());
 
   TextTable micro;
-  micro.SetHeader({"kernel", "scalar ns", "batched ns", "pruned ns",
-                   "speedup", "prune rate"});
+  micro.SetHeader({"kernel", "scalar ns", "batched ns", "speedup"});
   double sink = 0.0;  // keeps the timed loops from being optimized away
   for (const KernelRow& k : kernels) {
-    double best[3] = {0.0, 0.0, 0.0};  // scalar, batched, batched@cutoff
+    double best[2] = {0.0, 0.0};  // scalar, batched
     for (int rep = 0; rep < kReps; ++rep) {
-      for (int variant = 0; variant < 3; ++variant) {
+      for (int variant = 0; variant < 2; ++variant) {
         Timer timer;
         for (const auto& [a, b] : samples) {
-          sink += variant == 0
-                      ? ComputeMeasure(k.measure, a, b)
-                      : simkernel::BatchMeasure(
-                            k.measure, a, b,
-                            variant == 1 ? 0.0 : kMicroCutoff);
+          sink += variant == 0 ? ComputeMeasure(k.measure, a, b)
+                               : simkernel::BatchMeasure(k.measure, a, b);
         }
         const double s = timer.ElapsedSeconds();
         if (rep == 0 || s < best[variant]) best[variant] = s;
       }
     }
-    size_t pruned_pairs = 0;
-    for (const auto& [a, b] : samples) {
-      if (simkernel::BatchMeasure(k.measure, a, b, kMicroCutoff) ==
-          simkernel::kBelowMinSim) {
-        ++pruned_pairs;
-      }
-    }
-    const double per_op = 1e9 / static_cast<double>(samples.size());
-    const double scalar_ns = best[0] * per_op;
-    const double batched_ns = best[1] * per_op;
-    const double pruned_ns = best[2] * per_op;
-    const double speedup = scalar_ns / batched_ns;
-    const double prune_rate =
-        static_cast<double>(pruned_pairs) / static_cast<double>(samples.size());
     const std::string key = std::string("micro.") + k.slug;
-    report.AddScalar(key + ".scalar_ns", scalar_ns)
-        .AddScalar(key + ".batched_ns", batched_ns)
-        .AddScalar(key + ".pruned_ns", pruned_ns)
-        .AddScalar(key + ".speedup", speedup)
-        .AddScalar(key + ".prune_rate", prune_rate);
-    micro.AddRow({k.slug, TextTable::Fixed(scalar_ns, 1),
-                  TextTable::Fixed(batched_ns, 1),
-                  TextTable::Fixed(pruned_ns, 1), TextTable::Fixed(speedup, 2),
-                  TextTable::Percent(prune_rate)});
+    report.AddScalar(key + ".scalar_seconds", best[0])
+        .AddScalar(key + ".batched_seconds", best[1]);
+    const double per_op = 1e9 / static_cast<double>(samples.size());
+    micro.AddRow({k.slug, TextTable::Fixed(best[0] * per_op, 1),
+                  TextTable::Fixed(best[1] * per_op, 1),
+                  TextTable::Fixed(best[0] / best[1], 2)});
   }
   std::fputs(micro.ToString().c_str(), stdout);
-  std::printf("(cutoff %.2f; checksum %.3f)\n\n", kMicroCutoff, sink);
+  std::printf("(best of %d loops over %zu pairs; checksum %.3f)\n\n", kReps,
+              samples.size(), sink);
 
   // ---- Pre-matching stage timing at --scale ------------------------------
   const LinkageConfig config = configs::DefaultConfig();
@@ -244,8 +210,8 @@ int main(int argc, char** argv) {
   table.SetHeader({"stage", "best s", "mean s", "pairs/s (best)"});
   const auto add_timing = [&](const char* stage, const std::string& key,
                               double best, double sum) {
-    report.AddScalar(key + ".best_s", best)
-        .AddScalar(key + ".mean_s", sum / kReps);
+    report.AddScalar(key + ".best_seconds", best)
+        .AddScalar(key + ".mean_seconds", sum / kReps);
     table.AddRow({stage, TextTable::Fixed(best, 3),
                   TextTable::Fixed(sum / kReps, 3),
                   std::to_string(static_cast<size_t>(
@@ -288,34 +254,6 @@ int main(int argc, char** argv) {
     add_timing("full PreMatcher", "timing.prematch.batched", best, sum);
   }
   std::fputs(table.ToString().c_str(), stdout);
-
-  // Pruning breakdown of one build, from the simkernel.* counters.
-  {
-    const char* const names[] = {
-        "simkernel.screened",          "simkernel.pruned_by_length",
-        "simkernel.pruned_by_profile", "simkernel.pruned_by_coverage",
-        "simkernel.pruned_by_cutoff"};
-    uint64_t before[std::size(names)];
-    for (size_t i = 0; i < std::size(names); ++i) {
-      before[i] = CounterValue(names[i]);
-    }
-    const PreMatcher pm(pair.old_dataset, pair.new_dataset, sim_func,
-                        config.blocking, config.delta_low);
-    sink += static_cast<double>(pm.scored_pairs().size());
-    const double screened =
-        static_cast<double>(CounterValue(names[0]) - before[0]);
-    std::printf("pruning breakdown over %.0f screened pairs:\n", screened);
-    for (size_t i = 1; i < std::size(names); ++i) {
-      const double count = static_cast<double>(CounterValue(names[i]) -
-                                               before[i]);
-      const double rate = screened > 0.0 ? count / screened : 0.0;
-      report.AddScalar(std::string("pruning.") + (names[i] + 10) + "_rate",
-                       rate);
-      std::printf("  %-28s %8.0f  (%s)\n", names[i] + 10, count,
-                  TextTable::Percent(rate).c_str());
-    }
-    report.AddScalar("pruning.screened", screened);
-  }
 
   // ---- Quality twin at the table5 reference point ------------------------
   // Fixed at scale 0.25 / seed 42 / pair 2 regardless of --scale so the

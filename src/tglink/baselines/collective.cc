@@ -87,10 +87,10 @@ RecordMapping CollectiveLink(const CensusDataset& old_dataset,
 
   // Score candidates once; apply the age filter and the similarity floor.
   // Scoring fans out over the shared pool through the batched kernels with
-  // the similarity floor passed down as the pruning cutoff; the -1
-  // sentinel marks both age-filtered and bound-pruned pairs (kPruned is
-  // also -1 and pruning is sound), so the serial merge below keeps exactly
-  // what the exact serial loop kept, in the same order.
+  // the similarity floor passed down as the cutoff; the -1 sentinel marks
+  // both age-filtered pairs and pairs below the floor (kPruned is also -1),
+  // so the serial merge below keeps exactly what the exact serial loop
+  // kept, in the same order.
   const std::vector<CandidatePair> raw_candidates =
       GenerateCandidatePairs(old_dataset, new_dataset, config.blocking);
   const SimBatch sim_batch(sim_func, old_dataset, new_dataset);

@@ -69,8 +69,7 @@ PreMatcher::Segment PreMatcher::ScoreBatch(const CandidateIndex& index,
   // Score chunks in parallel, one old-record row at a time: each chunk
   // writes its own slice of the segment (a chunk may split a row; the next
   // chunk reloads the old side). Pairs below min_threshold come back as
-  // SimBatch::kPruned or as their exact value; both are stored as kPruned,
-  // so the store does not depend on where the bounds pruned. Each chunk
+  // SimBatch::kPruned and are stored as kPruned. Each chunk
   // tallies its kept similarities locally and adds them to the histogram
   // and the kept count once.
   Segment seg;

@@ -26,11 +26,11 @@
 // inactive old records wholesale. PairSimilarity binary-searches a row: a
 // kept pair (sim >= min_threshold) answers its stored value. Any other
 // pair — a "prematch miss": not a blocking candidate, or one scored below
-// min_threshold — is scored on demand through the thresholded kernels,
-// which may answer SimBatch::kPruned when the pair provably cannot reach
-// the caller's cutoff. The global residual pass takes the candidates
-// between still-active records (ActiveCandidates), so a census pair is
-// blocked once.
+// min_threshold — is scored on demand through SimBatch's threshold entry
+// point, which answers SimBatch::kPruned when the pair's exact aggregate
+// is below the caller's cutoff. The global residual pass takes the
+// candidates between still-active records (ActiveCandidates), so a census
+// pair is blocked once.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
@@ -189,9 +189,8 @@ class PreMatcher {
   /// search in the old record's row. Any other pair is a miss, counted as
   /// "simcache.prematch_miss" and scored through
   /// SimBatch::AggregateWithThreshold(old_id, new_id, min_sim): the exact
-  /// aggregate, or SimBatch::kPruned when the batched bounds prove it is
-  /// below `min_sim`. With min_sim <= 0 every answer is exact. Safe to
-  /// call concurrently.
+  /// aggregate, or SimBatch::kPruned when it is below `min_sim`. With
+  /// min_sim <= 0 every answer is exact. Safe to call concurrently.
   [[nodiscard]] PairSim PairSimilarity(RecordId old_id, RecordId new_id,
                                        double min_sim) const;
 

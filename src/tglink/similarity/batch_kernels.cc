@@ -16,9 +16,10 @@ namespace {
 /// Myers' bit-parallel algorithm handles patterns up to one machine word.
 constexpr uint32_t kMyersMaxPattern = 64;
 
-/// Reusable per-thread buffers: DP rows for the banded/Damerau paths,
-/// matched flags for Jaro, gram profiles for BatchMeasure. Cleared (not
-/// freed) between calls, so steady-state kernel calls never touch the heap.
+/// Reusable per-thread buffers: DP rows for the long Levenshtein and the
+/// Damerau paths, matched flags for Jaro, gram profiles for BatchMeasure.
+/// Cleared (not freed) between calls, so steady-state kernel calls never
+/// touch the heap.
 struct KernelScratch {
   uint64_t peq[256] = {};  // Myers pattern masks; zeroed after every use
   std::vector<int> row;
@@ -71,39 +72,24 @@ int MyersDistance(StringRef pattern, StringRef text) {
   return score;
 }
 
-/// Ukkonen-banded Levenshtein: exact distance when it is <= cap, any value
-/// > cap otherwise. With cap >= max(la, lb) the band covers the full table
-/// and this is a scratch-row rewrite of the scalar DP.
-int BandedLevenshtein(StringRef a, StringRef b, int cap) {
-  if (a.len < b.len) std::swap(a, b);  // b is the shorter string
-  const int la = static_cast<int>(a.len);
-  const int lb = static_cast<int>(b.len);
-  if (la - lb > cap) return cap + 1;
-  const int inf = cap + 1;
+/// Levenshtein distance by the scalar DP on one thread-local row, for
+/// pairs whose shorter string is too long for Myers.
+int RowLevenshtein(StringRef a, StringRef b) {
+  if (a.len < b.len) std::swap(a, b);  // b, the shorter string, is the row
   std::vector<int>& row = Scratch().row;
-  row.resize(static_cast<size_t>(lb) + 1);
-  for (int j = 0; j <= lb; ++j) row[j] = (j <= cap) ? j : inf;
-  for (int i = 1; i <= la; ++i) {
-    const int lo = std::max(1, i - cap);
-    const int hi = std::min(lb, i + cap);
-    int diag = row[lo - 1];  // row[i-1][lo-1], inside the previous band
-    // Left boundary cell row[i][lo-1]: the real column-0 value while the
-    // band still touches it, out-of-band (= inf) once it has moved on.
-    int left = (lo == 1 && i <= cap) ? i : inf;
-    row[lo - 1] = left;
-    for (int j = lo; j <= hi; ++j) {
-      // Column i+cap was outside the previous row's band; its stored value
-      // is stale and must read as inf.
-      const int up = (j == i + cap) ? inf : row[j];
+  row.resize(static_cast<size_t>(b.len) + 1);
+  for (uint32_t j = 0; j <= b.len; ++j) row[j] = static_cast<int>(j);
+  for (uint32_t i = 1; i <= a.len; ++i) {
+    int diag = row[0];  // row[i-1][j-1]
+    row[0] = static_cast<int>(i);
+    for (uint32_t j = 1; j <= b.len; ++j) {
+      const int up = row[j];
       const int cost = (a.data[i - 1] == b.data[j - 1]) ? 0 : 1;
-      int v = std::min({up + 1, left + 1, diag + cost});
-      if (v > inf) v = inf;
-      row[j] = v;
-      left = v;
+      row[j] = std::min({up + 1, row[j - 1] + 1, diag + cost});
       diag = up;
     }
   }
-  return row[lb];
+  return row[b.len];
 }
 
 /// Same expression as edit_distance.cc's NormalizedSimilarity.
@@ -115,77 +101,27 @@ double NormalizedEditSimilarity(int dist, size_t la, size_t lb) {
 
 }  // namespace
 
-double EditUpperBound(size_t la, size_t lb) {
-  const size_t longest = std::max(la, lb);
-  if (longest == 0) return 1.0;
-  const size_t diff = la > lb ? la - lb : lb - la;
-  return 1.0 - static_cast<double>(diff) / static_cast<double>(longest);
-}
-
-double JaroUpperBound(size_t la, size_t lb) {
-  if (la == 0 || lb == 0) return la == lb ? 1.0 : 0.0;
-  // jaro = (m/la + m/lb + (m - t/2)/m) / 3 with m <= min(la, lb) and
-  // t >= 0; every term is monotone, so evaluate at m = min, t = 0.
-  const double m = static_cast<double>(std::min(la, lb));
-  return (m / static_cast<double>(la) + m / static_cast<double>(lb) + 1.0) /
-         3.0;
-}
-
-double JaroWinklerUpperBound(size_t la, size_t lb) {
-  const double jaro = JaroUpperBound(la, lb);
-  // Same expression shape as the kernel, at prefix = 4, scale = 0.1.
-  return jaro + 4.0 * 0.1 * (1.0 - jaro);
-}
-
-double DiceUpperBound(size_t na, size_t nb) {
-  if (na + nb == 0) return 1.0;
-  const double common = static_cast<double>(std::min(na, nb));
-  return 2.0 * common / static_cast<double>(na + nb);
-}
-
-double LevenshteinKernel(StringRef a, StringRef b, double min_sim) {
+double LevenshteinKernel(StringRef a, StringRef b) {
   if (a.len == 0 && b.len == 0) return 1.0;
   if (a.len == 0 || b.len == 0) return 0.0;
   const size_t la = a.len;
   const size_t lb = b.len;
-  if (min_sim > 0.0 && EditUpperBound(la, lb) < min_sim - kPruneMargin) {
-    TGLINK_COUNTER_INC("simkernel.pruned_by_length");
-    return kBelowMinSim;
-  }
-  const size_t longest = std::max(la, lb);
   int dist = 0;
   if (std::min(la, lb) <= kMyersMaxPattern) {
     TGLINK_COUNTER_INC("simkernel.myers_hits");
     dist = la <= lb ? MyersDistance(a, b) : MyersDistance(b, a);
   } else {
     TGLINK_COUNTER_INC("simkernel.fallback_hits");
-    // dist > cap proves sim < min_sim with >= 1/longest to spare: cap + 1
-    // exceeds (1 - min_sim) * longest even after fp rounding of the product.
-    const int cap =
-        min_sim > 0.0
-            ? std::min(static_cast<int>(longest),
-                       static_cast<int>((1.0 - min_sim) *
-                                        static_cast<double>(longest)) +
-                           1)
-            : static_cast<int>(longest);
-    dist = BandedLevenshtein(a, b, cap);
-    if (dist > cap) {
-      TGLINK_COUNTER_INC("simkernel.pruned_by_length");
-      return kBelowMinSim;
-    }
+    dist = RowLevenshtein(a, b);
   }
   return NormalizedEditSimilarity(dist, la, lb);
 }
 
-double DamerauKernel(StringRef a, StringRef b, double min_sim) {
+double DamerauKernel(StringRef a, StringRef b) {
   if (a.len == 0 && b.len == 0) return 1.0;
   if (a.len == 0 || b.len == 0) return 0.0;
   const size_t n = a.len;
   const size_t m = b.len;
-  if (min_sim > 0.0 && EditUpperBound(n, m) < min_sim - kPruneMargin) {
-    TGLINK_COUNTER_INC("simkernel.pruned_by_length");
-    return kBelowMinSim;
-  }
   // Same recurrence as edit_distance.cc's DamerauDistance, on thread-local
   // rolling rows.
   KernelScratch& scratch = Scratch();
@@ -212,14 +148,9 @@ double DamerauKernel(StringRef a, StringRef b, double min_sim) {
   return NormalizedEditSimilarity(prev[m], n, m);
 }
 
-double JaroKernel(StringRef a, StringRef b, double min_sim) {
+double JaroKernel(StringRef a, StringRef b) {
   if (a.len == 0 && b.len == 0) return 1.0;
   if (a.len == 0 || b.len == 0) return 0.0;
-  if (min_sim > 0.0 &&
-      JaroUpperBound(a.len, b.len) < min_sim - kPruneMargin) {
-    TGLINK_COUNTER_INC("simkernel.pruned_by_length");
-    return kBelowMinSim;
-  }
   if (a.view() == b.view()) return 1.0;
 
   // Identical match/transposition loops to jaro.cc, with thread-local
@@ -259,18 +190,12 @@ double JaroKernel(StringRef a, StringRef b, double min_sim) {
   return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
 }
 
-double JaroWinklerKernel(StringRef a, StringRef b, double min_sim) {
+double JaroWinklerKernel(StringRef a, StringRef b) {
   if (a.len == 0 && b.len == 0) return 1.0;
   if (a.len == 0 || b.len == 0) return 0.0;
-  if (min_sim > 0.0 &&
-      JaroWinklerUpperBound(a.len, b.len) < min_sim - kPruneMargin) {
-    TGLINK_COUNTER_INC("simkernel.pruned_by_length");
-    return kBelowMinSim;
-  }
-  // Winkler boost is nonnegative, so the inner Jaro must not prune at the
-  // Jaro-Winkler cutoff; pass 0 and apply the same formula as jaro.cc with
-  // the default 0.1 prefix scale (the only one ComputeMeasure uses).
-  const double jaro = JaroKernel(a, b, 0.0);
+  // The same formula as jaro.cc with the default 0.1 prefix scale (the only
+  // one ComputeMeasure uses).
+  const double jaro = JaroKernel(a, b);
   constexpr double kPrefixScale = 0.1;
   size_t prefix = 0;
   const size_t limit =
@@ -281,12 +206,8 @@ double JaroWinklerKernel(StringRef a, StringRef b, double min_sim) {
 }
 
 double DiceProfileKernel(const uint32_t* a, size_t na, const uint32_t* b,
-                         size_t nb, double min_sim) {
+                         size_t nb) {
   TGLINK_DCHECK(na > 0 && nb > 0) << "Dice profiles must be non-empty";
-  if (min_sim > 0.0 && DiceUpperBound(na, nb) < min_sim - kPruneMargin) {
-    TGLINK_COUNTER_INC("simkernel.pruned_by_profile");
-    return kBelowMinSim;
-  }
   // Branchless merge: the order of two profile codes is unpredictable, so
   // each step advances by comparison results instead of branching on them.
   // The steps (and so the count) are those of the three-way merge.
@@ -443,8 +364,7 @@ bool HasBatchKernel(Measure measure) {
   return false;
 }
 
-double BatchMeasure(Measure measure, std::string_view a, std::string_view b,
-                    double min_sim) {
+double BatchMeasure(Measure measure, std::string_view a, std::string_view b) {
   // ComputeMeasure's shared conventions, ahead of any dispatch.
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
@@ -463,16 +383,16 @@ double BatchMeasure(Measure measure, std::string_view a, std::string_view b,
       return DiceProfileKernel(scratch.profile_a.data(),
                                scratch.profile_a.size(),
                                scratch.profile_b.data(),
-                               scratch.profile_b.size(), min_sim);
+                               scratch.profile_b.size());
     }
     case Measure::kLevenshtein:
-      return LevenshteinKernel(MakeRef(a), MakeRef(b), min_sim);
+      return LevenshteinKernel(MakeRef(a), MakeRef(b));
     case Measure::kDamerau:
-      return DamerauKernel(MakeRef(a), MakeRef(b), min_sim);
+      return DamerauKernel(MakeRef(a), MakeRef(b));
     case Measure::kJaro:
-      return JaroKernel(MakeRef(a), MakeRef(b), min_sim);
+      return JaroKernel(MakeRef(a), MakeRef(b));
     case Measure::kJaroWinkler:
-      return JaroWinklerKernel(MakeRef(a), MakeRef(b), min_sim);
+      return JaroWinklerKernel(MakeRef(a), MakeRef(b));
     case Measure::kSoundexEqual:
       return Soundex(a) == Soundex(b) ? 1.0 : 0.0;
     case Measure::kMongeElkan:

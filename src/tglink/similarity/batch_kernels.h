@@ -1,4 +1,4 @@
-// Allocation-free batched similarity kernels with threshold-aware pruning.
+// Allocation-free batched similarity kernels.
 //
 // The scalar measures in edit_distance/jaro/qgram are exact but allocate on
 // every call (DP rows, matched-flag vectors, q-gram string multisets). The
@@ -7,17 +7,9 @@
 // (edit distances, match/transposition counts, gram intersection sizes) are
 // provably equal — while reading flat `StringRef` views and reusing
 // thread-local scratch buffers, so the pre-matching hot loop does no heap
-// work per pair.
-//
-// Threshold-aware pruning: each kernel takes a `min_sim` cutoff. When an
-// O(1) upper bound (length difference for the edit/Jaro family, gram-profile
-// counts for Dice) already proves the similarity cannot reach `min_sim`,
-// the kernel returns `kBelowMinSim` without running the comparison. The
-// bounds are evaluated with a `kPruneMargin` safety margin so floating-point
-// rounding can never reject a pair whose true similarity is >= min_sim
-// (pruned ⇒ true sim < min_sim, the invariant the property tests pin).
-// `min_sim <= 0` disables pruning and the kernels are then total functions,
-// bit-identical to their scalar counterparts.
+// work per pair. Every kernel is a total function: it always runs the full
+// comparison and returns the measure's value. Cutting a pair below a
+// threshold is the caller's job (SimBatch compares the exact aggregate).
 //
 // The scalar kernels remain the reference oracle; see
 // tests/similarity_kernel_property_test.cc.
@@ -50,67 +42,32 @@ inline StringRef MakeRef(std::string_view s) {
   return {s.data(), static_cast<uint32_t>(s.size())};
 }
 
-/// Sentinel for "provably below the min_sim cutoff". Real similarities are
-/// always in [0, 1], so the sentinel never collides with a value.
-inline constexpr double kBelowMinSim = -1.0;
-
-/// Safety margin for every pruning comparison: a bound only rejects when it
-/// is below `min_sim - kPruneMargin`, absorbing the (≤ a few ulps) rounding
-/// of the bound arithmetic so pruning is sound, never merely probable.
-inline constexpr double kPruneMargin = 1e-9;
-
-// ---------------------------------------------------------------------------
-// O(1) upper bounds. Each returns a value >= the corresponding similarity
-// as computed by the scalar kernel (in the same floating-point arithmetic,
-// so `computed_sim <= bound` holds ulp-for-ulp for the monotone formulas;
-// the kPruneMargin above covers the rest).
-
-/// Levenshtein/Damerau: dist >= |la - lb|, so sim <= 1 - |la-lb|/max.
-[[nodiscard]] double EditUpperBound(size_t la, size_t lb);
-
-/// Jaro: matches m <= min(la, lb) and the transposition term is <= 1, so
-/// jaro <= (2 + min/max) / 3.
-[[nodiscard]] double JaroUpperBound(size_t la, size_t lb);
-
-/// Jaro-Winkler with the default 0.1 prefix scale (the only configuration
-/// ComputeMeasure uses): jw = j + p*0.1*(1-j) is nondecreasing in both j
-/// and p, so plugging in the Jaro bound and p = 4 bounds it.
-[[nodiscard]] double JaroWinklerUpperBound(size_t la, size_t lb);
-
-/// Dice over gram profiles of sizes na, nb: |A∩B| <= min(na, nb), so
-/// dice <= 2*min/(na+nb).
-[[nodiscard]] double DiceUpperBound(size_t na, size_t nb);
-
 // ---------------------------------------------------------------------------
 // Kernels. Empty-string conventions mirror ComputeMeasure (both empty -> 1,
 // one empty -> 0); for non-empty inputs each returns exactly the scalar
-// measure's double, or kBelowMinSim when an O(1) bound (or the banded DP's
-// band overflow) proves the result is below min_sim.
+// measure's double.
 
 /// Myers bit-parallel edit distance when the shorter string fits one 64-bit
-/// word ("simkernel.myers_hits"), banded dynamic programming otherwise
-/// ("simkernel.fallback_hits"); the band is derived from min_sim.
-[[nodiscard]] double LevenshteinKernel(StringRef a, StringRef b,
-                                       double min_sim);
+/// word ("simkernel.myers_hits"), the scalar DP on one thread-local row
+/// otherwise ("simkernel.fallback_hits").
+[[nodiscard]] double LevenshteinKernel(StringRef a, StringRef b);
 
 /// Optimal-string-alignment distance on thread-local rolling rows (Myers
 /// has no transposition term, so Damerau stays a scratch-buffer DP).
-[[nodiscard]] double DamerauKernel(StringRef a, StringRef b, double min_sim);
+[[nodiscard]] double DamerauKernel(StringRef a, StringRef b);
 
 /// Jaro with thread-local matched-flag scratch instead of per-call
 /// std::vector<bool>.
-[[nodiscard]] double JaroKernel(StringRef a, StringRef b, double min_sim);
+[[nodiscard]] double JaroKernel(StringRef a, StringRef b);
 
 /// Jaro-Winkler over JaroKernel with the default 0.1 prefix scale.
-[[nodiscard]] double JaroWinklerKernel(StringRef a, StringRef b,
-                                       double min_sim);
+[[nodiscard]] double JaroWinklerKernel(StringRef a, StringRef b);
 
 /// Dice coefficient from two precomputed sorted gram profiles (see
 /// BuildPaddedGramProfile) via a branchless sorted merge. Both profiles
 /// must be non-empty (padded grams of non-empty strings always are).
 [[nodiscard]] double DiceProfileKernel(const uint32_t* a, size_t na,
-                                       const uint32_t* b, size_t nb,
-                                       double min_sim);
+                                       const uint32_t* b, size_t nb);
 
 /// Dice from a multiset intersection size and the two profile sizes: the
 /// expression of qgram.cc, 2|A∩B| / (|A|+|B|), shared by DiceProfileKernel
@@ -127,7 +84,7 @@ inline constexpr double kPruneMargin = 1e-9;
 /// adds min(count in va, count in vb) into common[vb] — the multiset
 /// intersection a sorted merge of the two profiles counts — for every
 /// posted vb at once, so DiceFromCommon(common[vb], |A|, |B|) equals
-/// DiceProfileKernel(A, B, 0) bit for bit. Counts are 32-bit, like the
+/// DiceProfileKernel(A, B) bit for bit. Counts are 32-bit, like the
 /// profile offsets, so no value's gram count can overflow them.
 class GramPostings {
  public:
@@ -191,13 +148,13 @@ void BuildPaddedGramProfile(std::string_view s, int q,
 // Standalone dispatch for property tests and microbenches: evaluates
 // `measure` on two plain strings through the batched kernels (building gram
 // profiles in thread-local scratch), with the same result as
-// ComputeMeasure(measure, a, b) or kBelowMinSim under pruning. Measures
-// without a batched kernel (Monge-Elkan, metaphone, Smith-Waterman, LCS)
-// fall through to ComputeMeasure and never prune.
+// ComputeMeasure(measure, a, b). Measures without a batched kernel
+// (Monge-Elkan, metaphone, Smith-Waterman, LCS) fall through to
+// ComputeMeasure.
 [[nodiscard]] double BatchMeasure(Measure measure, std::string_view a,
-                                  std::string_view b, double min_sim);
+                                  std::string_view b);
 
-/// True when `measure` has a batched kernel (and an O(1) upper bound).
+/// True when `measure` has a batched kernel.
 [[nodiscard]] bool HasBatchKernel(Measure measure);
 
 }  // namespace simkernel

@@ -66,6 +66,20 @@ std::vector<DiceAccumulator>& ThreadDiceAccumulators() {
   return accumulators;
 }
 
+/// What one scoring call did, added to the counters once at its end.
+struct CallTally {
+  uint64_t builds = 0;        // Dice accumulators built
+  uint64_t walked = 0;        // posting entries they walked
+  uint64_t merges = 0;        // Dice profile merges run
+  uint64_t memo_lookups = 0;  // string-kernel values looked up in the memo
+  uint64_t memo_hits = 0;     // ... and found there
+};
+
+void AddMemoCounters(const CallTally& tally) {
+  TGLINK_COUNTER_ADD("simkernel.memo_lookups", tally.memo_lookups);
+  TGLINK_COUNTER_ADD("simkernel.memo_hits", tally.memo_hits);
+}
+
 }  // namespace
 
 struct SimBatch::OldSide {
@@ -79,32 +93,16 @@ struct SimBatch::OldSide {
   MemoSlot* memo = nullptr;
   uint64_t memo_key = 0;
   // Dice plans in the row scorer: this thread's accumulator for va, or
-  // null where the run of pairs sharing va is merged pair by pair; the
-  // value whose run that choice covers (kNoRun before the first); and the
-  // profile merges run.
+  // null where the run of pairs sharing va is merged pair by pair; and the
+  // value whose run that choice covers (kNoRun before the first).
   const uint32_t* common = nullptr;
   uint32_t run_va = kNoRun;
-  uint64_t merges = 0;
 };
 
 struct SimBatch::RowScratch {
-  /// One spec's evaluation state for the pair being scored.
-  struct PairState {
-    double contrib_ub = 0.0;  // this spec's weighted contribution bound
-    double value = 0.0;       // exact value when `known`
-    uint32_t vb = 0;
-    bool present = false;
-    bool known = false;
-    bool missing_one = false;
-    bool missing_both = false;
-  };
-
   const PersonRecord* old_record = nullptr;
   std::vector<OldSide> old_side;  // per spec
-  uint64_t builds = 0;            // accumulators built, this span
-  uint64_t walked = 0;            // posting entries they walked
-  std::vector<PairState> pair;    // per spec
-  std::vector<double> rem_after;  // suffix sums of pair[].contrib_ub
+  CallTally tally;                // of the current call
 };
 
 SimBatch::SimBatch(const SimilarityFunction& fn,
@@ -119,7 +117,6 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
   TGLINK_TRACE_SPAN("simkernel.build_batch");
   TGLINK_MEM_STAGE("simkernel.build_batch");
   const std::vector<AttributeSpec>& specs = fn.specs();
-  for (const AttributeSpec& spec : specs) weight_total_ += spec.weight;
   plans_.resize(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     const AttributeSpec& spec = specs[i];
@@ -277,13 +274,13 @@ SimBatch::RowScratch& SimBatch::BindRowScratch() const {
   const size_t n = plans_.size();
   row.old_record = nullptr;
   row.old_side.resize(n);
-  row.pair.resize(n);
-  row.rem_after.resize(n);
+  row.tally = {};
   std::vector<std::vector<MemoSlot>>& memo = ThreadValuePairMemo();
   if (memo.size() < n) memo.resize(n);
   for (size_t i = 0; i < n; ++i) {
     OldSide& side = row.old_side[i];
     side.common = nullptr;  // single pairs always merge
+    side.run_va = kNoRun;
     MemoSlot*& slots = side.memo;
     slots = nullptr;
     switch (plans_[i].plan) {
@@ -385,7 +382,7 @@ double SimBatch::ExactInRow(RowScratch* row, RecordId new_id) const {
     uint32_t vb = 0;
     double s = O1Value(i, *row, new_id, rb, &vb, missing_one, missing_both);
     if (s == kNeedsKernel) {
-      s = PresentValue(i, &row->old_side[i], vb, /*kernel_min=*/0.0);
+      s = PresentValue(i, row, vb);
       TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
           << "batched measure " << MeasureName(fn_.specs()[i].measure)
           << " on " << FieldName(fn_.specs()[i].field) << " returned " << s;
@@ -394,164 +391,9 @@ double SimBatch::ExactInRow(RowScratch* row, RecordId new_id) const {
   });
 }
 
-double SimBatch::PrunedInRow(RowScratch* row, RecordId new_id,
-                             double min_sim) const {
-  const PersonRecord& rb = new_dataset_.record(new_id);
-  const std::vector<AttributeSpec>& specs = fn_.specs();
-  const MissingPolicy policy = fn_.missing_policy();
-
-  // Phase 1: missing flags, the O(1) exact values and per-component upper
-  // bounds. The missing pattern fully determines the Eq. 3 denominator and
-  // the coverage floor, so those are evaluated exactly here; only the
-  // present string and fallback components' values remain uncertain.
-  double weight_counted = 0.0;
-  double weight_covered = 0.0;
-  double ub_sum = 0.0;      // optimistic weighted sum, all bounds applied
-  double ub_len_sum = 0.0;  // ditto with gram-profile bounds relaxed to 1
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const double weight = specs[i].weight;
-    RowScratch::PairState& st = row->pair[i];
-    st = RowScratch::PairState{};
-    const double s = O1Value(i, *row, new_id, rb, &st.vb, &st.missing_one,
-                             &st.missing_both);
-    if (st.missing_one || st.missing_both) {
-      // AggregateWith's contribution for a missing component is an exact
-      // constant; fold it into both bound sums.
-      switch (policy) {
-        case MissingPolicy::kRedistribute:
-          if (!st.missing_both) weight_counted += weight;
-          break;
-        case MissingPolicy::kZero:
-          weight_counted += weight;
-          break;
-        case MissingPolicy::kNeutral:
-          weight_counted += weight;
-          st.contrib_ub = weight * 0.5;
-          break;
-      }
-      ub_sum += st.contrib_ub;
-      ub_len_sum += st.contrib_ub;
-      continue;
-    }
-    st.present = true;
-    weight_counted += weight;
-    weight_covered += weight;
-    st.known = s != kNeedsKernel;
-    st.value = s;
-    double ub = s;
-    double len_ub = s;
-    if (!st.known) ub = UpperBound(i, row->old_side[i], st.vb, &len_ub);
-    st.contrib_ub = weight * ub;
-    ub_sum += st.contrib_ub;
-    ub_len_sum += weight * len_ub;
-  }
-
-  // Structural zeroes: AggregateWith returns exactly 0.0 for these, and
-  // 0 < min_sim here, so rejecting is sound (and exact).
-  if (weight_counted <= 0.0 ||
-      (policy == MissingPolicy::kRedistribute &&
-       weight_covered < 0.5 * weight_total_)) {
-    TGLINK_COUNTER_INC("simkernel.pruned_by_coverage");
-    return kPruned;
-  }
-  const double denom =
-      policy == MissingPolicy::kRedistribute ? weight_counted : weight_total_;
-  // Reject only when the optimistic aggregate is below min_sim by more
-  // than the margin, so fp rounding of the bound arithmetic can never
-  // reject a pair whose exact aggregate reaches min_sim.
-  const double cutoff = (min_sim - simkernel::kPruneMargin) * denom;
-  if (ub_sum < cutoff) {
-    if (ub_len_sum < cutoff) {
-      TGLINK_COUNTER_INC("simkernel.pruned_by_length");
-    } else {
-      TGLINK_COUNTER_INC("simkernel.pruned_by_profile");
-    }
-    return kPruned;
-  }
-  // Suffix bounds: rem_after[i] = sum of contrib_ub over specs after i.
-  double acc = 0.0;
-  for (size_t i = specs.size(); i-- > 0;) {
-    row->rem_after[i] = acc;
-    acc += row->pair[i].contrib_ub;
-  }
-
-  // Phase 2: exact evaluation through the shared aggregation arithmetic,
-  // with a running cutoff handed to each kernel. Once `pruned` flips, the
-  // remaining components return 0 (their flags stay correct) and the
-  // aggregate is discarded.
-  bool pruned = false;
-  double exact_sum = 0.0;  // exact weighted contributions so far
-  const double agg = fn_.AggregateWith([&](size_t i, bool* missing_one,
-                                           bool* missing_both) -> double {
-    const RowScratch::PairState& st = row->pair[i];
-    *missing_one = st.missing_one;
-    *missing_both = st.missing_both;
-    if (!st.present) {
-      exact_sum += st.contrib_ub;  // the exact policy constant
-      return 0.0;
-    }
-    if (pruned) return 0.0;
-    const AttributeSpec& spec = specs[i];
-    double s = st.value;
-    if (!st.known) {
-      // Minimum value component i must reach for the pair to stay viable,
-      // given the exact sum so far and the remaining components' bounds.
-      const double needed = cutoff - exact_sum - row->rem_after[i];
-      const double kernel_min =
-          needed > 0.0 && spec.weight > 0.0 ? needed / spec.weight : 0.0;
-      s = PresentValue(i, &row->old_side[i], st.vb, kernel_min);
-      if (s == simkernel::kBelowMinSim) {
-        pruned = true;  // the kernel already counted the bound type
-        return 0.0;
-      }
-      TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
-          << "batched measure " << MeasureName(spec.measure) << " on "
-          << FieldName(spec.field) << " returned " << s;
-    }
-    exact_sum += spec.weight * s;
-    if (exact_sum + row->rem_after[i] < cutoff) {
-      pruned = true;
-      TGLINK_COUNTER_INC("simkernel.pruned_by_cutoff");
-    }
-    return s;
-  });
-  return pruned || agg < min_sim ? kPruned : agg;
-}
-
-double SimBatch::UpperBound(size_t spec_index, const OldSide& a,
-                            uint32_t vb, double* len_ub) const {
-  const SpecPlan& plan = plans_[spec_index];
-  const FieldTable& t = tables_[plan.table];
-  double ub = 1.0;
-  *len_ub = 1.0;
-  switch (plan.plan) {
-    case Plan::kBigramDice:
-    case Plan::kTrigramDice:
-      return simkernel::DiceUpperBound(a.grams.size,
-                                       t.Profile(plan.plan, vb).size);
-    case Plan::kLevenshtein:
-    case Plan::kDamerau:
-      ub = simkernel::EditUpperBound(a.ref.len, t.Ref(vb).len);
-      break;
-    case Plan::kJaro:
-      ub = simkernel::JaroUpperBound(a.ref.len, t.Ref(vb).len);
-      break;
-    case Plan::kJaroWinkler:
-      ub = simkernel::JaroWinklerUpperBound(a.ref.len, t.Ref(vb).len);
-      break;
-    case Plan::kAge:
-    case Plan::kExactId:
-    case Plan::kSoundex:
-    case Plan::kFallback:
-      break;  // exact in phase 1, or no sound bound (fallback)
-  }
-  *len_ub = ub;
-  return ub;
-}
-
-double SimBatch::PresentValue(size_t spec_index, OldSide* side, uint32_t vb,
-                              double kernel_min) const {
-  const OldSide& a = *side;
+double SimBatch::PresentValue(size_t spec_index, RowScratch* row,
+                              uint32_t vb) const {
+  const OldSide& a = row->old_side[spec_index];
   const SpecPlan& plan = plans_[spec_index];
   const FieldTable& t = tables_[plan.table];
   if (plan.plan == Plan::kFallback) {
@@ -560,32 +402,33 @@ double SimBatch::PresentValue(size_t spec_index, OldSide* side, uint32_t vb,
     return ComputeMeasure(fn_.specs()[spec_index].measure, a.ref.view(),
                           t.Ref(vb).view());
   }
-  // The memo holds exact results only: a hit where the kernel would have
-  // pruned yields the exact value, which the caller's running-cutoff check
-  // then rejects as before.
+  ++row->tally.memo_lookups;
   MemoSlot& slot = a.memo[vb];
-  if (slot.key == a.memo_key) return slot.value;
+  if (slot.key == a.memo_key) {
+    ++row->tally.memo_hits;
+    return slot.value;
+  }
   double s = 0.0;
   switch (plan.plan) {
     case Plan::kBigramDice:
     case Plan::kTrigramDice: {
       const GramSpan b = t.Profile(plan.plan, vb);
       s = simkernel::DiceProfileKernel(a.grams.data, a.grams.size, b.data,
-                                       b.size, kernel_min);
-      ++side->merges;
+                                       b.size);
+      ++row->tally.merges;
       break;
     }
     case Plan::kLevenshtein:
-      s = simkernel::LevenshteinKernel(a.ref, t.Ref(vb), kernel_min);
+      s = simkernel::LevenshteinKernel(a.ref, t.Ref(vb));
       break;
     case Plan::kDamerau:
-      s = simkernel::DamerauKernel(a.ref, t.Ref(vb), kernel_min);
+      s = simkernel::DamerauKernel(a.ref, t.Ref(vb));
       break;
     case Plan::kJaro:
-      s = simkernel::JaroKernel(a.ref, t.Ref(vb), kernel_min);
+      s = simkernel::JaroKernel(a.ref, t.Ref(vb));
       break;
     case Plan::kJaroWinkler:
-      s = simkernel::JaroWinklerKernel(a.ref, t.Ref(vb), kernel_min);
+      s = simkernel::JaroWinklerKernel(a.ref, t.Ref(vb));
       break;
     case Plan::kAge:
     case Plan::kExactId:
@@ -594,25 +437,23 @@ double SimBatch::PresentValue(size_t spec_index, OldSide* side, uint32_t vb,
       TGLINK_DCHECK(false) << "no kernel for this plan";
       break;
   }
-  if (s != simkernel::kBelowMinSim) slot = {a.memo_key, s};
+  slot = {a.memo_key, s};
   return s;
 }
 
 double SimBatch::Aggregate(RecordId old_id, RecordId new_id) const {
-  TGLINK_COUNTER_INC("similarity.agg_calls");
-  RowScratch& row = BindRowScratch();
-  LoadOldRecord(old_id, &row);
-  return ExactInRow(&row, new_id);
+  return AggregateWithThreshold(old_id, new_id, 0.0);
 }
 
 double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
                                         double min_sim) const {
-  if (min_sim <= 0.0) return Aggregate(old_id, new_id);
   TGLINK_COUNTER_INC("similarity.agg_calls");
-  TGLINK_COUNTER_INC("simkernel.screened");
+  if (min_sim > 0.0) TGLINK_COUNTER_INC("simkernel.screened");
   RowScratch& row = BindRowScratch();
   LoadOldRecord(old_id, &row);
-  return PrunedInRow(&row, new_id, min_sim);
+  const double agg = ExactInRow(&row, new_id);
+  AddMemoCounters(row.tally);
+  return agg < min_sim ? kPruned : agg;
 }
 
 const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
@@ -647,40 +488,23 @@ const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
   postings.Accumulate(a.va, acc.common.data());
   acc.generation = generation_;
   acc.va = a.va;
-  ++row->builds;
-  row->walked += walk;
+  ++row->tally.builds;
+  row->tally.walked += walk;
   return acc.common.data();
 }
 
-bool SimBatch::ChooseDiceSources(std::span<const CandidatePair> rest,
+void SimBatch::ChooseDiceSources(std::span<const CandidatePair> rest,
                                  RowScratch* row) const {
-  bool all_o1 = true;
   for (size_t i = 0; i < plans_.size(); ++i) {
+    const Plan plan = plans_[i].plan;
     OldSide& side = row->old_side[i];
-    switch (plans_[i].plan) {
-      case Plan::kAge:
-      case Plan::kExactId:
-      case Plan::kSoundex:
-        break;
-      case Plan::kBigramDice:
-      case Plan::kTrigramDice:
-        if (side.run_va != side.va) {
-          side.common =
-              side.missing ? nullptr : DiceSource(i, side, rest, row);
-          side.run_va = side.va;
-        }
-        all_o1 = all_o1 && (side.missing || side.common != nullptr);
-        break;
-      case Plan::kLevenshtein:
-      case Plan::kDamerau:
-      case Plan::kJaro:
-      case Plan::kJaroWinkler:
-      case Plan::kFallback:
-        all_o1 = all_o1 && side.missing;
-        break;
+    if ((plan != Plan::kBigramDice && plan != Plan::kTrigramDice) ||
+        side.run_va == side.va) {
+      continue;
     }
+    side.common = side.missing ? nullptr : DiceSource(i, side, rest, row);
+    side.run_va = side.va;
   }
-  return all_o1;
 }
 
 void SimBatch::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
@@ -695,43 +519,18 @@ void SimBatch::AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
   RowScratch& row = BindRowScratch();
   std::vector<DiceAccumulator>& accumulators = ThreadDiceAccumulators();
   if (accumulators.size() < plans_.size()) accumulators.resize(plans_.size());
-  for (OldSide& side : row.old_side) {
-    side.run_va = kNoRun;
-    side.merges = 0;
-  }
-  row.builds = 0;
-  row.walked = 0;
-  // Both evaluators give every pair the same answer; the cheaper one
-  // depends on how many pairs reach min_sim. Pruning pays when most fall
-  // below it (the screen skips their kernels), the one-pass evaluator when
-  // most are kept (no bounds to compute) or when every component of the
-  // row is O(1) anyway. Each row takes the one its predecessor favoured,
-  // starting with pruning.
-  bool favour_pruning = min_sim > 0.0;
-  bool prune = false;
-  size_t row_pairs = 0;
-  size_t row_kept = 0;
   for (size_t k = 0; k < pairs.size(); ++k) {
     if (k == 0 || pairs[k].old_id != pairs[k - 1].old_id) {
-      if (k > 0) favour_pruning = min_sim > 0.0 && 2 * row_kept < row_pairs;
       LoadOldRecord(pairs[k].old_id, &row);
-      const bool all_o1 = ChooseDiceSources(pairs.subspan(k), &row);
-      prune = favour_pruning && !all_o1;
-      row_pairs = 0;
-      row_kept = 0;
+      ChooseDiceSources(pairs.subspan(k), &row);
     }
-    const double agg =
-        prune ? PrunedInRow(&row, pairs[k].new_id, min_sim)
-              : ExactInRow(&row, pairs[k].new_id);
+    const double agg = ExactInRow(&row, pairs[k].new_id);
     out[k] = agg < min_sim ? kPruned : agg;
-    ++row_pairs;
-    row_kept += out[k] != kPruned;
   }
-  uint64_t merges = 0;
-  for (const OldSide& side : row.old_side) merges += side.merges;
-  TGLINK_COUNTER_ADD("simkernel.dice_acc_builds", row.builds);
-  TGLINK_COUNTER_ADD("simkernel.dice_postings_walked", row.walked);
-  TGLINK_COUNTER_ADD("simkernel.dice_row_merges", merges);
+  TGLINK_COUNTER_ADD("simkernel.dice_acc_builds", row.tally.builds);
+  TGLINK_COUNTER_ADD("simkernel.dice_postings_walked", row.tally.walked);
+  TGLINK_COUNTER_ADD("simkernel.dice_row_merges", row.tally.merges);
+  AddMemoCounters(row.tally);
 }
 
 }  // namespace tglink

@@ -17,43 +17,20 @@
 // the new record's side per pair. Aggregate and AggregateWithThreshold are
 // rows of one.
 //
-// Two evaluators score a pair of a loaded row, with the same answer: the
-// exact aggregate if it reaches min_sim, else kPruned.
-//
-// One-pass (Aggregate, and rows where most pairs are kept): the O(1)
-// components (missing flags, age, exact id, Soundex, equal value ids) and
-// then the string kernels through the value-pair memo, aggregated by
-// AggregateWith in spec order; a result below min_sim becomes kPruned.
-//
-// Pruned (AggregateWithThreshold, and rows where most pairs fall below
-// min_sim): phase one evaluates the missing pattern — which fixes the Eq. 3
-// denominator and the coverage floor ("simkernel.pruned_by_coverage") —
-// the O(1) component values, and O(1) upper bounds for the rest (length
-// difference, gram-profile counts). If even the optimistic aggregate
-// cannot reach min_sim, the pair is rejected without touching a string
-// ("simkernel.pruned_by_length" / "simkernel.pruned_by_profile"). Phase
-// two evaluates the rest component by component with a running cutoff —
-// the minimum value component i must reach given the exact sum so far and
-// the bounds of the remaining components — passed down as each kernel's
-// min_sim, so a kernel can still bail in O(1), and the pair is dropped
-// once the sum cannot recover ("simkernel.pruned_by_cutoff"). Every
-// rejection is sound: the result is kPruned exactly when the exact
-// aggregate is < min_sim (the property tests pin this), so callers that
-// keep pairs with sim >= min_sim keep exactly the pairs whose exact
-// aggregate reaches it. The bookkeeping costs more than the kernels it
-// skips when most pairs are kept.
+// One evaluator scores a pair of a loaded row, in one pass: the O(1)
+// components (missing flags, age, exact id, Soundex, equal value ids, Dice
+// from an accumulator) and then the string kernels through the value-pair
+// memo, aggregated by AggregateWith in spec order. The threshold entry
+// points compare that exact aggregate with min_sim, so they return
+// kPruned exactly when it is below min_sim; callers that keep pairs with
+// sim >= min_sim keep exactly the pairs whose exact aggregate reaches it.
 //
 // Row scorer (AggregateRowsWithThreshold): scores a span of candidates
 // sorted by (old, new) — the order blocking emits — reloading the old side
-// only where the old id changes, so a span may start or end mid-row. Each
-// row uses the one-pass evaluator if all its components are O(1) (below)
-// or at least half of the previous row's pairs reached min_sim, else the
-// pruned one (a span's first row counts as favouring pruning):
-// pre-matching at δ_low keeps about 91% of its candidates, the global
-// residual pass far fewer. The output equals AggregateWithThreshold pair
-// for pair. "simkernel.screened" is added once per call, by the span
-// length; callers that histogram the results tally them per chunk (see
-// PreMatcher).
+// only where the old id changes, so a span may start or end mid-row. The
+// output equals AggregateWithThreshold pair for pair. "simkernel.screened"
+// is added once per call, by the span length; callers that histogram the
+// results tally them per chunk (see PreMatcher).
 //
 // Dice from gram postings: at construction each Dice table also gets
 // simkernel::GramPostings — per value its distinct (gram, count) list,
@@ -83,18 +60,19 @@
 //
 // Measures without a batched kernel (Monge-Elkan, double-metaphone,
 // Smith-Waterman, LCS) call ComputeMeasure on the two arena views,
-// unmemoized, and never prune.
+// unmemoized.
 //
 // Value-pair memo: the string-kernel plans (Dice, edit and Jaro family —
 // not exact, Soundex, age or fallback) consult a per-thread direct-mapped
 // table per spec index, indexed by the new value id, before running the
 // kernel. A slot holds the exact kernel result for one (batch generation,
-// old value id) key; the generation is unique per process, so a batch
-// built at a destroyed batch's address never sees its entries. Only exact
-// results are stored, never kBelowMinSim, and a hit is an exact value, so
-// pruning stays sound and every result is unchanged. Candidates sorted by
-// old record make the memo pay: household members are adjacent and share
-// surname, address and often occupation.
+// old value id) key, so a hit changes no result; the generation is unique
+// per process, so a batch built at a destroyed batch's address never sees
+// its entries. Candidates sorted by old record make the memo pay:
+// household members are adjacent and share surname, address and often
+// occupation. Every entry point adds
+// "simkernel.memo_lookups" (kernel values looked up) and
+// "simkernel.memo_hits" (found there) once per call.
 //
 // Thread safety: construction is single-threaded; every scoring entry
 // point is lock-free over immutable tables (plus thread-local row state,
@@ -118,9 +96,9 @@ namespace tglink {
 
 class SimBatch {
  public:
-  /// "Provably below min_sim" sentinel returned by AggregateWithThreshold;
-  /// real aggregates are in [0, 1].
-  static constexpr double kPruned = simkernel::kBelowMinSim;
+  /// "Below min_sim" answer of the threshold entry points; real aggregates
+  /// are in [0, 1].
+  static constexpr double kPruned = -1.0;
 
   /// Interns every string field referenced by `fn` over both datasets and
   /// precomputes the per-value signatures the kernels need. All arguments
@@ -136,16 +114,14 @@ class SimBatch {
   /// counts "similarity.agg_calls" once per pair.
   [[nodiscard]] double Aggregate(RecordId old_id, RecordId new_id) const;
 
-  /// Exact aggregate if it reaches min_sim, else kPruned (proved by the
-  /// bounds as early as possible). min_sim <= 0 disables pruning
-  /// (identical to Aggregate).
+  /// Exact aggregate if it reaches min_sim, else kPruned. With min_sim <= 0
+  /// every aggregate reaches it (identical to Aggregate).
   [[nodiscard]] double AggregateWithThreshold(RecordId old_id,
                                               RecordId new_id,
                                               double min_sim) const;
 
-  /// out[k] = AggregateWithThreshold(pairs[k], min_sim) for every k, each
-  /// pair evaluated exactly in one pass, with the old record's side loaded
-  /// once per run of equal old ids (any order is correct; (old, new) order
+  /// out[k] = AggregateWithThreshold(pairs[k], min_sim) for every k, with
+  /// the old record's side loaded once per run of equal old ids (any order is correct; (old, new) order
   /// is the fast one). out.size() must equal pairs.size().
   void AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
                                   double min_sim,
@@ -226,15 +202,16 @@ class SimBatch {
   };
 
   /// One spec's side of a row's old record, and the per-thread row state
-  /// holding them with the current pair's per-spec evaluation (both
-  /// defined in sim_batch.cc).
+  /// holding them with the current call's counts (both defined in
+  /// sim_batch.cc).
   struct OldSide;
   struct RowScratch;
 
   int BuildFieldTable(Field field);
 
-  /// This thread's row state, sized to the specs and bound to this batch's
-  /// memo rows; valid until the next call on this thread.
+  /// This thread's row state, sized to the specs, bound to this batch's
+  /// memo rows and with zeroed counts; valid until the next call on this
+  /// thread.
   RowScratch& BindRowScratch() const;
 
   /// Loads the old side of every spec for pairs with old record `old_id`.
@@ -253,30 +230,17 @@ class SimBatch {
   /// The exact aggregate of (row's old record, new_id), in one pass.
   [[nodiscard]] double ExactInRow(RowScratch* row, RecordId new_id) const;
 
-  /// The exact aggregate of (row's old record, new_id) if it reaches
-  /// min_sim > 0, else kPruned — early, as soon as the bounds prove it.
-  [[nodiscard]] double PrunedInRow(RowScratch* row, RecordId new_id,
-                                   double min_sim) const;
-
-  /// O(1) upper bound on a component O1Value left to a kernel (1 for the
-  /// fallback); *len_ub gets the bound with gram-profile counts relaxed to
-  /// 1, which tells the length and profile prune counters apart.
-  [[nodiscard]] double UpperBound(size_t spec_index, const OldSide& a,
-                                  uint32_t vb, double* len_ub) const;
-
   /// Exact value of a component O1Value left to a kernel, for the row's old
   /// record and new value `vb` (string kernels through the value-pair
-  /// memo), or kBelowMinSim when kernel_min > 0 proves it below. Counts
-  /// the Dice merges it runs in side->merges.
-  [[nodiscard]] double PresentValue(size_t spec_index, OldSide* side,
-                                    uint32_t vb, double kernel_min) const;
+  /// memo). Counts memo lookups, hits and Dice merges in `row`.
+  [[nodiscard]] double PresentValue(size_t spec_index, RowScratch* row,
+                                    uint32_t vb) const;
 
   /// Row scorer, on loading an old record whose `rest` of the span starts
   /// with its first pair: gives each Dice spec whose old value starts a
-  /// new run an accumulator or the merge (see DiceSource). True when every
-  /// component of the row is then O(1).
-  [[nodiscard]] bool ChooseDiceSources(std::span<const CandidatePair> rest,
-                                       RowScratch* row) const;
+  /// new run an accumulator or the merge (see DiceSource).
+  void ChooseDiceSources(std::span<const CandidatePair> rest,
+                         RowScratch* row) const;
 
   /// This thread's accumulator for Dice spec `spec_index` and old value
   /// a.va — reused if it already holds that value, else built when the
@@ -292,7 +256,6 @@ class SimBatch {
   const CensusDataset& new_dataset_;
   // Names this batch in the per-thread value-pair memo; unique per process.
   const uint64_t generation_;
-  double weight_total_ = 0.0;  // sum of the spec weights, in spec order
   std::vector<FieldTable> tables_;
   std::vector<SpecPlan> plans_;  // parallel to fn.specs()
   int field_table_[6] = {-1, -1, -1, -1, -1, -1};  // Field -> tables_ index

@@ -61,6 +61,18 @@ fi
 # Unknown commands and missing options fail loudly.
 if "$CLI" frobnicate > /dev/null 2>&1; then exit 1; fi
 if "$CLI" link > /dev/null 2>&1; then exit 1; fi
+# An option the command does not read (a removed one, a misspelt one) is
+# refused with exit 2 and a message naming it, before any work is done.
+for bad in "--blocking index" "--no-such-flag 3"; do
+  status=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$CLI" link --old "$DIR/census_1851.csv" --old-year 1851 \
+      --new "$DIR/census_1861.csv" --new-year 1861 \
+      --out "$DIR/refused.csv" $bad > /dev/null 2> "$DIR/err.txt" || status=$?
+  test "$status" -eq 2
+  grep -q -- "${bad%% *}" "$DIR/err.txt"
+  test ! -e "$DIR/refused.csv"
+done
 # Malformed numeric option values are rejected, not silently parsed as 0.
 if "$CLI" stats --census "$DIR/census_1851.csv" --year banana \
     > /dev/null 2>&1; then exit 1; fi

@@ -2,7 +2,7 @@
 // direct SimilarityFunction path (they share the AggregateWith arithmetic),
 // missing-value handling must mirror ComponentSimilarity exactly, the
 // measures without a batched kernel must return ComputeMeasure's bits, and
-// threshold-aware scoring must never prune a pair at or above the cutoff.
+// threshold scoring must answer kPruned exactly below the cutoff.
 
 #include "tglink/similarity/sim_batch.h"
 
@@ -120,8 +120,8 @@ TEST(SimBatchTest, FallbackMeasuresAreComputeMeasureBitForBit) {
         EXPECT_EQ(direct, measured)
             << MeasureName(measure) << " on " << FieldName(field) << " pair ("
             << pairs[k].old_id << "," << pairs[k].new_id << ")";
-        // Fallback components never prune: above the cutoff the thresholded
-        // call returns the measure, below it kPruned.
+        // At or above the cutoff the thresholded call returns the measure,
+        // below it kPruned.
         const double thresholded =
             batch.AggregateWithThreshold(pairs[k].old_id, pairs[k].new_id, 0.5);
         EXPECT_EQ(thresholded, measured >= 0.5 ? measured : SimBatch::kPruned);
@@ -132,38 +132,43 @@ TEST(SimBatchTest, FallbackMeasuresAreComputeMeasureBitForBit) {
 }
 
 TEST(SimBatchTest, ThresholdScoringNeverPrunesAKeptPair) {
-  // The pruning contract over the full fixture cross-product, at every
-  // plausible cutoff: a pruned pair's exact aggregate is strictly below
-  // min_sim, and a non-pruned pair's value is bit-identical to the exact
-  // one — so keep-sets are identical to the direct path at every
-  // threshold.
+  // The threshold contract over the full fixture cross-product: the answer
+  // is kPruned exactly when the exact aggregate is below min_sim, and
+  // otherwise the exact aggregate's bits — so keep-sets are identical to
+  // the direct path at every threshold. The cutoffs include each pair's
+  // own aggregate (a pair exactly at the cutoff is kept) and 1.5, above
+  // every aggregate (everything is kPruned), on both entry points.
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
   const SimilarityFunction fn = PaperSimFunc();
   const SimBatch batch(fn, old_d, new_d);
-  for (const double min_sim : {0.1, 0.5, 0.7, 0.85, 0.95, 1.0}) {
-    for (RecordId o = 0; o < old_d.num_records(); ++o) {
-      for (RecordId n = 0; n < new_d.num_records(); ++n) {
-        const double exact =
-            fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
-        const double got = batch.AggregateWithThreshold(o, n, min_sim);
-        if (got == SimBatch::kPruned) {
-          EXPECT_LT(exact, min_sim)
-              << "pruned a kept pair (" << o << "," << n << ") at "
-              << min_sim;
-        } else {
-          EXPECT_EQ(got, exact)
-              << "threshold path drifted for (" << o << "," << n << ") at "
-              << min_sim;
-        }
+  const auto expect_contract = [&](RecordId o, RecordId n, double exact,
+                                   double min_sim) {
+    const double want = exact >= min_sim ? exact : SimBatch::kPruned;
+    EXPECT_EQ(batch.AggregateWithThreshold(o, n, min_sim), want)
+        << "pair (" << o << "," << n << ") at " << min_sim;
+    const CandidatePair pair{o, n};
+    double row = 0.0;
+    batch.AggregateRowsWithThreshold({&pair, 1}, min_sim, {&row, 1});
+    EXPECT_EQ(row, want) << "row of one (" << o << "," << n << ") at "
+                         << min_sim;
+  };
+  for (RecordId o = 0; o < old_d.num_records(); ++o) {
+    for (RecordId n = 0; n < new_d.num_records(); ++n) {
+      const double exact =
+          fn.AggregateSimilarity(old_d.record(o), new_d.record(n));
+      for (const double min_sim : {0.1, 0.5, 0.7, 0.85, 0.95, 1.0, 1.5}) {
+        expect_contract(o, n, exact, min_sim);
       }
+      expect_contract(o, n, exact, exact);
+      EXPECT_EQ(batch.AggregateWithThreshold(o, n, 1.5), SimBatch::kPruned);
     }
   }
 }
 
 // The row scorer follows the same rules over the full cross product in
-// (old, new) order: it equals the single-pair call, and min_sim <= 0
-// disables pruning on both.
+// (old, new) order: it equals the single-pair call, and at min_sim <= 0
+// both return every exact aggregate.
 TEST(SimBatchTest, ThresholdScoringIsExactAtZero) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();

@@ -2,14 +2,11 @@
 // scalar reference measures (satellite of the batched-kernel tentpole; see
 // DESIGN.md §10):
 //
-//   * bit-identity: with pruning disabled, BatchMeasure(m, a, b, 0) returns
-//     EXACTLY ComputeMeasure(m, a, b) — same bits, not approximately — over
-//     50 seeded random-byte corpora (non-ASCII bytes, embedded NULs,
-//     sentinel '#'/'$' characters, empties, and the 63/64/65-char Myers
-//     word-size boundary);
-//   * pruning soundness: with any min_sim, a kernel either returns the
-//     exact scalar value or the kBelowMinSim sentinel, and the sentinel is
-//     only ever returned when the true similarity is < min_sim;
+//   * bit-identity: BatchMeasure(m, a, b) returns EXACTLY
+//     ComputeMeasure(m, a, b) — same bits, not approximately — over 50
+//     seeded random-byte corpora (non-ASCII bytes, embedded NULs, sentinel
+//     '#'/'$' characters, empties, and the 63/64/65-char Myers word-size
+//     boundary);
 //   * aggregate identity: SimBatch reproduces fn.AggregateSimilarity
 //     bit-for-bit on full synthetic census pairs from every corruption
 //     preset, and AggregateWithThreshold keeps exactly the pairs whose
@@ -103,8 +100,8 @@ std::vector<std::string> RandomCorpus(proptest::Case& c) {
 }
 
 // 50 corpora x all batched measures x all pairs: exact equality with the
-// scalar oracle when pruning is off.
-TEST_F(SimilarityKernelPropertyTest, BitIdenticalToScalarWithoutPruning) {
+// scalar oracle.
+TEST_F(SimilarityKernelPropertyTest, BitIdenticalToScalar) {
   proptest::Runner runner("simkernel.bit_identity", /*iterations=*/50);
   runner.Run([](proptest::Case& c) {
     const std::vector<std::string> corpus = RandomCorpus(c);
@@ -113,7 +110,7 @@ TEST_F(SimilarityKernelPropertyTest, BitIdenticalToScalarWithoutPruning) {
       for (const std::string& a : corpus) {
         for (const std::string& b : corpus) {
           const double expected = ComputeMeasure(measure, a, b);
-          const double got = simkernel::BatchMeasure(measure, a, b, 0.0);
+          const double got = simkernel::BatchMeasure(measure, a, b);
           c.ExpectTrue(got == expected,
                        std::string(MeasureName(measure)) + "(" +
                            std::to_string(a.size()) + "B, " +
@@ -126,42 +123,6 @@ TEST_F(SimilarityKernelPropertyTest, BitIdenticalToScalarWithoutPruning) {
   });
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
   EXPECT_GE(runner.iterations_ran(), 50);
-}
-
-// Threshold-aware kernels: exact value or sentinel, sentinel only below
-// min_sim — at cutoffs spanning lenient to impossible (1.0 prunes hardest;
-// a cutoff > 1 must prune everything non-identical and still never break
-// the contract).
-TEST_F(SimilarityKernelPropertyTest, PruningIsSoundAtEveryCutoff) {
-  proptest::Runner runner("simkernel.pruning_soundness", /*iterations=*/50);
-  runner.Run([](proptest::Case& c) {
-    const std::vector<std::string> corpus = RandomCorpus(c);
-    const double cutoffs[] = {0.3, 0.5, 0.7, 0.9, 0.99, 1.0};
-    for (const Measure measure : BatchedMeasures()) {
-      for (const std::string& a : corpus) {
-        for (const std::string& b : corpus) {
-          const double min_sim =
-              cutoffs[c.rng().NextBounded(std::size(cutoffs))];
-          const double expected = ComputeMeasure(measure, a, b);
-          const double got = simkernel::BatchMeasure(measure, a, b, min_sim);
-          if (got == simkernel::kBelowMinSim) {
-            c.ExpectTrue(expected < min_sim,
-                         std::string(MeasureName(measure)) +
-                             " pruned a pair with sim " +
-                             std::to_string(expected) + " >= min_sim " +
-                             std::to_string(min_sim));
-          } else {
-            c.ExpectTrue(got == expected,
-                         std::string(MeasureName(measure)) +
-                             " under threshold returned " +
-                             std::to_string(got) + " != exact " +
-                             std::to_string(expected));
-          }
-        }
-      }
-    }
-  });
-  EXPECT_TRUE(runner.AllPassed()) << runner.Report();
 }
 
 // Full-pipeline identity on synthetic censuses: every corruption preset x
@@ -252,10 +213,9 @@ SimilarityFunction AllPlanFunction() {
 }
 
 // The Omega2 pipeline only exercises the Dice/exact plans; this property
-// pins bit-identity with fn.AggregateSimilarity and threshold soundness
+// pins bit-identity with fn.AggregateSimilarity and the threshold contract
 // for EVERY plan the batch layer implements, under all three missing
-// policies (the policy changes the Eq. 3 denominator and the pruning bound
-// arithmetic).
+// policies (the policy changes the Eq. 3 denominator).
 TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
   proptest::Runner runner("simkernel.all_plans_identity", /*iterations=*/10);
   runner.Run([](proptest::Case& c) {
@@ -271,8 +231,6 @@ TEST_F(SimilarityKernelPropertyTest, AllPlansAllPoliciesAggregateIdentity) {
       fn.set_year_gap(pair.new_dataset.year() - pair.old_dataset.year());
 
       const SimBatch batched(fn, pair.old_dataset, pair.new_dataset);
-      // High cutoffs force the running-cutoff path to hand every kernel a
-      // nonzero kernel_min, so the in-kernel bound rejects fire too.
       const double min_sim = 0.5 + 0.1 * c.rng().NextBounded(5);
       for (const CandidatePair& cand : candidates) {
         const double expected =
@@ -730,7 +688,7 @@ TEST_F(SimilarityKernelPropertyTest, PostingWalkDiceMatchesMerge) {
       const std::vector<uint32_t>& a = profiles[va];
       const std::vector<uint32_t>& b = profiles[vb];
       return simkernel::DiceProfileKernel(a.data(), a.size(), b.data(),
-                                          b.size(), 0.0);
+                                          b.size());
     });
   });
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
@@ -789,8 +747,7 @@ TEST_F(SimilarityKernelPropertyTest, PostingCountsDoNotOverflow) {
       const uint32_t nb = starts[vb + 1] - starts[vb];
       EXPECT_EQ(simkernel::DiceFromCommon(common[vb], na, nb),
                 simkernel::DiceProfileKernel(data.data(), na,
-                                             data.data() + starts[vb], nb,
-                                             0.0))
+                                             data.data() + starts[vb], nb))
           << "q=" << q << " value " << vb;
     }
   }
@@ -867,7 +824,7 @@ TEST_F(SimilarityKernelPropertyTest, BranchlessDiceMatchesThreeWayMerge) {
       const double expected = 2.0 * static_cast<double>(common) /
                               static_cast<double>(a.size() + b.size());
       const double got = simkernel::DiceProfileKernel(a.data(), a.size(),
-                                                      b.data(), b.size(), 0.0);
+                                                      b.data(), b.size());
       c.ExpectTrue(got == expected, "dice " + std::to_string(got) +
                                         " != reference " +
                                         std::to_string(expected) + " over " +
@@ -903,7 +860,7 @@ TEST_F(SimilarityKernelPropertyTest, GramArenaGrowsGeometrically) {
 }
 
 // Deterministic Myers word-size boundary pins: 64-char patterns take the
-// bit-parallel path, 65-char pairs the banded fallback; both must agree
+// bit-parallel path, 65-char pairs the one-row DP fallback; both must agree
 // with the scalar DP exactly, including at distance-0 and heavy-edit ends.
 TEST_F(SimilarityKernelPropertyTest, MyersBoundaryMatchesScalar) {
   const std::string a63(63, 'a');
@@ -921,18 +878,10 @@ TEST_F(SimilarityKernelPropertyTest, MyersBoundaryMatchesScalar) {
   for (const Measure measure : {Measure::kLevenshtein, Measure::kDamerau}) {
     for (const std::string& x : corpus) {
       for (const std::string& y : corpus) {
-        EXPECT_EQ(simkernel::BatchMeasure(measure, x, y, 0.0),
+        EXPECT_EQ(simkernel::BatchMeasure(measure, x, y),
                   ComputeMeasure(measure, x, y))
             << MeasureName(measure) << " lengths " << x.size() << "/"
             << y.size();
-        // And under a cutoff: exact or provably below.
-        const double got = simkernel::BatchMeasure(measure, x, y, 0.9);
-        const double expected = ComputeMeasure(measure, x, y);
-        if (got == simkernel::kBelowMinSim) {
-          EXPECT_LT(expected, 0.9);
-        } else {
-          EXPECT_EQ(got, expected);
-        }
       }
     }
   }

@@ -38,7 +38,11 @@
 //       Links the whole series in DIR (census_<year>.csv), prints evolution
 //       patterns, preserved-household chains, components and frequent
 //       trajectories; optionally exports the evolution graph.
+//
+// Every command refuses an option it does not read (exit 2, naming the
+// flag) before doing any work.
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -46,6 +50,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tglink/census/io.h"
@@ -119,6 +124,16 @@ class Args {
     return static_cast<int>(value);
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// Exits 2 naming the first option that is not in `known`.
+  void RejectUnknown(const std::vector<std::string_view>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        std::fprintf(stderr, "unknown option --%s\n", key.c_str());
+        std::exit(2);
+      }
+    }
+  }
 
   /// Required string option; exits with a usage message when absent.
   std::string Require(const std::string& key) const {
@@ -529,6 +544,25 @@ int CmdScenarios(const Args& args) {
   return 0;
 }
 
+/// A subcommand and every option it reads.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> options;
+};
+
+/// The options of link and analyze beyond their own: ConfigFromArgs',
+/// ApplyThreadOption's, ApplyHeartbeatOption's and the --report/--trace
+/// artifacts'.
+std::vector<std::string_view> WithLinkOptions(
+    std::vector<std::string_view> options) {
+  options.insert(options.end(),
+                 {"omega1", "delta-low", "delta-high", "non-iterative",
+                  "alpha", "beta", "no-enrichment", "no-context-residual",
+                  "threads", "heartbeat", "report", "trace"});
+  return options;
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: tglink_cli "
@@ -545,14 +579,24 @@ int Usage() {
 int main(int argc, char** argv) {
   using namespace tglink;
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
   const Args args(argc, argv, 2);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "profile") return CmdProfile(args);
-  if (command == "link") return CmdLink(args);
-  if (command == "evaluate") return CmdEvaluate(args);
-  if (command == "analyze") return CmdAnalyze(args);
-  if (command == "scenarios") return CmdScenarios(args);
+  const Command commands[] = {
+      {"generate", CmdGenerate,
+       {"out-dir", "scale", "seed", "censuses", "scenario"}},
+      {"stats", CmdStats, {"census", "year"}},
+      {"profile", CmdProfile, {"census", "year", "max-warnings"}},
+      {"link", CmdLink,
+       WithLinkOptions({"old", "old-year", "new", "new-year", "out"})},
+      {"evaluate", CmdEvaluate,
+       {"old", "old-year", "new", "new-year", "mappings", "gold",
+        "protocol"}},
+      {"analyze", CmdAnalyze, WithLinkOptions({"dir", "years", "dot", "csv"})},
+      {"scenarios", CmdScenarios, {"validate"}},
+  };
+  for (const Command& command : commands) {
+    if (command.name != argv[1]) continue;
+    args.RejectUnknown(command.options);
+    return command.run(args);
+  }
   return Usage();
 }
