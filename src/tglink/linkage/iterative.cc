@@ -1,5 +1,7 @@
 #include "tglink/linkage/iterative.h"
 
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -13,6 +15,8 @@
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
+#include "tglink/similarity/sim_batch.h"
+#include "tglink/similarity/sim_tables.h"
 #include "tglink/util/logging.h"
 
 namespace tglink {
@@ -111,13 +115,21 @@ LinkageResult LinkCensusPair(const CensusDataset& old_dataset,
                                       : BuildStarGraphs(new_dataset);
   }
 
-  // Pre-score all candidate pairs once at the loosest threshold the
-  // schedule can reach (see PreMatcher docs).
+  // One set of similarity tables for the census pair, covering Ω2 and the
+  // residual function; pre-matching and both residual passes plan over it.
   SimilarityFunction sim_func = config.sim_func;
   sim_func.set_year_gap(new_dataset.year() - old_dataset.year());
+  SimilarityFunction sim_func_rem = config.sim_func_rem;
+  sim_func_rem.set_year_gap(new_dataset.year() - old_dataset.year());
+  const auto tables = std::make_shared<const SimTables>(
+      std::initializer_list<const SimilarityFunction*>{&sim_func,
+                                                       &sim_func_rem},
+      old_dataset, new_dataset);
+
+  // Pre-score all candidate pairs once at the loosest threshold the
+  // schedule can reach (see PreMatcher docs).
   std::optional<PreMatcher> prematcher;
-  prematcher.emplace(old_dataset, new_dataset, sim_func, config.blocking,
-                     config.delta_low);
+  prematcher.emplace(tables, sim_func, config.blocking, config.delta_low);
 
   std::vector<bool> active_old(old_dataset.num_records(), true);
   std::vector<bool> active_new(new_dataset.num_records(), true);
@@ -173,31 +185,30 @@ LinkageResult LinkCensusPair(const CensusDataset& old_dataset,
     delta -= config.delta_step;
   }
 
-  SimilarityFunction sim_func_rem = config.sim_func_rem;
-  sim_func_rem.set_year_gap(new_dataset.year() - old_dataset.year());
+  const SimBatch residual_scorer(sim_func_rem, tables);
 
   // Extension: place leftovers within already-linked household pairs first
   // (see LinkageConfig::context_residual).
   if (config.context_residual) {
     result.context_record_links = MatchWithinLinkedHouseholds(
-        old_dataset, new_dataset, sim_func_rem,
-        config.context_residual_threshold, result.group_mapping,
-        &result.record_mapping, &active_old, &active_new);
+        residual_scorer, config.context_residual_threshold,
+        result.group_mapping, &result.record_mapping, &active_old,
+        &active_new);
     result.provenance.resize(
         result.record_mapping.size(),
         {LinkPhase::kContextResidual, config.context_residual_threshold});
   }
 
   // Residual attribute-only matching for the leftovers (lines 17-19), over
-  // the candidates pre-matching already generated. The store is freed
-  // before the residual pass builds its own similarity batch, so the two
-  // never coexist.
+  // the candidates pre-matching already generated. ActiveCandidates fills
+  // an exact-size list; the store is freed before the list is scored, and
+  // the tables stay for the residual scorer.
   std::vector<CandidatePair> residual_candidates =
       prematcher->ActiveCandidates(active_old, active_new);
   prematcher.reset();
   result.residual_record_links = MatchResidualRecords(
-      old_dataset, new_dataset, sim_func_rem, std::move(residual_candidates),
-      &result.record_mapping, &result.group_mapping, &active_old, &active_new);
+      residual_scorer, std::move(residual_candidates), &result.record_mapping,
+      &result.group_mapping, &active_old, &active_new);
   result.provenance.resize(result.record_mapping.size(),
                            {LinkPhase::kGlobalResidual,
                             sim_func_rem.threshold()});

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <initializer_list>
 #include <span>
+#include <utility>
 
 #include "tglink/blocking/candidate_index.h"
 #include "tglink/graph/union_find.h"
@@ -19,16 +21,25 @@ PreMatcher::PreMatcher(const CensusDataset& old_dataset,
                        const CensusDataset& new_dataset,
                        const SimilarityFunction& sim_func,
                        const BlockingConfig& blocking, double min_threshold)
-    : old_dataset_(old_dataset),
-      new_dataset_(new_dataset),
-      sim_batch_(sim_func, old_dataset, new_dataset),
+    : PreMatcher(std::make_shared<const SimTables>(
+                     std::initializer_list<const SimilarityFunction*>{
+                         &sim_func},
+                     old_dataset, new_dataset),
+                 sim_func, blocking, min_threshold) {}
+
+PreMatcher::PreMatcher(std::shared_ptr<const SimTables> tables,
+                       const SimilarityFunction& sim_func,
+                       const BlockingConfig& blocking, double min_threshold)
+    : old_dataset_(tables->old_dataset()),
+      new_dataset_(tables->new_dataset()),
+      sim_batch_(sim_func, std::move(tables)),
       min_threshold_(min_threshold) {
   TGLINK_TRACE_SPAN("prematch.score_candidates");
   TGLINK_MEM_STAGE("prematch.score_candidates");
   const CandidateIndex index = [&] {
     TGLINK_TRACE_SPAN("blocking.generate_candidates");
     TGLINK_MEM_STAGE("blocking.generate_candidates");
-    return CandidateIndex(old_dataset, new_dataset, blocking);
+    return CandidateIndex(old_dataset_, new_dataset_, blocking);
   }();
   batch_records_ = index.batch_records();
   {
@@ -69,7 +80,7 @@ PreMatcher::Segment PreMatcher::ScoreBatch(const CandidateIndex& index,
   // Score chunks in parallel, one old-record row at a time: each chunk
   // writes its own slice of the segment (a chunk may split a row; the next
   // chunk reloads the old side). Pairs below min_threshold come back as
-  // SimBatch::kPruned and are stored as kPruned. Each chunk
+  // SimBatch::kPruned, which is what the store holds for them. Each chunk
   // tallies its kept similarities locally and adds them to the histogram
   // and the kept count once.
   Segment seg;
@@ -89,11 +100,13 @@ PreMatcher::Segment PreMatcher::ScoreBatch(const CandidateIndex& index,
                         "prematch.kept_pair_sim",
                         obs::Histogram::UnitIntervalBounds());
                 obs::HistogramTally kept_sims(kept_sim_histogram);
-                for (double& sim : out) {
+                for (const double sim : out) {
                   if (Kept(sim)) {
                     kept_sims.Observe(sim);
                   } else {
-                    sim = SimBatch::kPruned;
+                    TGLINK_DCHECK(sim == SimBatch::kPruned)
+                        << "row scorer returned " << sim << " below "
+                        << min_threshold_;
                   }
                 }
                 for (size_t i = begin; i < end; ++i) {
@@ -152,13 +165,22 @@ void PreMatcher::KeptPairs::iterator::Settle() {
 std::vector<CandidatePair> PreMatcher::ActiveCandidates(
     const std::vector<bool>& active_old,
     const std::vector<bool>& active_new) const {
-  std::vector<CandidatePair> out;
-  for (RecordId o = 0; o < old_dataset_.num_records(); ++o) {
-    if (!active_old[o]) continue;
-    for (const RecordId n : row(o).new_ids) {
-      if (active_new[n]) out.push_back({o, n});
+  // Count, then fill an exact-size vector: while the store is live the
+  // list must not grow geometrically, or its spare capacity and the copy
+  // of a doubling set the link's memory peak.
+  const auto for_each_active = [&](auto&& visit) {
+    for (RecordId o = 0; o < old_dataset_.num_records(); ++o) {
+      if (!active_old[o]) continue;
+      for (const RecordId n : row(o).new_ids) {
+        if (active_new[n]) visit(o, n);
+      }
     }
-  }
+  };
+  size_t count = 0;
+  for_each_active([&count](RecordId, RecordId) { ++count; });
+  std::vector<CandidatePair> out;
+  out.reserve(count);
+  for_each_active([&out](RecordId o, RecordId n) { out.push_back({o, n}); });
   return out;
 }
 

@@ -9,12 +9,15 @@
 // schedule will ever use — and each iteration's clustering is a cheap filter
 // over the cached scores. Scoring fans out over the shared thread pool
 // (util/parallel.h) with an ordered merge, so the output is bit-identical
-// to a serial run.
+// to a serial run. The scorer is a SimBatch plan over SimTables the caller
+// may share: LinkCensusPair builds one set of tables per census pair and
+// hands it to pre-matching and to both residual passes.
 //
 // The pair store. Blocking hands the candidates over in (old, new)-ordered
 // batches, one per candidate-index shard (CandidateIndex::ShardPairs). Each
-// batch is scored one old-record row at a time by the row scorer (SimBatch::AggregateRowsWithThreshold) under the
-// span "prematch.score", kept as one segment of the store, and freed. A
+// batch is scored one old-record row at a time by the row scorer
+// (SimBatch::AggregateRowsWithThreshold) under the span "prematch.score",
+// kept as one segment of the store, and freed. A
 // segment holds, per old record of its batch, a row of the candidates' new
 // ids (ascending, uint32_t) with their Ω2 values (double): 12 bytes per
 // candidate, each candidate held once. A value below min_threshold is
@@ -28,9 +31,16 @@
 // pair — a "prematch miss": not a blocking candidate, or one scored below
 // min_threshold — is scored on demand through SimBatch's threshold entry
 // point, which answers SimBatch::kPruned when the pair's exact aggregate
-// is below the caller's cutoff. The global residual pass takes the
-// candidates between still-active records (ActiveCandidates), so a census
-// pair is blocked once.
+// is below the caller's cutoff.
+//
+// The residual hand-off. The global residual pass takes the candidates
+// between still-active records (ActiveCandidates), so a census pair is
+// blocked once. ActiveCandidates counts them before it fills the list, so
+// the list is allocated once at its exact size while the store is live;
+// LinkCensusPair then frees the PreMatcher — the store, not the shared
+// tables — and the residual pass scores the list over the same tables.
+// So the residual passes never raise the link's memory peak, which is set
+// while the store is live.
 
 #ifndef TGLINK_LINKAGE_PREMATCHING_H_
 #define TGLINK_LINKAGE_PREMATCHING_H_
@@ -38,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,6 +56,7 @@
 #include "tglink/census/dataset.h"
 #include "tglink/similarity/composite.h"
 #include "tglink/similarity/sim_batch.h"
+#include "tglink/similarity/sim_tables.h"
 
 namespace tglink {
 
@@ -82,9 +94,16 @@ struct Clustering {
 
 class PreMatcher {
  public:
-  /// Scores all blocking candidates once (in parallel over the shared
-  /// pool); pairs below `min_threshold` (normally δ_low) are not kept.
-  /// The datasets and similarity function must outlive the PreMatcher.
+  /// Scores all blocking candidates of the tables' census pair once (in
+  /// parallel over the shared pool) with a plan of `sim_func` over
+  /// `tables`, which must have been built for it; pairs below
+  /// `min_threshold` (normally δ_low) are not kept. The datasets and
+  /// similarity function must outlive the PreMatcher; it shares the tables.
+  PreMatcher(std::shared_ptr<const SimTables> tables,
+             const SimilarityFunction& sim_func, const BlockingConfig& blocking,
+             double min_threshold);
+
+  /// As above over tables built for `sim_func` alone.
   PreMatcher(const CensusDataset& old_dataset, const CensusDataset& new_dataset,
              const SimilarityFunction& sim_func, const BlockingConfig& blocking,
              double min_threshold);
@@ -165,7 +184,8 @@ class PreMatcher {
 
   /// Every blocking candidate, kept or not, between an active old and an
   /// active new record, sorted by (old, new) — the list the global residual
-  /// pass scores with its own matcher.
+  /// pass scores. Counted before it is filled, so the vector is allocated
+  /// once at its exact size.
   [[nodiscard]] std::vector<CandidatePair> ActiveCandidates(
       const std::vector<bool>& active_old,
       const std::vector<bool>& active_new) const;

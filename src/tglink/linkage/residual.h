@@ -15,22 +15,24 @@
 #include "tglink/linkage/mapping.h"
 #include "tglink/linkage/prematching.h"
 #include "tglink/similarity/composite.h"
+#include "tglink/similarity/sim_batch.h"
 
 namespace tglink {
 
 /// Greedy 1:1 matching: scores every candidate pair of active records with
-/// `sim_func`, keeps pairs at or above its threshold, and accepts them in
-/// descending similarity order while both endpoints are free. Returns the
-/// accepted links (old, new, sim), deterministically ordered. `candidates`
-/// must be deduplicated and sorted by (old, new), as GenerateCandidatePairs
-/// and PreMatcher::ActiveCandidates return them; the pairs of inactive
-/// records are dropped in place.
+/// `scorer` (a plan of the matching function), keeps pairs at or above the
+/// function's threshold, and accepts them in descending similarity order
+/// while both endpoints are free. Returns the accepted links (old, new,
+/// sim), deterministically ordered. `candidates` must be deduplicated and
+/// sorted by (old, new), as GenerateCandidatePairs and
+/// PreMatcher::ActiveCandidates return them; the pairs of inactive records
+/// are dropped in place.
 std::vector<ScoredPair> GreedyOneToOneMatch(
-    const CensusDataset& old_dataset, const CensusDataset& new_dataset,
-    const SimilarityFunction& sim_func, std::vector<CandidatePair> candidates,
+    const SimBatch& scorer, std::vector<CandidatePair> candidates,
     const std::vector<bool>& active_old, const std::vector<bool>& active_new);
 
-/// As above over GenerateCandidatePairs(old_dataset, new_dataset, blocking).
+/// As above over GenerateCandidatePairs(old_dataset, new_dataset, blocking),
+/// scored by a SimBatch of `sim_func` over its own tables.
 std::vector<ScoredPair> GreedyOneToOneMatch(
     const CensusDataset& old_dataset, const CensusDataset& new_dataset,
     const SimilarityFunction& sim_func, const BlockingConfig& blocking,
@@ -40,16 +42,15 @@ std::vector<ScoredPair> GreedyOneToOneMatch(
 /// group mappings (lines 17-19 of Algorithm 1): each accepted record link
 /// also links the owning households. Newly matched records are deactivated.
 /// Returns the number of record links added.
-size_t MatchResidualRecords(const CensusDataset& old_dataset,
-                            const CensusDataset& new_dataset,
-                            const SimilarityFunction& sim_func,
+size_t MatchResidualRecords(const SimBatch& scorer,
                             std::vector<CandidatePair> candidates,
                             RecordMapping* record_mapping,
                             GroupMapping* group_mapping,
                             std::vector<bool>* active_old,
                             std::vector<bool>* active_new);
 
-/// As above over GenerateCandidatePairs(old_dataset, new_dataset, blocking).
+/// As above over GenerateCandidatePairs(old_dataset, new_dataset, blocking),
+/// scored by a SimBatch of `sim_func` over its own tables.
 size_t MatchResidualRecords(const CensusDataset& old_dataset,
                             const CensusDataset& new_dataset,
                             const SimilarityFunction& sim_func,
@@ -63,8 +64,17 @@ size_t MatchResidualRecords(const CensusDataset& old_dataset,
 /// LinkageConfig::context_residual): for every already-linked household
 /// pair, greedily 1:1-matches its still-unmatched members against each
 /// other when their attribute similarity reaches `threshold` — a relaxed
-/// bar justified by the surrounding matched household. Extends the record
-/// mapping only (the group pair is already linked). Returns links added.
+/// bar justified by the surrounding matched household. The member pairs
+/// of every linked household pair are scored as rows by `scorer`'s row
+/// scorer. Extends the record mapping only (the group pair is already
+/// linked). Returns links added.
+size_t MatchWithinLinkedHouseholds(const SimBatch& scorer, double threshold,
+                                   const GroupMapping& group_mapping,
+                                   RecordMapping* record_mapping,
+                                   std::vector<bool>* active_old,
+                                   std::vector<bool>* active_new);
+
+/// As above, scored by a SimBatch of `sim_func` over its own tables.
 size_t MatchWithinLinkedHouseholds(const CensusDataset& old_dataset,
                                    const CensusDataset& new_dataset,
                                    const SimilarityFunction& sim_func,

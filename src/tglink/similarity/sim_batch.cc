@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <string_view>
-#include <unordered_map>
+#include <initializer_list>
 #include <utility>
 
-#include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
-#include "tglink/obs/trace.h"
 #include "tglink/similarity/numeric.h"
-#include "tglink/similarity/phonetic.h"
 #include "tglink/util/logging.h"
 
 namespace tglink {
@@ -106,16 +102,14 @@ struct SimBatch::RowScratch {
 };
 
 SimBatch::SimBatch(const SimilarityFunction& fn,
-                   const CensusDataset& old_dataset,
-                   const CensusDataset& new_dataset)
+                   std::shared_ptr<const SimTables> tables)
     : fn_(fn),
-      old_dataset_(old_dataset),
-      new_dataset_(new_dataset),
+      tables_(std::move(tables)),
+      old_dataset_(tables_->old_dataset()),
+      new_dataset_(tables_->new_dataset()),
       generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {
   TGLINK_CHECK(generation_ <= UINT32_MAX)
       << "SimBatch generation " << generation_ << " overflows the memo key";
-  TGLINK_TRACE_SPAN("simkernel.build_batch");
-  TGLINK_MEM_STAGE("simkernel.build_batch");
   const std::vector<AttributeSpec>& specs = fn.specs();
   plans_.resize(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -123,151 +117,62 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     if (spec.field == Field::kAge) {
       // ComponentSimilarity routes every age-field component to
       // TemporalAgeSimilarity regardless of the configured measure.
-      plans_[i] = {Plan::kAge, -1};
+      plans_[i].plan = Plan::kAge;
       continue;
     }
-    Plan plan = Plan::kFallback;
+    SpecPlan& plan = plans_[i];
+    plan.table = tables_->table(spec.field);
+    TGLINK_CHECK(plan.table != nullptr)
+        << "similarity tables hold no " << FieldName(spec.field) << " table";
     switch (spec.measure) {
       case Measure::kExact:
-        plan = Plan::kExactId;
+        plan.plan = Plan::kExactId;
         break;
       case Measure::kQGramDice:
-        plan = Plan::kBigramDice;
+        plan.plan = Plan::kBigramDice;
+        plan.grams = &plan.table->gram2;
         break;
       case Measure::kTrigramDice:
-        plan = Plan::kTrigramDice;
+        plan.plan = Plan::kTrigramDice;
+        plan.grams = &plan.table->gram3;
         break;
       case Measure::kLevenshtein:
-        plan = Plan::kLevenshtein;
+        plan.plan = Plan::kLevenshtein;
         break;
       case Measure::kDamerau:
-        plan = Plan::kDamerau;
+        plan.plan = Plan::kDamerau;
         break;
       case Measure::kJaro:
-        plan = Plan::kJaro;
+        plan.plan = Plan::kJaro;
         break;
       case Measure::kJaroWinkler:
-        plan = Plan::kJaroWinkler;
+        plan.plan = Plan::kJaroWinkler;
         break;
       case Measure::kSoundexEqual:
-        plan = Plan::kSoundex;
+        plan.plan = Plan::kSoundex;
         break;
       case Measure::kMongeElkan:
       case Measure::kDoubleMetaphone:
       case Measure::kSmithWaterman:
       case Measure::kLcsSubstring:
-        plan = Plan::kFallback;
+        plan.plan = Plan::kFallback;
         break;
     }
-    plans_[i] = {plan, BuildFieldTable(spec.field)};
+    TGLINK_CHECK((plan.grams == nullptr || plan.grams->built()) &&
+                 (plan.plan != Plan::kSoundex ||
+                  plan.table->soundex_codes.size() ==
+                      plan.table->num_values()))
+        << "similarity tables lack the " << MeasureName(spec.measure)
+        << " signatures of " << FieldName(spec.field);
   }
-  // Build the per-value signatures each table actually needs (a field can
-  // be referenced by several specs with different measures).
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const SpecPlan& plan = plans_[i];
-    if (plan.table < 0) continue;
-    FieldTable& table = tables_[plan.table];
-    const size_t n = table.num_values();
-    // One exact reserve per profile arena (a value of length l has l + q - 1
-    // padded grams), so the arena is allocated once and carries no growth
-    // slack for the batch's lifetime.
-    const auto build_profiles = [&table, n](int q, std::vector<uint32_t>* data,
-                                            std::vector<uint32_t>* starts) {
-      size_t grams = 0;
-      for (uint32_t vid = 0; vid < n; ++vid) {
-        grams += table.Ref(vid).len + static_cast<size_t>(q - 1);
-      }
-      data->reserve(grams);
-      starts->reserve(n + 1);
-      starts->push_back(0);
-      for (uint32_t vid = 0; vid < n; ++vid) {
-        simkernel::BuildPaddedGramProfile(table.Ref(vid).view(), q, data);
-        starts->push_back(static_cast<uint32_t>(data->size()));
-      }
-    };
-    // Postings list only new-side values: the row scorer walks them for an
-    // old value against the new values of its candidates.
-    const auto build_postings = [&table, n](const std::vector<uint32_t>& data,
-                                            const std::vector<uint32_t>& starts,
-                                            simkernel::GramPostings* out) {
-      std::vector<bool> new_side(n, false);
-      for (const uint32_t vid : table.new_ids) new_side[vid] = true;
-      *out = simkernel::GramPostings(data, starts, new_side);
-    };
-    if (plan.plan == Plan::kBigramDice && table.gram2_starts.empty()) {
-      build_profiles(2, &table.gram2_data, &table.gram2_starts);
-      build_postings(table.gram2_data, table.gram2_starts,
-                     &table.gram2_postings);
-    }
-    if (plan.plan == Plan::kTrigramDice && table.gram3_starts.empty()) {
-      build_profiles(3, &table.gram3_data, &table.gram3_starts);
-      build_postings(table.gram3_data, table.gram3_starts,
-                     &table.gram3_postings);
-    }
-    if (plan.plan == Plan::kSoundex && table.soundex_codes.empty()) {
-      table.soundex_codes.reserve(n);
-      for (uint32_t vid = 0; vid < n; ++vid) {
-        table.soundex_codes.push_back(
-            simkernel::PackPhoneticCode(Soundex(table.Ref(vid).view())));
-      }
-    }
-  }
-  // Logical sizes (element counts, not capacities) so the figure is a pure
-  // function of the inputs and bench_diff.py can gate it exactly. The
-  // postings are a counter, not part of the gated arena.
-  uint64_t arena_bytes = 0;
-  uint64_t posting_bytes = 0;
-  for (const FieldTable& table : tables_) {
-    posting_bytes += table.gram2_postings.LogicalBytes();
-    posting_bytes += table.gram3_postings.LogicalBytes();
-    arena_bytes += table.arena.size();
-    arena_bytes += table.offsets.size() * sizeof(uint32_t);
-    arena_bytes += table.old_ids.size() * sizeof(uint32_t);
-    arena_bytes += table.new_ids.size() * sizeof(uint32_t);
-    arena_bytes += table.gram2_data.size() * sizeof(uint32_t);
-    arena_bytes += table.gram2_starts.size() * sizeof(uint32_t);
-    arena_bytes += table.gram3_data.size() * sizeof(uint32_t);
-    arena_bytes += table.gram3_starts.size() * sizeof(uint32_t);
-    arena_bytes += table.soundex_codes.size() * sizeof(uint64_t);
-  }
-  obs::ReportArenaBytes("simbatch", arena_bytes);
-  TGLINK_COUNTER_ADD("simkernel.posting_bytes", posting_bytes);
 }
 
-int SimBatch::BuildFieldTable(Field field) {
-  int& index = field_table_[static_cast<size_t>(field)];
-  if (index >= 0) return index;
-  index = static_cast<int>(tables_.size());
-  tables_.emplace_back();
-  FieldTable& table = tables_.back();
-  table.offsets.push_back(0);
-  std::unordered_map<std::string, uint32_t> interner;
-  const auto intern = [&](const PersonRecord& record) {
-    const auto [it, inserted] = interner.emplace(
-        GetFieldValue(record, field), static_cast<uint32_t>(interner.size()));
-    if (inserted) {
-      table.arena.append(it->first);
-      table.offsets.push_back(static_cast<uint32_t>(table.arena.size()));
-    }
-    return it->second;
-  };
-  table.old_ids.reserve(old_dataset_.num_records());
-  for (const PersonRecord& record : old_dataset_.records()) {
-    table.old_ids.push_back(intern(record));
-  }
-  table.new_ids.reserve(new_dataset_.num_records());
-  for (const PersonRecord& record : new_dataset_.records()) {
-    table.new_ids.push_back(intern(record));
-  }
-  TGLINK_COUNTER_ADD("simcache.interned_values", interner.size());
-  return index;
-}
-
-size_t SimBatch::num_interned_values() const {
-  size_t total = 0;
-  for (const FieldTable& table : tables_) total += table.num_values();
-  return total;
-}
+SimBatch::SimBatch(const SimilarityFunction& fn,
+                   const CensusDataset& old_dataset,
+                   const CensusDataset& new_dataset)
+    : SimBatch(fn, std::make_shared<const SimTables>(
+                       std::initializer_list<const SimilarityFunction*>{&fn},
+                       old_dataset, new_dataset)) {}
 
 SimBatch::RowScratch& SimBatch::BindRowScratch() const {
   thread_local RowScratch row;
@@ -297,7 +202,7 @@ SimBatch::RowScratch& SimBatch::BindRowScratch() const {
       case Plan::kJaroWinkler:
         break;
     }
-    const size_t values = tables_[plans_[i].table].num_values();
+    const size_t values = plans_[i].table->num_values();
     if (memo[i].size() < values) memo[i].resize(values);
     slots = memo[i].data();
   }
@@ -310,17 +215,17 @@ void SimBatch::LoadOldRecord(RecordId old_id, RowScratch* row) const {
   for (size_t i = 0; i < plans_.size(); ++i) {
     const SpecPlan& plan = plans_[i];
     OldSide& side = row->old_side[i];
-    if (plan.table < 0) {
+    if (plan.table == nullptr) {
       side.missing = !record.has_age();
       continue;
     }
-    const FieldTable& t = tables_[plan.table];
+    const FieldTable& t = *plan.table;
     side.va = t.old_ids[old_id];
     side.missing = t.Missing(side.va);
     side.ref = t.Ref(side.va);
     side.memo_key = (generation_ << 32) | side.va;
-    if (plan.plan == Plan::kBigramDice || plan.plan == Plan::kTrigramDice) {
-      side.grams = t.Profile(plan.plan, side.va);
+    if (plan.grams != nullptr) {
+      side.grams = plan.grams->Profile(side.va);
     } else if (plan.plan == Plan::kSoundex) {
       side.soundex = t.soundex_codes[side.va];
     }
@@ -333,12 +238,11 @@ double SimBatch::O1Value(size_t spec_index, const RowScratch& row,
                          bool* missing_both) const {
   const SpecPlan& plan = plans_[spec_index];
   const OldSide& a = row.old_side[spec_index];
-  const FieldTable* t = nullptr;
+  const FieldTable* t = plan.table;
   bool mb = false;
-  if (plan.table < 0) {
+  if (t == nullptr) {
     mb = !rb.has_age();
   } else {
-    t = &tables_[plan.table];
     *vb = t->new_ids[new_id];
     mb = t->Missing(*vb);
   }
@@ -359,7 +263,7 @@ double SimBatch::O1Value(size_t spec_index, const RowScratch& row,
       if (a.va == *vb) return 1.0;
       if (a.common != nullptr) {
         return simkernel::DiceFromCommon(a.common[*vb], a.grams.size,
-                                         t->Profile(plan.plan, *vb).size);
+                                         plan.grams->Profile(*vb).size);
       }
       break;
     case Plan::kLevenshtein:
@@ -395,7 +299,7 @@ double SimBatch::PresentValue(size_t spec_index, RowScratch* row,
                               uint32_t vb) const {
   const OldSide& a = row->old_side[spec_index];
   const SpecPlan& plan = plans_[spec_index];
-  const FieldTable& t = tables_[plan.table];
+  const FieldTable& t = *plan.table;
   if (plan.plan == Plan::kFallback) {
     // The arena views hold the bytes GetFieldValue returns, so this is
     // ComponentSimilarity's value for a present pair.
@@ -412,7 +316,7 @@ double SimBatch::PresentValue(size_t spec_index, RowScratch* row,
   switch (plan.plan) {
     case Plan::kBigramDice:
     case Plan::kTrigramDice: {
-      const GramSpan b = t.Profile(plan.plan, vb);
+      const GramSpan b = plan.grams->Profile(vb);
       s = simkernel::DiceProfileKernel(a.grams.data, a.grams.size, b.data,
                                        b.size);
       ++row->tally.merges;
@@ -459,8 +363,8 @@ double SimBatch::AggregateWithThreshold(RecordId old_id, RecordId new_id,
 const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
                                      std::span<const CandidatePair> rest,
                                      RowScratch* row) const {
-  const Plan plan = plans_[spec_index].plan;
-  const FieldTable& t = tables_[plans_[spec_index].table];
+  const FieldTable& t = *plans_[spec_index].table;
+  const SimTables::GramTable& grams = *plans_[spec_index].grams;
   DiceAccumulator& acc = ThreadDiceAccumulators()[spec_index];
   if (acc.generation == generation_ && acc.va == a.va) {
     return acc.common.data();
@@ -468,12 +372,12 @@ const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
   // Merging costs about |A| + |B| steps per pair of the run (the pairs
   // from here on whose old value is va); the walk costs WalkCost(va).
   // Scan only as far as it takes to tell which is cheaper.
-  const simkernel::GramPostings& postings = t.Postings(plan);
+  const simkernel::GramPostings& postings = grams.postings;
   const uint64_t walk = postings.WalkCost(a.va);
   uint64_t merge = 0;
   for (const CandidatePair& pair : rest) {
     if (merge > walk || t.old_ids[pair.old_id] != a.va) break;
-    merge += a.grams.size + t.Profile(plan, t.new_ids[pair.new_id]).size;
+    merge += a.grams.size + grams.Profile(t.new_ids[pair.new_id]).size;
   }
   if (merge <= walk) return nullptr;
   // Within one batch, zero only the previous value's entries (walking its

@@ -1,15 +1,17 @@
 // SimBatch — the similarity scorer behind every Eq. 3 aggregate of the
 // pipeline (pre-matching Ω2, the residual passes, the collective baseline).
 //
-// Per field referenced by a SimilarityFunction, SimBatch interns the values
-// of both snapshots into a contiguous arena (offset+length StringRef views,
-// cached lengths and first chars, precomputed padded q-gram profiles and
-// packed Soundex signatures), then evaluates whole-pair aggregate
-// similarities by dispatching each component to an allocation-free kernel
-// (batch_kernels.h) that reads those flat tables. Aggregation runs through
-// SimilarityFunction::AggregateWith — the same arithmetic as the scalar
-// path — so Aggregate(o, n) is bit-identical to
-// fn.AggregateSimilarity(old.record(o), new.record(n)).
+// A SimBatch is a thin plan of one SimilarityFunction over SimTables
+// (sim_tables.h): the interned values of both snapshots per field, with the
+// gram profiles, postings and Soundex codes its measures read. The plan
+// maps each component to an allocation-free kernel (batch_kernels.h) over
+// those flat tables and evaluates whole-pair aggregates. Several plans can
+// share one set of tables through a shared_ptr; LinkCensusPair builds the
+// tables once per census pair and plans Ω2 and the residual function over
+// them. The three-argument constructor builds tables for its function
+// alone. Aggregation runs through SimilarityFunction::AggregateWith — the
+// same arithmetic as the scalar path — so Aggregate(o, n) is bit-identical
+// to fn.AggregateSimilarity(old.record(o), new.record(n)).
 //
 // Every entry point first loads the old record's side of each component
 // once — value id, missing flag, arena view, gram-profile span, Soundex
@@ -32,10 +34,8 @@
 // is added once per call, by the span length; callers that histogram the
 // results tally them per chunk (see PreMatcher).
 //
-// Dice from gram postings: at construction each Dice table also gets
-// simkernel::GramPostings — per value its distinct (gram, count) list,
-// per gram the new-side values holding it with their counts, and per
-// value the walk cost Σ|postings(g)| over its grams. Consecutive old
+// Dice from gram postings: each Dice table of SimTables carries
+// simkernel::GramPostings over its new-side values. Consecutive old
 // records share surname, address and occupation, so a run of candidates
 // often shares one old value va. For such a run the row scorer walks va's
 // postings once into this thread's accumulator, common[vb] += min(count in
@@ -54,9 +54,7 @@
 // value pays for the postings and the scan-ahead and keeps the merge.
 // Per call the scorer adds "simkernel.dice_acc_builds",
 // "simkernel.dice_postings_walked" and "simkernel.dice_row_merges"
-// (profile merges run); construction adds
-// the postings' logical bytes to "simkernel.posting_bytes", outside the
-// gated "simbatch" arena. The single-pair entry points keep the merge.
+// (profile merges run). The single-pair entry points keep the merge.
 //
 // Measures without a batched kernel (Monge-Elkan, double-metaphone,
 // Smith-Waterman, LCS) call ComputeMeasure on the two arena views,
@@ -67,11 +65,11 @@
 // table per spec index, indexed by the new value id, before running the
 // kernel. A slot holds the exact kernel result for one (batch generation,
 // old value id) key, so a hit changes no result; the generation is unique
-// per process, so a batch built at a destroyed batch's address never sees
-// its entries. Candidates sorted by old record make the memo pay:
-// household members are adjacent and share surname, address and often
-// occupation. Every entry point adds
-// "simkernel.memo_lookups" (kernel values looked up) and
+// per plan and process, so neither another plan over the same tables nor
+// a batch built at a destroyed batch's address ever sees its entries.
+// Candidates sorted by old record make the memo pay: household members are
+// adjacent and share surname, address and often occupation. Every entry
+// point adds "simkernel.memo_lookups" (kernel values looked up) and
 // "simkernel.memo_hits" (found there) once per call.
 //
 // Thread safety: construction is single-threaded; every scoring entry
@@ -83,14 +81,15 @@
 #define TGLINK_SIMILARITY_SIM_BATCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "tglink/blocking/blocking.h"
 #include "tglink/census/dataset.h"
 #include "tglink/similarity/batch_kernels.h"
 #include "tglink/similarity/composite.h"
+#include "tglink/similarity/sim_tables.h"
 
 namespace tglink {
 
@@ -100,9 +99,14 @@ class SimBatch {
   /// are in [0, 1].
   static constexpr double kPruned = -1.0;
 
-  /// Interns every string field referenced by `fn` over both datasets and
-  /// precomputes the per-value signatures the kernels need. All arguments
-  /// must outlive the batch.
+  /// A plan for `fn` over `tables`, which must hold every field and
+  /// signature `fn` reads (build them with fn among their functions). Builds
+  /// nothing; `fn` must outlive the plan, which shares the tables.
+  SimBatch(const SimilarityFunction& fn,
+           std::shared_ptr<const SimTables> tables);
+
+  /// A plan for `fn` over tables built for `fn` alone. All arguments must
+  /// outlive the batch.
   SimBatch(const SimilarityFunction& fn, const CensusDataset& old_dataset,
            const CensusDataset& new_dataset);
 
@@ -121,18 +125,25 @@ class SimBatch {
                                               double min_sim) const;
 
   /// out[k] = AggregateWithThreshold(pairs[k], min_sim) for every k, with
-  /// the old record's side loaded once per run of equal old ids (any order is correct; (old, new) order
-  /// is the fast one). out.size() must equal pairs.size().
+  /// the old record's side loaded once per run of equal old ids (any order
+  /// is correct; (old, new) order is the fast one). out.size() must equal
+  /// pairs.size().
   void AggregateRowsWithThreshold(std::span<const CandidatePair> pairs,
                                   double min_sim,
                                   std::span<double> out) const;
 
   [[nodiscard]] const SimilarityFunction& fn() const { return fn_; }
+  [[nodiscard]] const CensusDataset& old_dataset() const {
+    return old_dataset_;
+  }
+  [[nodiscard]] const CensusDataset& new_dataset() const {
+    return new_dataset_;
+  }
 
-  // -- Substrate introspection (tests, benches) ----------------------------
-
-  /// Total distinct values interned across all field tables.
-  [[nodiscard]] size_t num_interned_values() const;
+  /// Total distinct values interned across the tables (tests, benches).
+  [[nodiscard]] size_t num_interned_values() const {
+    return tables_->num_interned_values();
+  }
 
  private:
   /// How one component of fn.specs() is evaluated.
@@ -149,56 +160,13 @@ class SimBatch {
     kFallback,   // no batched kernel: ComputeMeasure on the arena views
   };
 
+  using FieldTable = SimTables::FieldTable;
+  using GramSpan = SimTables::GramSpan;
+
   struct SpecPlan {
     Plan plan = Plan::kFallback;
-    int table = -1;  // index into tables_; -1 for age components
-  };
-
-  /// A value's sorted packed gram profile.
-  struct GramSpan {
-    const uint32_t* data = nullptr;
-    uint32_t size = 0;
-  };
-
-  /// One field's interned values over both snapshots: a contiguous arena
-  /// plus flat per-value signature arrays.
-  struct FieldTable {
-    std::string arena;
-    std::vector<uint32_t> offsets;  // per value id, size num_values()+1
-    std::vector<uint32_t> old_ids;  // per old record
-    std::vector<uint32_t> new_ids;  // per new record
-    // Sorted packed gram profiles, concatenated; gramN_starts has
-    // num_values()+1 entries. Built only when a spec on this field needs
-    // them; same for soundex_codes.
-    std::vector<uint32_t> gram2_data;
-    std::vector<uint32_t> gram2_starts;
-    std::vector<uint32_t> gram3_data;
-    std::vector<uint32_t> gram3_starts;
-    std::vector<uint64_t> soundex_codes;
-    // Postings over the new-side values, built with each gram profile.
-    simkernel::GramPostings gram2_postings;
-    simkernel::GramPostings gram3_postings;
-
-    [[nodiscard]] size_t num_values() const { return offsets.size() - 1; }
-    [[nodiscard]] simkernel::StringRef Ref(uint32_t vid) const {
-      return {arena.data() + offsets[vid], offsets[vid + 1] - offsets[vid]};
-    }
-    /// Missing ⟺ empty holds for every non-age field (sex renders
-    /// kUnknown as ""), so the arena length doubles as the missing flag.
-    [[nodiscard]] bool Missing(uint32_t vid) const {
-      return offsets[vid + 1] == offsets[vid];
-    }
-    /// Gram profile of a value for a kBigramDice or kTrigramDice plan.
-    [[nodiscard]] GramSpan Profile(Plan plan, uint32_t vid) const {
-      const bool bigram = plan == Plan::kBigramDice;
-      const std::vector<uint32_t>& data = bigram ? gram2_data : gram3_data;
-      const std::vector<uint32_t>& starts =
-          bigram ? gram2_starts : gram3_starts;
-      return {data.data() + starts[vid], starts[vid + 1] - starts[vid]};
-    }
-    [[nodiscard]] const simkernel::GramPostings& Postings(Plan plan) const {
-      return plan == Plan::kBigramDice ? gram2_postings : gram3_postings;
-    }
+    const FieldTable* table = nullptr;         // null for age components
+    const SimTables::GramTable* grams = nullptr;  // Dice plans
   };
 
   /// One spec's side of a row's old record, and the per-thread row state
@@ -206,8 +174,6 @@ class SimBatch {
   /// sim_batch.cc).
   struct OldSide;
   struct RowScratch;
-
-  int BuildFieldTable(Field field);
 
   /// This thread's row state, sized to the specs, bound to this batch's
   /// memo rows and with zeroed counts; valid until the next call on this
@@ -252,13 +218,12 @@ class SimBatch {
                                            RowScratch* row) const;
 
   const SimilarityFunction& fn_;
+  const std::shared_ptr<const SimTables> tables_;
   const CensusDataset& old_dataset_;
   const CensusDataset& new_dataset_;
-  // Names this batch in the per-thread value-pair memo; unique per process.
+  // Names this plan in the per-thread value-pair memo; unique per process.
   const uint64_t generation_;
-  std::vector<FieldTable> tables_;
   std::vector<SpecPlan> plans_;  // parallel to fn.specs()
-  int field_table_[6] = {-1, -1, -1, -1, -1, -1};  // Field -> tables_ index
 };
 
 }  // namespace tglink

@@ -1,16 +1,26 @@
 // SimBatch correctness: every entry point must be bit-identical to the
 // direct SimilarityFunction path (they share the AggregateWith arithmetic),
 // missing-value handling must mirror ComponentSimilarity exactly, the
-// measures without a batched kernel must return ComputeMeasure's bits, and
-// threshold scoring must answer kPruned exactly below the cutoff.
+// measures without a batched kernel must return ComputeMeasure's bits,
+// threshold scoring must answer kPruned exactly below the cutoff, and a
+// plan over tables shared with other functions must score exactly as a
+// batch over its own tables.
 
 #include "tglink/similarity/sim_batch.h"
 
+#include <initializer_list>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tglink/linkage/config.h"
+#include "tglink/similarity/sim_tables.h"
+#include "tglink/synth/generator.h"
+#include "tglink/util/parallel.h"
+#include "tests/all_plan_function.h"
 #include "tests/paper_example.h"
 
 namespace tglink {
@@ -192,6 +202,107 @@ TEST(SimBatchTest, ThresholdScoringIsExactAtZero) {
     EXPECT_EQ(rows_at_zero[k], exact);
     EXPECT_EQ(rows_at_high[k], batch.AggregateWithThreshold(o, n, 0.9));
   }
+}
+
+/// `batch`'s row scorer over `pairs` at `min_sim`, in the pool's chunks.
+std::vector<double> ScoreRows(const SimBatch& batch,
+                              const std::vector<CandidatePair>& pairs,
+                              double min_sim) {
+  std::vector<double> out(pairs.size());
+  ParallelFor(pairs.size(), "sim_batch_test.rows",
+              [&](size_t begin, size_t end) {
+                const size_t n = end - begin;
+                batch.AggregateRowsWithThreshold(
+                    std::span<const CandidatePair>(pairs).subspan(begin, n),
+                    min_sim, std::span<double>(out).subspan(begin, n));
+              });
+  return out;
+}
+
+// One set of tables for Ω2, the residual function and the all-plan
+// function, as LinkCensusPair builds one for Ω2 and the residual function:
+// a plan of either of the last two over it must give, through every entry
+// point and on 1 and 2 threads, the bits of a batch over its own tables and
+// of fn.AggregateSimilarity.
+TEST(SimBatchTest, PlansOverSharedTablesEqualSelfBuiltBatches) {
+  GeneratorConfig gen;
+  gen.seed = 7;
+  gen.scale = 0.03;
+  gen.num_censuses = 2;
+  const SyntheticPair pair = GenerateCensusPair(gen, 0);
+  const CensusDataset& old_d = pair.old_dataset;
+  const CensusDataset& new_d = pair.new_dataset;
+  const int year_gap = new_d.year() - old_d.year();
+  SimilarityFunction omega2 = configs::Omega2();
+  SimilarityFunction residual = configs::ResidualSimFunc();
+  SimilarityFunction all_plan = AllPlanFunction();
+  for (SimilarityFunction* fn : {&omega2, &residual, &all_plan}) {
+    fn->set_year_gap(year_gap);
+  }
+  const auto tables = std::make_shared<const SimTables>(
+      std::initializer_list<const SimilarityFunction*>{&omega2, &residual,
+                                                       &all_plan},
+      old_d, new_d);
+  const std::vector<CandidatePair> pairs =
+      GenerateCandidatePairs(old_d, new_d, BlockingConfig::MakeDefault());
+  ASSERT_FALSE(pairs.empty());
+  for (const int threads : {1, 2}) {
+    SetParallelThreadCount(threads);
+    for (const SimilarityFunction* fn : {&residual, &all_plan}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", " +
+                   std::to_string(fn->specs().size()) + " specs");
+      const SimBatch shared(*fn, tables);
+      const SimBatch own(*fn, old_d, new_d);
+      // The three functions read the same five fields, so both tables
+      // intern the same values.
+      EXPECT_EQ(own.num_interned_values(), shared.num_interned_values());
+      const double threshold = fn->threshold();
+      const std::vector<double> shared_exact = ScoreRows(shared, pairs, 0.0);
+      const std::vector<double> shared_kept =
+          ScoreRows(shared, pairs, threshold);
+      const std::vector<double> own_exact = ScoreRows(own, pairs, 0.0);
+      const std::vector<double> own_kept = ScoreRows(own, pairs, threshold);
+      for (size_t k = 0; k < pairs.size(); ++k) {
+        const RecordId o = pairs[k].old_id;
+        const RecordId n = pairs[k].new_id;
+        const double exact =
+            fn->AggregateSimilarity(old_d.record(o), new_d.record(n));
+        const double kept = exact >= threshold ? exact : SimBatch::kPruned;
+        ASSERT_EQ(shared_exact[k], exact) << "pair (" << o << "," << n << ")";
+        ASSERT_EQ(own_exact[k], exact) << "pair (" << o << "," << n << ")";
+        ASSERT_EQ(shared_kept[k], kept) << "pair (" << o << "," << n << ")";
+        ASSERT_EQ(own_kept[k], kept) << "pair (" << o << "," << n << ")";
+        ASSERT_EQ(shared.Aggregate(o, n), exact);
+        ASSERT_EQ(shared.AggregateWithThreshold(o, n, threshold), kept);
+      }
+    }
+  }
+  SetParallelThreadCount(1);
+}
+
+// A plan needs every field and signature its function reads; tables built
+// without them are a caller bug, caught in every build.
+TEST(SimBatchDeathTest, PlanOverTablesBuiltWithoutItsFunctionAborts) {
+  const CensusDataset old_d = MakeCensus1871();
+  const CensusDataset new_d = MakeCensus1881();
+  const SimilarityFunction first_names({{Field::kFirstName,
+                                         Measure::kQGramDice, 1.0}},
+                                       /*threshold=*/0.5);
+  const auto tables = std::make_shared<const SimTables>(
+      std::initializer_list<const SimilarityFunction*>{&first_names}, old_d,
+      new_d);
+  const SimilarityFunction surnames({{Field::kSurname, Measure::kQGramDice,
+                                      1.0}},
+                                    /*threshold=*/0.5);
+  EXPECT_DEATH(SimBatch(surnames, tables), "hold no surname table");
+  const SimilarityFunction trigrams({{Field::kFirstName,
+                                      Measure::kTrigramDice, 1.0}},
+                                    /*threshold=*/0.5);
+  EXPECT_DEATH(SimBatch(trigrams, tables), "lack the");
+  const SimilarityFunction soundex({{Field::kFirstName,
+                                     Measure::kSoundexEqual, 1.0}},
+                                   /*threshold=*/0.5);
+  EXPECT_DEATH(SimBatch(soundex, tables), "lack the");
 }
 
 }  // namespace

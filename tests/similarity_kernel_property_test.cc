@@ -43,11 +43,14 @@
 #include "tglink/similarity/sim_batch.h"
 #include "tglink/synth/presets.h"
 #include "tglink/util/parallel.h"
+#include "tests/all_plan_function.h"
 #include "tests/paper_example.h"
 #include "tests/proptest.h"
 
 namespace tglink {
 namespace {
+
+using testing_example::AllPlanFunction;
 
 class SimilarityKernelPropertyTest : public ::testing::Test {
  protected:
@@ -188,28 +191,6 @@ TEST_F(SimilarityKernelPropertyTest, AggregateIdentityAcrossPresets) {
     EXPECT_TRUE(runner.AllPassed()) << runner.Report();
     EXPECT_GE(runner.iterations_ran(), 10);
   }
-}
-
-/// A composite function touching every SimBatch plan: both Dice gram sizes,
-/// the full edit/Jaro family, Soundex, exact sex, the temporal age
-/// component, and a fallback measure (Monge-Elkan) that SimBatch scores
-/// with ComputeMeasure. Several specs share a field so the per-field table
-/// reuse is exercised too.
-SimilarityFunction AllPlanFunction() {
-  return SimilarityFunction(
-      {
-          {Field::kFirstName, Measure::kJaroWinkler, 0.20},
-          {Field::kFirstName, Measure::kSoundexEqual, 0.05},
-          {Field::kFirstName, Measure::kQGramDice, 0.05},
-          {Field::kSurname, Measure::kTrigramDice, 0.15},
-          {Field::kSurname, Measure::kJaro, 0.05},
-          {Field::kSex, Measure::kExact, 0.10},
-          {Field::kAddress, Measure::kLevenshtein, 0.15},
-          {Field::kOccupation, Measure::kDamerau, 0.10},
-          {Field::kOccupation, Measure::kMongeElkan, 0.05},
-          {Field::kAge, Measure::kExact, 0.10},
-      },
-      /*threshold=*/0.7);
 }
 
 // The Omega2 pipeline only exercises the Dice/exact plans; this property

@@ -83,7 +83,9 @@ python3 tools/check_report.py "$smoke_dir/report.json" \
   --expect-span prematch.keep \
   --expect-span subgraph.build_score \
   --expect-span selection.greedy \
+  --expect-span residual.context \
   --expect-span residual.global \
+  --expect-arena-per-link simbatch \
   --expect-counter linkage.iterations \
   --expect-counter blocking.candidate_pairs \
   --expect-counter similarity.agg_calls \

@@ -7,6 +7,7 @@ and validated against the /1 key set.
 Usage:
     python3 tools/check_report.py REPORT.json [--trace TRACE.json]
             [--expect-span NAME ...] [--expect-counter NAME ...]
+            [--expect-arena-per-link ARENA ...]
     python3 tools/check_report.py --selftest
 
 Used by tools/check.sh's perf-smoke/perf-gate stages and usable standalone
@@ -86,8 +87,15 @@ def check_memory(memory: dict, errors: list[str]) -> None:
                 fail(errors, f"memory.stages[{k}] missing {sorted(missing)}")
 
 
+def span_count(spans: list, leaf: str) -> int:
+    """Executions of the spans whose leaf name is `leaf`, over all paths."""
+    return sum(span.get("count", 0) for span in spans
+               if span.get("path", "").rsplit("/", 1)[-1] == leaf)
+
+
 def check_report(report: dict, expect_spans: list[str],
-                 expect_counters: list[str]) -> list[str]:
+                 expect_counters: list[str],
+                 arenas_per_link: list[str] = ()) -> list[str]:
     errors: list[str] = []
     schema = report.get("schema")
     if schema not in (SCHEMA_V1, SCHEMA_V2):
@@ -184,6 +192,15 @@ def check_report(report: dict, expect_spans: list[str],
         if want not in counters:
             fail(errors, f"expected counter {want!r} not present")
 
+    links = span_count(spans, "linkage.link_census_pair")
+    arenas = report.get("memory", {}).get("arenas", {})
+    for name in arenas_per_link:
+        reports = arenas.get(name, {}).get("reports", 0)
+        if reports != links:
+            fail(errors, f"arena {name!r} reported {reports} times over "
+                         f"{links} linkage.link_census_pair spans, want one "
+                         f"report per link")
+
     return errors
 
 
@@ -274,9 +291,10 @@ def _good_v1_report() -> dict:
 def selftest() -> int:
     failures = 0
 
-    def expect(name: str, report: dict, ok: bool) -> None:
+    def expect(name: str, report: dict, ok: bool,
+               arenas_per_link: tuple[str, ...] = ()) -> None:
         nonlocal failures
-        errors = check_report(report, [], [])
+        errors = check_report(report, [], [], arenas_per_link)
         if bool(not errors) != ok:
             failures += 1
             state = "clean" if not errors else f"errors {errors}"
@@ -319,6 +337,18 @@ def selftest() -> int:
     bad["memory"] = {}
     expect("/1 with v2-only key", bad, False)
 
+    expect("one simbatch report per link", _good_v2_report(), True,
+           ("simbatch",))
+    bad = _good_v2_report()
+    bad["memory"]["arenas"]["simbatch"]["reports"] = 2
+    expect("two simbatch reports per link", bad, False, ("simbatch",))
+    bad = _good_v2_report()
+    bad["spans"][0]["count"] = 2
+    expect("one simbatch report over two links", bad, False, ("simbatch",))
+    bad = _good_v2_report()
+    del bad["memory"]["arenas"]["simbatch"]
+    expect("no simbatch report", bad, False, ("simbatch",))
+
     if failures:
         print(f"check_report selftest: {failures} case(s) failed",
               file=sys.stderr)
@@ -335,6 +365,10 @@ def main() -> int:
                         help="span leaf name (or full path) that must appear")
     parser.add_argument("--expect-counter", action="append", default=[],
                         help="counter name that must appear")
+    parser.add_argument("--expect-arena-per-link", action="append",
+                        default=[], metavar="ARENA",
+                        help="arena whose reports must equal the number of "
+                             "linkage.link_census_pair spans")
     parser.add_argument("--selftest", action="store_true",
                         help="validate known-good and known-bad fixtures")
     args = parser.parse_args()
@@ -351,7 +385,8 @@ def main() -> int:
         print(f"check_report: cannot load {args.report}: {e}",
               file=sys.stderr)
         return 1
-    errors = check_report(report, args.expect_span, args.expect_counter)
+    errors = check_report(report, args.expect_span, args.expect_counter,
+                          args.expect_arena_per_link)
 
     if args.trace:
         try:
