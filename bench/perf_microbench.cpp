@@ -13,7 +13,6 @@
 #include "tglink/linkage/iterative.h"
 #include "tglink/linkage/prematching.h"
 #include "tglink/linkage/subgraph.h"
-#include "tglink/similarity/batch_kernels.h"
 #include "tglink/similarity/edit_distance.h"
 #include "tglink/similarity/jaro.h"
 #include "tglink/similarity/phonetic.h"
@@ -64,35 +63,6 @@ void BM_Soundex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Soundex);
-
-// Scalar measure vs batched kernel, per measure: state.range(0) selects the
-// variant (0 = scalar ComputeMeasure, 1 = batched), so each kernel reports
-// two comparable rows.
-void BM_KernelVsScalar(benchmark::State& state, Measure measure) {
-  const bool batched = state.range(0) == 1;
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& pair = kNamePairs[i++ % std::size(kNamePairs)];
-    benchmark::DoNotOptimize(
-        batched ? simkernel::BatchMeasure(measure, pair[0], pair[1])
-                : ComputeMeasure(measure, pair[0], pair[1]));
-  }
-  state.SetLabel(batched ? "batched" : "scalar");
-}
-BENCHMARK_CAPTURE(BM_KernelVsScalar, qgram_dice, Measure::kQGramDice)
-    ->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, trigram_dice, Measure::kTrigramDice)
-    ->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, levenshtein, Measure::kLevenshtein)
-    ->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, damerau, Measure::kDamerau)
-    ->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, jaro, Measure::kJaro)
-    ->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, jaro_winkler, Measure::kJaroWinkler)
-    ->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_KernelVsScalar, soundex, Measure::kSoundexEqual)
-    ->Arg(0)->Arg(1);
 
 /// One fully configured record-pair similarity (ω2, five attributes).
 void BM_AggregateSimilarity(benchmark::State& state) {

@@ -2,13 +2,14 @@
 // BENCH_sim_kernels.json.
 //
 // Three sections:
-//   * per-kernel microbench, at --scale: the scalar measure against the
-//     batched kernel over value pairs drawn from the synthetic generator's
-//     name / address vocabularies (real length distributions, not toy
-//     constants) — after asserting the batched kernel reproduces the scalar
-//     doubles bit-for-bit on every sampled pair. The report holds each
-//     variant's best loop time over the sample (micro.<kernel>.*_seconds);
-//     ns/op is printed only;
+//   * bigram Dice microbench, at --scale: the scalar measure against
+//     DiceProfileKernel over value pairs drawn from the synthetic
+//     generator's name / address vocabularies (real length distributions,
+//     not toy constants). The kernel merges profiles built before the timed
+//     loop, as SimBatch merges the profiles of its tables; the timing
+//     follows a check that it reproduces the scalar doubles bit-for-bit on
+//     every sampled pair. The report holds each variant's best loop time
+//     over the sample (micro.qgram_dice.*_seconds); ns/op is printed only;
 //   * pre-matching stage timing, at --scale (check-in runs use --scale=1.0,
 //     the paper's full Rawtenstall size): best-of-N SimBatch row scoring and
 //     PreMatcher construction, after asserting the PreMatcher keeps exactly
@@ -40,14 +41,11 @@ namespace {
 
 using namespace tglink;
 
-struct KernelRow {
-  const char* slug;  // report key: micro.<slug>.*
-  Measure measure;
-};
-
 /// Value pairs sampled from the synthetic censuses' string fields — the
 /// length distribution the kernels actually see in pre-matching. Distinct
 /// co-prime strides keep the sample deterministic while mixing households.
+/// Pairs with an empty value are skipped: SimBatch scores them as missing
+/// and never merges their profiles.
 std::vector<std::pair<std::string_view, std::string_view>> SampleValuePairs(
     const SyntheticPair& pair, size_t count) {
   const Field fields[] = {Field::kFirstName, Field::kSurname, Field::kAddress,
@@ -59,19 +57,23 @@ std::vector<std::pair<std::string_view, std::string_view>> SampleValuePairs(
   for (size_t i = 0; samples.size() < count; ++i) {
     const PersonRecord& o = pair.old_dataset.record((i * 7919) % n_old);
     const PersonRecord& n = pair.new_dataset.record((i * 104729) % n_new);
+    std::pair<std::string_view, std::string_view> values;
     switch (fields[i % std::size(fields)]) {
       case Field::kFirstName:
-        samples.emplace_back(o.first_name, n.first_name);
+        values = {o.first_name, n.first_name};
         break;
       case Field::kSurname:
-        samples.emplace_back(o.surname, n.surname);
+        values = {o.surname, n.surname};
         break;
       case Field::kAddress:
-        samples.emplace_back(o.address, n.address);
+        values = {o.address, n.address};
         break;
       default:
-        samples.emplace_back(o.occupation, n.occupation);
+        values = {o.occupation, n.occupation};
         break;
+    }
+    if (!values.first.empty() && !values.second.empty()) {
+      samples.push_back(values);
     }
   }
   return samples;
@@ -92,61 +94,60 @@ int main(int argc, char** argv) {
               pair.old_dataset.year(), pair.new_dataset.year(), options.scale,
               pair.old_dataset.num_records(), pair.new_dataset.num_records());
 
-  // ---- Per-kernel microbench at --scale ----------------------------------
-  const std::vector<KernelRow> kernels = {
-      {"exact", Measure::kExact},
-      {"qgram_dice", Measure::kQGramDice},
-      {"trigram_dice", Measure::kTrigramDice},
-      {"levenshtein", Measure::kLevenshtein},
-      {"damerau", Measure::kDamerau},
-      {"jaro", Measure::kJaro},
-      {"jaro_winkler", Measure::kJaroWinkler},
-      {"soundex", Measure::kSoundexEqual},
-  };
+  // ---- Bigram Dice microbench at --scale --------------------------------
   constexpr size_t kSamplePairs = 4096;
   constexpr int kReps = 5;
   const auto samples = SampleValuePairs(pair, kSamplePairs);
+  std::vector<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>>
+      profiles(samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    simkernel::BuildPaddedGramProfile(samples[i].first, &profiles[i].first);
+    simkernel::BuildPaddedGramProfile(samples[i].second, &profiles[i].second);
+  }
+  const auto kernel = [&](size_t i) {
+    const auto& [a, b] = profiles[i];
+    return simkernel::DiceProfileKernel(a.data(), a.size(), b.data(),
+                                        b.size());
+  };
 
-  // Bit-identity sanity before timing anything: the batched kernel must
-  // return the scalar measure's exact double on every sampled pair.
-  for (const KernelRow& k : kernels) {
-    for (const auto& [a, b] : samples) {
-      const double expected = ComputeMeasure(k.measure, a, b);
-      const double got = simkernel::BatchMeasure(k.measure, a, b);
-      if (got != expected) {
-        std::fprintf(stderr, "FATAL: %s batched %.17g != scalar %.17g\n",
-                     k.slug, got, expected);
-        return 1;
-      }
+  // Bit-identity sanity before timing anything: the kernel must return the
+  // scalar measure's exact double on every sampled pair.
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const auto& [a, b] = samples[i];
+    const double expected = ComputeMeasure(Measure::kQGramDice, a, b);
+    const double got = kernel(i);
+    if (got != expected) {
+      std::fprintf(stderr, "FATAL: qgram_dice kernel %.17g != scalar %.17g\n",
+                   got, expected);
+      return 1;
     }
   }
-  std::printf("all %zu kernels bit-identical on %zu sampled value pairs\n\n",
-              kernels.size(), samples.size());
+  std::printf("bigram Dice kernel bit-identical on %zu sampled value pairs\n\n",
+              samples.size());
 
+  double sink = 0.0;  // keeps the timed loops from being optimized away
+  double best[2] = {0.0, 0.0};  // scalar, kernel
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int variant = 0; variant < 2; ++variant) {
+      Timer timer;
+      for (size_t i = 0; i < samples.size(); ++i) {
+        sink += variant == 0 ? ComputeMeasure(Measure::kQGramDice,
+                                              samples[i].first,
+                                              samples[i].second)
+                             : kernel(i);
+      }
+      const double s = timer.ElapsedSeconds();
+      if (rep == 0 || s < best[variant]) best[variant] = s;
+    }
+  }
+  report.AddScalar("micro.qgram_dice.scalar_seconds", best[0])
+      .AddScalar("micro.qgram_dice.batched_seconds", best[1]);
+  const double per_op = 1e9 / static_cast<double>(samples.size());
   TextTable micro;
   micro.SetHeader({"kernel", "scalar ns", "batched ns", "speedup"});
-  double sink = 0.0;  // keeps the timed loops from being optimized away
-  for (const KernelRow& k : kernels) {
-    double best[2] = {0.0, 0.0};  // scalar, batched
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (int variant = 0; variant < 2; ++variant) {
-        Timer timer;
-        for (const auto& [a, b] : samples) {
-          sink += variant == 0 ? ComputeMeasure(k.measure, a, b)
-                               : simkernel::BatchMeasure(k.measure, a, b);
-        }
-        const double s = timer.ElapsedSeconds();
-        if (rep == 0 || s < best[variant]) best[variant] = s;
-      }
-    }
-    const std::string key = std::string("micro.") + k.slug;
-    report.AddScalar(key + ".scalar_seconds", best[0])
-        .AddScalar(key + ".batched_seconds", best[1]);
-    const double per_op = 1e9 / static_cast<double>(samples.size());
-    micro.AddRow({k.slug, TextTable::Fixed(best[0] * per_op, 1),
-                  TextTable::Fixed(best[1] * per_op, 1),
-                  TextTable::Fixed(best[0] / best[1], 2)});
-  }
+  micro.AddRow({"qgram_dice", TextTable::Fixed(best[0] * per_op, 1),
+                TextTable::Fixed(best[1] * per_op, 1),
+                TextTable::Fixed(best[0] / best[1], 2)});
   std::fputs(micro.ToString().c_str(), stdout);
   std::printf("(best of %d loops over %zu pairs; checksum %.3f)\n\n", kReps,
               samples.size(), sink);
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
 
   // The similarity stage in isolation: candidate generation is hoisted
   // out, so the timed region is SimBatch construction (value interning +
-  // signature precomputation) plus threshold scoring of every candidate
+  // bigram profiles and postings) plus threshold scoring of every candidate
   // through the row scorer, over the (old, new)-sorted candidates in
   // fixed-size slices, as the PreMatcher scores them. The whole-PreMatcher
   // row below includes the blocking and the pair store for context.

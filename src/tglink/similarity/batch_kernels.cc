@@ -2,208 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
-#include "tglink/obs/metrics.h"
-#include "tglink/similarity/phonetic.h"
 #include "tglink/util/logging.h"
 
 namespace tglink {
 namespace simkernel {
-
-namespace {
-
-/// Myers' bit-parallel algorithm handles patterns up to one machine word.
-constexpr uint32_t kMyersMaxPattern = 64;
-
-/// Reusable per-thread buffers: DP rows for the long Levenshtein and the
-/// Damerau paths, matched flags for Jaro, gram profiles for BatchMeasure.
-/// Cleared (not freed) between calls, so steady-state kernel calls never
-/// touch the heap.
-struct KernelScratch {
-  uint64_t peq[256] = {};  // Myers pattern masks; zeroed after every use
-  std::vector<int> row;
-  std::vector<int> row2;
-  std::vector<int> row3;
-  std::vector<unsigned char> matched_a;
-  std::vector<unsigned char> matched_b;
-  std::vector<uint32_t> profile_a;
-  std::vector<uint32_t> profile_b;
-};
-
-KernelScratch& Scratch() {
-  thread_local KernelScratch scratch;
-  return scratch;
-}
-
-/// Exact Levenshtein distance for patterns of 1..64 chars, O(|text|) words.
-int MyersDistance(StringRef pattern, StringRef text) {
-  assert(pattern.len >= 1 && pattern.len <= kMyersMaxPattern);
-  uint64_t* peq = Scratch().peq;
-  const auto* p = reinterpret_cast<const unsigned char*>(pattern.data);
-  for (uint32_t i = 0; i < pattern.len; ++i) {
-    peq[p[i]] |= uint64_t{1} << i;
-  }
-  uint64_t pv = ~uint64_t{0};
-  uint64_t mv = 0;
-  int score = static_cast<int>(pattern.len);
-  const uint64_t high = uint64_t{1} << (pattern.len - 1);
-  const auto* t = reinterpret_cast<const unsigned char*>(text.data);
-  for (uint32_t j = 0; j < text.len; ++j) {
-    const uint64_t eq = peq[t[j]];
-    const uint64_t xv = eq | mv;
-    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-    uint64_t ph = mv | ~(xh | pv);
-    uint64_t mh = pv & xh;
-    if (ph & high) {
-      ++score;
-    } else if (mh & high) {
-      --score;
-    }
-    ph = (ph << 1) | 1;
-    mh <<= 1;
-    pv = mh | ~(xv | ph);
-    mv = ph & xv;
-  }
-  // Zero only the touched mask entries (O(pattern), not O(256)).
-  for (uint32_t i = 0; i < pattern.len; ++i) {
-    peq[p[i]] = 0;
-  }
-  return score;
-}
-
-/// Levenshtein distance by the scalar DP on one thread-local row, for
-/// pairs whose shorter string is too long for Myers.
-int RowLevenshtein(StringRef a, StringRef b) {
-  if (a.len < b.len) std::swap(a, b);  // b, the shorter string, is the row
-  std::vector<int>& row = Scratch().row;
-  row.resize(static_cast<size_t>(b.len) + 1);
-  for (uint32_t j = 0; j <= b.len; ++j) row[j] = static_cast<int>(j);
-  for (uint32_t i = 1; i <= a.len; ++i) {
-    int diag = row[0];  // row[i-1][j-1]
-    row[0] = static_cast<int>(i);
-    for (uint32_t j = 1; j <= b.len; ++j) {
-      const int up = row[j];
-      const int cost = (a.data[i - 1] == b.data[j - 1]) ? 0 : 1;
-      row[j] = std::min({up + 1, row[j - 1] + 1, diag + cost});
-      diag = up;
-    }
-  }
-  return row[b.len];
-}
-
-/// Same expression as edit_distance.cc's NormalizedSimilarity.
-double NormalizedEditSimilarity(int dist, size_t la, size_t lb) {
-  const size_t longest = std::max(la, lb);
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(dist) / static_cast<double>(longest);
-}
-
-}  // namespace
-
-double LevenshteinKernel(StringRef a, StringRef b) {
-  if (a.len == 0 && b.len == 0) return 1.0;
-  if (a.len == 0 || b.len == 0) return 0.0;
-  const size_t la = a.len;
-  const size_t lb = b.len;
-  int dist = 0;
-  if (std::min(la, lb) <= kMyersMaxPattern) {
-    TGLINK_COUNTER_INC("simkernel.myers_hits");
-    dist = la <= lb ? MyersDistance(a, b) : MyersDistance(b, a);
-  } else {
-    TGLINK_COUNTER_INC("simkernel.fallback_hits");
-    dist = RowLevenshtein(a, b);
-  }
-  return NormalizedEditSimilarity(dist, la, lb);
-}
-
-double DamerauKernel(StringRef a, StringRef b) {
-  if (a.len == 0 && b.len == 0) return 1.0;
-  if (a.len == 0 || b.len == 0) return 0.0;
-  const size_t n = a.len;
-  const size_t m = b.len;
-  // Same recurrence as edit_distance.cc's DamerauDistance, on thread-local
-  // rolling rows.
-  KernelScratch& scratch = Scratch();
-  std::vector<int>& prev2 = scratch.row;
-  std::vector<int>& prev = scratch.row2;
-  std::vector<int>& cur = scratch.row3;
-  prev2.resize(m + 1);
-  prev.resize(m + 1);
-  cur.resize(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= m; ++j) {
-      const int cost = (a.data[i - 1] == b.data[j - 1]) ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-      if (i > 1 && j > 1 && a.data[i - 1] == b.data[j - 2] &&
-          a.data[i - 2] == b.data[j - 1]) {
-        cur[j] = std::min(cur[j], prev2[j - 2] + 1);
-      }
-    }
-    std::swap(prev2, prev);
-    std::swap(prev, cur);
-  }
-  return NormalizedEditSimilarity(prev[m], n, m);
-}
-
-double JaroKernel(StringRef a, StringRef b) {
-  if (a.len == 0 && b.len == 0) return 1.0;
-  if (a.len == 0 || b.len == 0) return 0.0;
-  if (a.view() == b.view()) return 1.0;
-
-  // Identical match/transposition loops to jaro.cc, with thread-local
-  // matched-flag scratch instead of per-call std::vector<bool>.
-  const int la = static_cast<int>(a.len);
-  const int lb = static_cast<int>(b.len);
-  const int window = std::max(0, std::max(la, lb) / 2 - 1);
-
-  KernelScratch& scratch = Scratch();
-  scratch.matched_a.assign(a.len, 0);
-  scratch.matched_b.assign(b.len, 0);
-  unsigned char* matched_a = scratch.matched_a.data();
-  unsigned char* matched_b = scratch.matched_b.data();
-  int matches = 0;
-  for (int i = 0; i < la; ++i) {
-    const int lo = std::max(0, i - window);
-    const int hi = std::min(lb - 1, i + window);
-    for (int j = lo; j <= hi; ++j) {
-      if (!matched_b[j] && a.data[i] == b.data[j]) {
-        matched_a[i] = matched_b[j] = 1;
-        ++matches;
-        break;
-      }
-    }
-  }
-  if (matches == 0) return 0.0;
-
-  int transpositions = 0;
-  int j = 0;
-  for (int i = 0; i < la; ++i) {
-    if (!matched_a[i]) continue;
-    while (!matched_b[j]) ++j;
-    if (a.data[i] != b.data[j]) ++transpositions;
-    ++j;
-  }
-  const double m = matches;
-  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
-}
-
-double JaroWinklerKernel(StringRef a, StringRef b) {
-  if (a.len == 0 && b.len == 0) return 1.0;
-  if (a.len == 0 || b.len == 0) return 0.0;
-  // The same formula as jaro.cc with the default 0.1 prefix scale (the only
-  // one ComputeMeasure uses).
-  const double jaro = JaroKernel(a, b);
-  constexpr double kPrefixScale = 0.1;
-  size_t prefix = 0;
-  const size_t limit =
-      std::min({static_cast<size_t>(a.len), static_cast<size_t>(b.len),
-                size_t{4}});
-  while (prefix < limit && a.data[prefix] == b.data[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * kPrefixScale * (1.0 - jaro);
-}
 
 double DiceProfileKernel(const uint32_t* a, size_t na, const uint32_t* b,
                          size_t nb) {
@@ -313,95 +116,20 @@ uint64_t GramPostings::LogicalBytes() const {
          (value_grams_.size() + postings_.size()) * sizeof(Entry);
 }
 
-void BuildPaddedGramProfile(std::string_view s, int q,
-                            std::vector<uint32_t>* out) {
-  TGLINK_DCHECK(q == 2 || q == 3) << "packed profiles support q in {2,3}";
-  // Virtual padded string (q-1)*'#' + s + (q-1)*'$', no materialization.
-  const size_t pad = static_cast<size_t>(q - 1);
-  const size_t num_grams = s.size() + pad;  // (|s| + 2*pad) - q + 1
-  // No reserve here: callers append many profiles to one arena, and an
-  // exact-size reserve per profile would defeat geometric growth.
+void BuildPaddedGramProfile(std::string_view s, std::vector<uint32_t>* out) {
+  // Bigrams of the virtual padded string '#' + s + '$', no
+  // materialization: |s| + 1 codes. No reserve here: callers append many
+  // profiles to one arena, and an exact-size reserve per profile would
+  // defeat geometric growth.
   const size_t start = out->size();
-  const auto at = [&](size_t v) -> uint32_t {
-    if (v < pad) return '#';
-    if (v >= pad + s.size()) return '$';
-    return static_cast<unsigned char>(s[v - pad]);
-  };
-  for (size_t i = 0; i < num_grams; ++i) {
-    uint32_t code = 0;
-    for (int k = 0; k < q; ++k) code = (code << 8) | at(i + k);
-    out->push_back(code);
+  uint32_t prev = '#';
+  for (const char c : s) {
+    const uint32_t next = static_cast<unsigned char>(c);
+    out->push_back((prev << 8) | next);
+    prev = next;
   }
+  out->push_back((prev << 8) | '$');
   std::sort(out->begin() + static_cast<ptrdiff_t>(start), out->end());
-}
-
-uint64_t PackPhoneticCode(std::string_view code) {
-  TGLINK_DCHECK(code.size() <= 8) << "phonetic code too long: " << code;
-  uint64_t packed = 0;
-  for (const char c : code) {
-    packed = (packed << 8) | static_cast<unsigned char>(c);
-  }
-  return packed;
-}
-
-bool HasBatchKernel(Measure measure) {
-  switch (measure) {
-    case Measure::kExact:
-    case Measure::kQGramDice:
-    case Measure::kTrigramDice:
-    case Measure::kLevenshtein:
-    case Measure::kDamerau:
-    case Measure::kJaro:
-    case Measure::kJaroWinkler:
-    case Measure::kSoundexEqual:
-      return true;
-    case Measure::kMongeElkan:
-    case Measure::kDoubleMetaphone:
-    case Measure::kSmithWaterman:
-    case Measure::kLcsSubstring:
-      return false;
-  }
-  return false;
-}
-
-double BatchMeasure(Measure measure, std::string_view a, std::string_view b) {
-  // ComputeMeasure's shared conventions, ahead of any dispatch.
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  switch (measure) {
-    case Measure::kExact:
-      return a == b ? 1.0 : 0.0;
-    case Measure::kQGramDice:
-    case Measure::kTrigramDice: {
-      if (a == b) return 1.0;  // same early-out as BigramDice/QGramSimilarity
-      KernelScratch& scratch = Scratch();
-      scratch.profile_a.clear();
-      scratch.profile_b.clear();
-      const int q = measure == Measure::kQGramDice ? 2 : 3;
-      BuildPaddedGramProfile(a, q, &scratch.profile_a);
-      BuildPaddedGramProfile(b, q, &scratch.profile_b);
-      return DiceProfileKernel(scratch.profile_a.data(),
-                               scratch.profile_a.size(),
-                               scratch.profile_b.data(),
-                               scratch.profile_b.size());
-    }
-    case Measure::kLevenshtein:
-      return LevenshteinKernel(MakeRef(a), MakeRef(b));
-    case Measure::kDamerau:
-      return DamerauKernel(MakeRef(a), MakeRef(b));
-    case Measure::kJaro:
-      return JaroKernel(MakeRef(a), MakeRef(b));
-    case Measure::kJaroWinkler:
-      return JaroWinklerKernel(MakeRef(a), MakeRef(b));
-    case Measure::kSoundexEqual:
-      return Soundex(a) == Soundex(b) ? 1.0 : 0.0;
-    case Measure::kMongeElkan:
-    case Measure::kDoubleMetaphone:
-    case Measure::kSmithWaterman:
-    case Measure::kLcsSubstring:
-      return ComputeMeasure(measure, a, b);
-  }
-  return 0.0;
 }
 
 }  // namespace simkernel

@@ -1,17 +1,15 @@
-// Allocation-free batched similarity kernels.
+// Allocation-free bigram Dice kernels over precomputed gram profiles.
 //
-// The scalar measures in edit_distance/jaro/qgram are exact but allocate on
-// every call (DP rows, matched-flag vectors, q-gram string multisets). The
-// kernels here compute the *same doubles* — every arithmetic expression is
-// copied from the scalar implementation, and the integer intermediates
-// (edit distances, match/transposition counts, gram intersection sizes) are
-// provably equal — while reading flat `StringRef` views and reusing
-// thread-local scratch buffers, so the pre-matching hot loop does no heap
-// work per pair. Every kernel is a total function: it always runs the full
-// comparison and returns the measure's value. Cutting a pair below a
-// threshold is the caller's job (SimBatch compares the exact aggregate).
+// The linkage functions (Ω1, Ω2, the residual function) compare names,
+// address and occupation with bigram Dice and sex with exact agreement.
+// SimTables (sim_tables.h) builds each interned value's sorted packed gram
+// profile once; the kernels here score Dice from two such profiles, or from
+// a multiset intersection a GramPostings walk accumulated, with the same
+// expression as qgram.cc, so they return the scalar measure's exact double
+// and do no heap work per pair. Every other measure has one implementation,
+// its scalar one, which SimBatch calls on the arena views.
 //
-// The scalar kernels remain the reference oracle; see
+// The scalar measure remains the reference oracle; see
 // tests/similarity_kernel_property_test.cc.
 
 #ifndef TGLINK_SIMILARITY_BATCH_KERNELS_H_
@@ -23,8 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "tglink/similarity/field_similarity.h"
-
 namespace tglink {
 namespace simkernel {
 
@@ -35,37 +31,11 @@ struct StringRef {
   uint32_t len = 0;
 
   [[nodiscard]] std::string_view view() const { return {data, len}; }
-  [[nodiscard]] bool empty() const { return len == 0; }
 };
-
-inline StringRef MakeRef(std::string_view s) {
-  return {s.data(), static_cast<uint32_t>(s.size())};
-}
-
-// ---------------------------------------------------------------------------
-// Kernels. Empty-string conventions mirror ComputeMeasure (both empty -> 1,
-// one empty -> 0); for non-empty inputs each returns exactly the scalar
-// measure's double.
-
-/// Myers bit-parallel edit distance when the shorter string fits one 64-bit
-/// word ("simkernel.myers_hits"), the scalar DP on one thread-local row
-/// otherwise ("simkernel.fallback_hits").
-[[nodiscard]] double LevenshteinKernel(StringRef a, StringRef b);
-
-/// Optimal-string-alignment distance on thread-local rolling rows (Myers
-/// has no transposition term, so Damerau stays a scratch-buffer DP).
-[[nodiscard]] double DamerauKernel(StringRef a, StringRef b);
-
-/// Jaro with thread-local matched-flag scratch instead of per-call
-/// std::vector<bool>.
-[[nodiscard]] double JaroKernel(StringRef a, StringRef b);
-
-/// Jaro-Winkler over JaroKernel with the default 0.1 prefix scale.
-[[nodiscard]] double JaroWinklerKernel(StringRef a, StringRef b);
 
 /// Dice coefficient from two precomputed sorted gram profiles (see
 /// BuildPaddedGramProfile) via a branchless sorted merge. Both profiles
-/// must be non-empty (padded grams of non-empty strings always are).
+/// must be non-empty (padded profiles always are).
 [[nodiscard]] double DiceProfileKernel(const uint32_t* a, size_t na,
                                        const uint32_t* b, size_t nb);
 
@@ -129,33 +99,15 @@ class GramPostings {
 };
 
 // ---------------------------------------------------------------------------
-// Precomputed per-string signatures.
+// Precomputed per-string profiles.
 
-/// Appends the sorted, packed padded q-gram profile of `s` (q in {2, 3}:
-/// big-endian byte packing, one uint32_t per gram) to `*out`. The multiset
-/// of codes corresponds 1:1 to QGrams(s, {q, padded=true}), so sorted-merge
+/// Appends the sorted, packed padded bigram profile of `s` (big-endian
+/// byte packing, one uint32_t per bigram) to `*out`. The multiset of codes
+/// corresponds 1:1 to QGrams(s, {2, padded=true}), so sorted-merge
 /// intersection counts are identical to the scalar string-gram counts.
 /// Appends without reserving, so building many profiles into one arena
 /// keeps the vector's geometric growth.
-void BuildPaddedGramProfile(std::string_view s, int q,
-                            std::vector<uint32_t>* out);
-
-/// Packs a Soundex code (<= 8 chars, never containing NUL) into one
-/// uint64_t; equality of packed codes ⟺ equality of the code strings.
-[[nodiscard]] uint64_t PackPhoneticCode(std::string_view code);
-
-// ---------------------------------------------------------------------------
-// Standalone dispatch for property tests and microbenches: evaluates
-// `measure` on two plain strings through the batched kernels (building gram
-// profiles in thread-local scratch), with the same result as
-// ComputeMeasure(measure, a, b). Measures without a batched kernel
-// (Monge-Elkan, metaphone, Smith-Waterman, LCS) fall through to
-// ComputeMeasure.
-[[nodiscard]] double BatchMeasure(Measure measure, std::string_view a,
-                                  std::string_view b);
-
-/// True when `measure` has a batched kernel.
-[[nodiscard]] bool HasBatchKernel(Measure measure);
+void BuildPaddedGramProfile(std::string_view s, std::vector<uint32_t>* out);
 
 }  // namespace simkernel
 }  // namespace tglink

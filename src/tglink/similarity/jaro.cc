@@ -42,14 +42,13 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
 }
 
-double JaroWinklerSimilarity(std::string_view a, std::string_view b,
-                             double prefix_scale) {
-  prefix_scale = std::clamp(prefix_scale, 0.0, 0.25);
+double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
+  constexpr double kPrefixScale = 0.1;
   const double jaro = JaroSimilarity(a, b);
   size_t prefix = 0;
   const size_t limit = std::min({a.size(), b.size(), size_t{4}});
   while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * prefix_scale * (1.0 - jaro);
+  return jaro + static_cast<double>(prefix) * kPrefixScale * (1.0 - jaro);
 }
 
 }  // namespace tglink

@@ -33,8 +33,8 @@ struct MemoSlot {
   double value = 0.0;
 };
 
-// The per-thread value-pair memo of the string-kernel plans: per spec
-// index, a direct-mapped table indexed by the new value id.
+// The per-thread value-pair memo of the Dice plan: per spec index, a
+// direct-mapped table indexed by the new value id.
 //
 // Concurrency contract: the memo (like the row state in BindRowScratch) is
 // thread-owned, never shared — each pool worker mutates only its own copy,
@@ -67,7 +67,7 @@ struct CallTally {
   uint64_t builds = 0;        // Dice accumulators built
   uint64_t walked = 0;        // posting entries they walked
   uint64_t merges = 0;        // Dice profile merges run
-  uint64_t memo_lookups = 0;  // string-kernel values looked up in the memo
+  uint64_t memo_lookups = 0;  // Dice values looked up in the memo
   uint64_t memo_hits = 0;     // ... and found there
 };
 
@@ -82,13 +82,12 @@ struct SimBatch::OldSide {
   uint32_t va = 0;  // value id (table specs)
   bool missing = false;
   simkernel::StringRef ref;  // the value (table specs)
-  GramSpan grams;            // Dice plans
-  uint64_t soundex = 0;      // kSoundex
-  // String-kernel plans: this thread's memo row for the spec and the key a
-  // slot holds when it caches (this batch, va, the slot's new value id).
+  GramSpan grams;            // kBigramDice
+  // kBigramDice: this thread's memo row for the spec and the key a slot
+  // holds when it caches (this batch, va, the slot's new value id).
   MemoSlot* memo = nullptr;
   uint64_t memo_key = 0;
-  // Dice plans in the row scorer: this thread's accumulator for va, or
+  // kBigramDice in the row scorer: this thread's accumulator for va, or
   // null where the run of pairs sharing va is merged pair by pair; and the
   // value whose run that choice covers (kNoRun before the first).
   const uint32_t* common = nullptr;
@@ -124,33 +123,20 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
     plan.table = tables_->table(spec.field);
     TGLINK_CHECK(plan.table != nullptr)
         << "similarity tables hold no " << FieldName(spec.field) << " table";
+    // No default: a new Measure must pick its plan here (-Wswitch).
     switch (spec.measure) {
       case Measure::kExact:
         plan.plan = Plan::kExactId;
         break;
       case Measure::kQGramDice:
         plan.plan = Plan::kBigramDice;
-        plan.grams = &plan.table->gram2;
         break;
       case Measure::kTrigramDice:
-        plan.plan = Plan::kTrigramDice;
-        plan.grams = &plan.table->gram3;
-        break;
       case Measure::kLevenshtein:
-        plan.plan = Plan::kLevenshtein;
-        break;
       case Measure::kDamerau:
-        plan.plan = Plan::kDamerau;
-        break;
       case Measure::kJaro:
-        plan.plan = Plan::kJaro;
-        break;
       case Measure::kJaroWinkler:
-        plan.plan = Plan::kJaroWinkler;
-        break;
       case Measure::kSoundexEqual:
-        plan.plan = Plan::kSoundex;
-        break;
       case Measure::kMongeElkan:
       case Measure::kDoubleMetaphone:
       case Measure::kSmithWaterman:
@@ -158,12 +144,9 @@ SimBatch::SimBatch(const SimilarityFunction& fn,
         plan.plan = Plan::kFallback;
         break;
     }
-    TGLINK_CHECK((plan.grams == nullptr || plan.grams->built()) &&
-                 (plan.plan != Plan::kSoundex ||
-                  plan.table->soundex_codes.size() ==
-                      plan.table->num_values()))
+    TGLINK_CHECK(plan.plan != Plan::kBigramDice || plan.table->gram2.built())
         << "similarity tables lack the " << MeasureName(spec.measure)
-        << " signatures of " << FieldName(spec.field);
+        << " profiles of " << FieldName(spec.field);
   }
 }
 
@@ -186,25 +169,11 @@ SimBatch::RowScratch& SimBatch::BindRowScratch() const {
     OldSide& side = row.old_side[i];
     side.common = nullptr;  // single pairs always merge
     side.run_va = kNoRun;
-    MemoSlot*& slots = side.memo;
-    slots = nullptr;
-    switch (plans_[i].plan) {
-      case Plan::kAge:
-      case Plan::kExactId:
-      case Plan::kSoundex:
-      case Plan::kFallback:
-        continue;  // O(1) or ComputeMeasure: no value-pair memo
-      case Plan::kBigramDice:
-      case Plan::kTrigramDice:
-      case Plan::kLevenshtein:
-      case Plan::kDamerau:
-      case Plan::kJaro:
-      case Plan::kJaroWinkler:
-        break;
-    }
+    side.memo = nullptr;
+    if (plans_[i].plan != Plan::kBigramDice) continue;  // no value-pair memo
     const size_t values = plans_[i].table->num_values();
     if (memo[i].size() < values) memo[i].resize(values);
-    slots = memo[i].data();
+    side.memo = memo[i].data();
   }
   return row;
 }
@@ -224,11 +193,7 @@ void SimBatch::LoadOldRecord(RecordId old_id, RowScratch* row) const {
     side.missing = t.Missing(side.va);
     side.ref = t.Ref(side.va);
     side.memo_key = (generation_ << 32) | side.va;
-    if (plan.grams != nullptr) {
-      side.grams = plan.grams->Profile(side.va);
-    } else if (plan.plan == Plan::kSoundex) {
-      side.soundex = t.soundex_codes[side.va];
-    }
+    if (plan.plan == Plan::kBigramDice) side.grams = t.gram2.Profile(side.va);
   }
 }
 
@@ -256,22 +221,12 @@ double SimBatch::O1Value(size_t spec_index, const RowScratch& row,
                                    fn_.year_gap(), fn_.age_tolerance());
     case Plan::kExactId:
       return a.va == *vb ? 1.0 : 0.0;
-    case Plan::kSoundex:
-      return a.soundex == t->soundex_codes[*vb] ? 1.0 : 0.0;
     case Plan::kBigramDice:
-    case Plan::kTrigramDice:
       if (a.va == *vb) return 1.0;
       if (a.common != nullptr) {
         return simkernel::DiceFromCommon(a.common[*vb], a.grams.size,
-                                         plan.grams->Profile(*vb).size);
+                                         t->gram2.Profile(*vb).size);
       }
-      break;
-    case Plan::kLevenshtein:
-    case Plan::kDamerau:
-    case Plan::kJaro:
-    case Plan::kJaroWinkler:
-      // Every string kernel scores a value against itself as 1.
-      if (a.va == *vb) return 1.0;
       break;
     case Plan::kFallback:
       break;
@@ -288,7 +243,7 @@ double SimBatch::ExactInRow(RowScratch* row, RecordId new_id) const {
     if (s == kNeedsKernel) {
       s = PresentValue(i, row, vb);
       TGLINK_DCHECK(s >= 0.0 && s <= 1.0)
-          << "batched measure " << MeasureName(fn_.specs()[i].measure)
+          << "measure " << MeasureName(fn_.specs()[i].measure)
           << " on " << FieldName(fn_.specs()[i].field) << " returned " << s;
     }
     return s;
@@ -312,35 +267,10 @@ double SimBatch::PresentValue(size_t spec_index, RowScratch* row,
     ++row->tally.memo_hits;
     return slot.value;
   }
-  double s = 0.0;
-  switch (plan.plan) {
-    case Plan::kBigramDice:
-    case Plan::kTrigramDice: {
-      const GramSpan b = plan.grams->Profile(vb);
-      s = simkernel::DiceProfileKernel(a.grams.data, a.grams.size, b.data,
-                                       b.size);
-      ++row->tally.merges;
-      break;
-    }
-    case Plan::kLevenshtein:
-      s = simkernel::LevenshteinKernel(a.ref, t.Ref(vb));
-      break;
-    case Plan::kDamerau:
-      s = simkernel::DamerauKernel(a.ref, t.Ref(vb));
-      break;
-    case Plan::kJaro:
-      s = simkernel::JaroKernel(a.ref, t.Ref(vb));
-      break;
-    case Plan::kJaroWinkler:
-      s = simkernel::JaroWinklerKernel(a.ref, t.Ref(vb));
-      break;
-    case Plan::kAge:
-    case Plan::kExactId:
-    case Plan::kSoundex:
-    case Plan::kFallback:
-      TGLINK_DCHECK(false) << "no kernel for this plan";
-      break;
-  }
+  const GramSpan b = t.gram2.Profile(vb);
+  const double s =
+      simkernel::DiceProfileKernel(a.grams.data, a.grams.size, b.data, b.size);
+  ++row->tally.merges;
   slot = {a.memo_key, s};
   return s;
 }
@@ -364,7 +294,7 @@ const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
                                      std::span<const CandidatePair> rest,
                                      RowScratch* row) const {
   const FieldTable& t = *plans_[spec_index].table;
-  const SimTables::GramTable& grams = *plans_[spec_index].grams;
+  const SimTables::GramTable& grams = t.gram2;
   DiceAccumulator& acc = ThreadDiceAccumulators()[spec_index];
   if (acc.generation == generation_ && acc.va == a.va) {
     return acc.common.data();
@@ -400,10 +330,8 @@ const uint32_t* SimBatch::DiceSource(size_t spec_index, const OldSide& a,
 void SimBatch::ChooseDiceSources(std::span<const CandidatePair> rest,
                                  RowScratch* row) const {
   for (size_t i = 0; i < plans_.size(); ++i) {
-    const Plan plan = plans_[i].plan;
     OldSide& side = row->old_side[i];
-    if ((plan != Plan::kBigramDice && plan != Plan::kTrigramDice) ||
-        side.run_va == side.va) {
+    if (plans_[i].plan != Plan::kBigramDice || side.run_va == side.va) {
       continue;
     }
     side.common = side.missing ? nullptr : DiceSource(i, side, rest, row);

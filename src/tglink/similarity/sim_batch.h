@@ -3,29 +3,35 @@
 //
 // A SimBatch is a thin plan of one SimilarityFunction over SimTables
 // (sim_tables.h): the interned values of both snapshots per field, with the
-// gram profiles, postings and Soundex codes its measures read. The plan
-// maps each component to an allocation-free kernel (batch_kernels.h) over
-// those flat tables and evaluates whole-pair aggregates. Several plans can
-// share one set of tables through a shared_ptr; LinkCensusPair builds the
-// tables once per census pair and plans Ω2 and the residual function over
-// them. The three-argument constructor builds tables for its function
-// alone. Aggregation runs through SimilarityFunction::AggregateWith — the
+// bigram profiles and postings its Dice components read. The plan maps
+// each component to one of four evaluations — the temporal age measure,
+// interned-id equality for kExact, the allocation-free bigram Dice kernels
+// (batch_kernels.h) for kQGramDice, and ComputeMeasure on the two arena
+// views for every other measure — and evaluates whole-pair aggregates.
+// The paper's functions (Ω1, Ω2, the residual function) use only Dice,
+// exact agreement and age, so only those have a batched path; a measure
+// gets one when a configuration uses it and a profile shows its scalar
+// cost. Several plans can share one set of tables through a shared_ptr;
+// LinkCensusPair builds the tables once per census pair and plans Ω2 and
+// the residual function over them. The three-argument constructor builds
+// tables for its function alone. Aggregation runs through SimilarityFunction::AggregateWith — the
 // same arithmetic as the scalar path — so Aggregate(o, n) is bit-identical
 // to fn.AggregateSimilarity(old.record(o), new.record(n)).
 //
 // Every entry point first loads the old record's side of each component
-// once — value id, missing flag, arena view, gram-profile span, Soundex
-// code, and the memo key and this thread's memo row — and then reads only
-// the new record's side per pair. Aggregate and AggregateWithThreshold are
-// rows of one.
+// once — value id, missing flag, arena view, bigram-profile span, and the
+// memo key and this thread's memo row — and then reads only the new
+// record's side per pair. Aggregate and AggregateWithThreshold are rows of
+// one.
 //
 // One evaluator scores a pair of a loaded row, in one pass: the O(1)
-// components (missing flags, age, exact id, Soundex, equal value ids, Dice
-// from an accumulator) and then the string kernels through the value-pair
-// memo, aggregated by AggregateWith in spec order. The threshold entry
-// points compare that exact aggregate with min_sim, so they return
-// kPruned exactly when it is below min_sim; callers that keep pairs with
-// sim >= min_sim keep exactly the pairs whose exact aggregate reaches it.
+// components (missing flags, age, exact id, equal Dice value ids, Dice
+// from an accumulator), then the Dice merge through the value-pair memo
+// and ComputeMeasure for the other measures, aggregated by AggregateWith
+// in spec order. The threshold entry points compare that exact aggregate
+// with min_sim, so they return kPruned exactly when it is below min_sim;
+// callers that keep pairs with sim >= min_sim keep exactly the pairs whose
+// exact aggregate reaches it.
 //
 // Row scorer (AggregateRowsWithThreshold): scores a span of candidates
 // sorted by (old, new) — the order blocking emits — reloading the old side
@@ -34,7 +40,7 @@
 // is added once per call, by the span length; callers that histogram the
 // results tally them per chunk (see PreMatcher).
 //
-// Dice from gram postings: each Dice table of SimTables carries
+// Dice from gram postings: each bigram table of SimTables carries
 // simkernel::GramPostings over its new-side values. Consecutive old
 // records share surname, address and occupation, so a run of candidates
 // often shares one old value va. For such a run the row scorer walks va's
@@ -56,21 +62,20 @@
 // "simkernel.dice_postings_walked" and "simkernel.dice_row_merges"
 // (profile merges run). The single-pair entry points keep the merge.
 //
-// Measures without a batched kernel (Monge-Elkan, double-metaphone,
-// Smith-Waterman, LCS) call ComputeMeasure on the two arena views,
-// unmemoized.
+// Every measure but Dice and exact agreement (trigram Dice, the edit and
+// Jaro families, Soundex, Monge-Elkan, double metaphone, Smith-Waterman,
+// LCS) calls ComputeMeasure on the two arena views, unmemoized.
 //
-// Value-pair memo: the string-kernel plans (Dice, edit and Jaro family —
-// not exact, Soundex, age or fallback) consult a per-thread direct-mapped
-// table per spec index, indexed by the new value id, before running the
-// kernel. A slot holds the exact kernel result for one (batch generation,
-// old value id) key, so a hit changes no result; the generation is unique
-// per plan and process, so neither another plan over the same tables nor
-// a batch built at a destroyed batch's address ever sees its entries.
-// Candidates sorted by old record make the memo pay: household members are
-// adjacent and share surname, address and often occupation. Every entry
-// point adds "simkernel.memo_lookups" (kernel values looked up) and
-// "simkernel.memo_hits" (found there) once per call.
+// Value-pair memo (Dice only): a Dice component consults a per-thread
+// direct-mapped table per spec index, indexed by the new value id, before
+// merging profiles. A slot holds the exact Dice value for one (batch
+// generation, old value id) key, so a hit changes no result; the
+// generation is unique per plan and process, so neither another plan over
+// the same tables nor a batch built at a destroyed batch's address ever
+// sees its entries. Candidates sorted by old record make the memo pay:
+// household members are adjacent and share surname, address and often
+// occupation. Every entry point adds "simkernel.memo_lookups" (Dice values
+// looked up) and "simkernel.memo_hits" (found there) once per call.
 //
 // Thread safety: construction is single-threaded; every scoring entry
 // point is lock-free over immutable tables (plus thread-local row state,
@@ -99,8 +104,8 @@ class SimBatch {
   /// are in [0, 1].
   static constexpr double kPruned = -1.0;
 
-  /// A plan for `fn` over `tables`, which must hold every field and
-  /// signature `fn` reads (build them with fn among their functions). Builds
+  /// A plan for `fn` over `tables`, which must hold every field and bigram
+  /// profile `fn` reads (build them with fn among their functions). Builds
   /// nothing; `fn` must outlive the plan, which shares the tables.
   SimBatch(const SimilarityFunction& fn,
            std::shared_ptr<const SimTables> tables);
@@ -148,16 +153,10 @@ class SimBatch {
  private:
   /// How one component of fn.specs() is evaluated.
   enum class Plan : uint8_t {
-    kAge,          // TemporalAgeSimilarity on record ints
-    kExactId,      // interned-id equality
-    kBigramDice,   // precomputed padded bigram profiles
-    kTrigramDice,  // precomputed padded trigram profiles
-    kLevenshtein,
-    kDamerau,
-    kJaro,
-    kJaroWinkler,
-    kSoundex,    // packed precomputed Soundex codes
-    kFallback,   // no batched kernel: ComputeMeasure on the arena views
+    kAge,         // TemporalAgeSimilarity on record ints
+    kExactId,     // interned-id equality
+    kBigramDice,  // precomputed padded bigram profiles
+    kFallback,    // every other measure: ComputeMeasure on the arena views
   };
 
   using FieldTable = SimTables::FieldTable;
@@ -165,8 +164,7 @@ class SimBatch {
 
   struct SpecPlan {
     Plan plan = Plan::kFallback;
-    const FieldTable* table = nullptr;         // null for age components
-    const SimTables::GramTable* grams = nullptr;  // Dice plans
+    const FieldTable* table = nullptr;  // null for age components
   };
 
   /// One spec's side of a row's old record, and the per-thread row state
@@ -186,8 +184,8 @@ class SimBatch {
   /// Component `spec_index` of the pair (row's old record, new_id) as far
   /// as O(1) work goes: sets the new value id and ComponentSimilarity's
   /// missing flags, and returns 0 for a missing component, the exact value
-  /// of an age, exact-id or Soundex component or of a string component
-  /// with equal value ids, and kNeedsKernel (sim_batch.cc) otherwise.
+  /// of an age or exact-id component, of a Dice component with equal value
+  /// ids or an accumulator, and kNeedsKernel (sim_batch.cc) otherwise.
   [[nodiscard]] double O1Value(size_t spec_index, const RowScratch& row,
                                RecordId new_id, const PersonRecord& rb,
                                uint32_t* vb, bool* missing_one,
@@ -197,8 +195,9 @@ class SimBatch {
   [[nodiscard]] double ExactInRow(RowScratch* row, RecordId new_id) const;
 
   /// Exact value of a component O1Value left to a kernel, for the row's old
-  /// record and new value `vb` (string kernels through the value-pair
-  /// memo). Counts memo lookups, hits and Dice merges in `row`.
+  /// record and new value `vb` (Dice through the value-pair memo, every
+  /// other measure by ComputeMeasure). Counts memo lookups, hits and Dice
+  /// merges in `row`.
   [[nodiscard]] double PresentValue(size_t spec_index, RowScratch* row,
                                     uint32_t vb) const;
 

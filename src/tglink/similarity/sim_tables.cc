@@ -5,28 +5,25 @@
 #include "tglink/obs/memprof.h"
 #include "tglink/obs/metrics.h"
 #include "tglink/obs/trace.h"
-#include "tglink/similarity/phonetic.h"
 
 namespace tglink {
 
 namespace {
 
-/// Fills `grams` with the padded q-gram profile of every value of `table`
+/// Fills `grams` with the padded bigram profile of every value of `table`
 /// and the postings of its new-side values. One exact reserve (a value of
-/// length l has l + q - 1 padded grams), so the profile arena is allocated
+/// length l has l + 1 padded bigrams), so the profile arena is allocated
 /// once and carries no growth slack for the tables' lifetime.
-void BuildGramTable(const SimTables::FieldTable& table, int q,
+void BuildGramTable(const SimTables::FieldTable& table,
                     SimTables::GramTable* grams) {
   const size_t n = table.num_values();
   size_t total = 0;
-  for (uint32_t vid = 0; vid < n; ++vid) {
-    total += table.Ref(vid).len + static_cast<size_t>(q - 1);
-  }
+  for (uint32_t vid = 0; vid < n; ++vid) total += table.Ref(vid).len + 1;
   grams->data.reserve(total);
   grams->starts.reserve(n + 1);
   grams->starts.push_back(0);
   for (uint32_t vid = 0; vid < n; ++vid) {
-    simkernel::BuildPaddedGramProfile(table.Ref(vid).view(), q, &grams->data);
+    simkernel::BuildPaddedGramProfile(table.Ref(vid).view(), &grams->data);
     grams->starts.push_back(static_cast<uint32_t>(grams->data.size()));
   }
   std::vector<bool> new_side(n, false);
@@ -44,7 +41,7 @@ SimTables::SimTables(std::initializer_list<const SimilarityFunction*> fns,
   TGLINK_TRACE_SPAN("simkernel.build_batch");
   TGLINK_MEM_STAGE("simkernel.build_batch");
   // Intern every field first: tables_ grows while fields are added, so the
-  // signatures are built over a settled vector.
+  // profiles are built over a settled vector.
   for (const SimilarityFunction* fn : fns) {
     for (const AttributeSpec& spec : fn->specs()) {
       // ComponentSimilarity routes every age-field component to
@@ -57,17 +54,7 @@ SimTables::SimTables(std::initializer_list<const SimilarityFunction*> fns,
       if (spec.field == Field::kAge) continue;
       FieldTable& table = Intern(spec.field);  // already interned
       if (spec.measure == Measure::kQGramDice && !table.gram2.built()) {
-        BuildGramTable(table, 2, &table.gram2);
-      } else if (spec.measure == Measure::kTrigramDice &&
-                 !table.gram3.built()) {
-        BuildGramTable(table, 3, &table.gram3);
-      } else if (spec.measure == Measure::kSoundexEqual &&
-                 table.soundex_codes.empty()) {
-        table.soundex_codes.reserve(table.num_values());
-        for (uint32_t vid = 0; vid < table.num_values(); ++vid) {
-          table.soundex_codes.push_back(
-              simkernel::PackPhoneticCode(Soundex(table.Ref(vid).view())));
-        }
+        BuildGramTable(table, &table.gram2);
       }
     }
   }
@@ -75,16 +62,12 @@ SimTables::SimTables(std::initializer_list<const SimilarityFunction*> fns,
   uint64_t posting_bytes = 0;
   for (const FieldTable& table : tables_) {
     posting_bytes += table.gram2.postings.LogicalBytes();
-    posting_bytes += table.gram3.postings.LogicalBytes();
     arena_bytes += table.arena.size();
     arena_bytes += table.offsets.size() * sizeof(uint32_t);
     arena_bytes += table.old_ids.size() * sizeof(uint32_t);
     arena_bytes += table.new_ids.size() * sizeof(uint32_t);
     arena_bytes += table.gram2.data.size() * sizeof(uint32_t);
     arena_bytes += table.gram2.starts.size() * sizeof(uint32_t);
-    arena_bytes += table.gram3.data.size() * sizeof(uint32_t);
-    arena_bytes += table.gram3.starts.size() * sizeof(uint32_t);
-    arena_bytes += table.soundex_codes.size() * sizeof(uint64_t);
   }
   obs::ReportArenaBytes("simbatch", arena_bytes);
   TGLINK_COUNTER_ADD("simkernel.posting_bytes", posting_bytes);

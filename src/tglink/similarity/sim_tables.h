@@ -4,11 +4,12 @@
 // Per field referenced by any of the functions it is built for, SimTables
 // interns the values of both snapshots into a contiguous arena
 // (offset+length StringRef views), maps every record to its value id, and
-// builds the per-value signatures those functions' measures need: sorted
-// packed padded gram profiles with their gram postings for Dice
-// (kQGramDice reads bigrams, kTrigramDice trigrams) and packed Soundex
-// codes for kSoundexEqual. A field has one table whatever measures read
-// it, and each signature is built once however many specs read it.
+// builds, for a field some function compares with kQGramDice, the sorted
+// packed padded bigram profile of every value with its gram postings. No
+// other measure has a per-value signature: exact agreement compares value
+// ids and every other measure runs its scalar implementation on the arena
+// views. A field has one table whatever measures read it, and its profiles
+// are built once however many specs read it.
 //
 // SimBatch (sim_batch.h) is the evaluator: a thin plan of one
 // SimilarityFunction over shared tables. LinkCensusPair builds one
@@ -54,7 +55,7 @@ class SimTables {
     uint32_t size = 0;
   };
 
-  /// One gram size's profiles of a field's values, with their postings.
+  /// The bigram profiles of a field's values, with their postings.
   struct GramTable {
     std::vector<uint32_t> data;    // profiles, concatenated
     std::vector<uint32_t> starts;  // num_values()+1 entries once built
@@ -67,16 +68,14 @@ class SimTables {
   };
 
   /// One field's interned values over both snapshots: a contiguous arena
-  /// plus flat per-value signature arrays (empty where no measure needs
-  /// them).
+  /// plus the values' bigram profiles (unbuilt where no spec reads the
+  /// field with kQGramDice).
   struct FieldTable {
     std::string arena;
     std::vector<uint32_t> offsets;  // per value id, size num_values()+1
     std::vector<uint32_t> old_ids;  // per old record
     std::vector<uint32_t> new_ids;  // per new record
     GramTable gram2;                // kQGramDice
-    GramTable gram3;                // kTrigramDice
-    std::vector<uint64_t> soundex_codes;  // kSoundexEqual
 
     [[nodiscard]] size_t num_values() const { return offsets.size() - 1; }
     [[nodiscard]] simkernel::StringRef Ref(uint32_t vid) const {

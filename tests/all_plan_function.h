@@ -9,10 +9,11 @@
 namespace tglink {
 namespace testing_example {
 
-/// Both Dice gram sizes, the full edit/Jaro family, Soundex, exact sex, the
-/// temporal age component, and a fallback measure (Monge-Elkan) that
-/// SimBatch scores with ComputeMeasure. Several specs share a field so the
-/// per-field table reuse is exercised too.
+/// Every plan: bigram Dice, exact sex and the temporal age component, and
+/// measures SimBatch scores with ComputeMeasure (trigram Dice, the
+/// edit/Jaro family, Soundex, Monge-Elkan). Several specs share a field,
+/// some with Dice and some without, so the per-field table reuse is
+/// exercised too.
 inline SimilarityFunction AllPlanFunction() {
   return SimilarityFunction(
       {

@@ -3,6 +3,8 @@
 
 #include "tglink/linkage/config.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace tglink {
@@ -72,6 +74,33 @@ TEST(ConfigTest, ResidualSimFuncIncludesTemporalAge) {
   EXPECT_TRUE(has_age);
   EXPECT_NEAR(total, 1.0, 1e-12);
   EXPECT_GT(f.threshold(), configs::DefaultConfig().delta_high);
+}
+
+// SimBatch has a batched path only for bigram Dice, exact agreement and
+// the age field; every other measure runs its scalar implementation. The
+// shipped functions must stay within those, or the new measure needs its
+// kernel back.
+TEST(ConfigTest, ShippedFunctionsUseOnlyBatchedMeasures) {
+  const LinkageConfig config = configs::DefaultConfig();
+  const std::pair<const char*, SimilarityFunction> functions[] = {
+      {"Omega1", configs::Omega1()},
+      {"Omega2", configs::Omega2()},
+      {"ResidualSimFunc", configs::ResidualSimFunc()},
+      {"DefaultConfig().sim_func", config.sim_func},
+      {"DefaultConfig().sim_func_rem", config.sim_func_rem},
+  };
+  for (const auto& [name, fn] : functions) {
+    for (const AttributeSpec& spec : fn.specs()) {
+      EXPECT_TRUE(spec.field == Field::kAge ||
+                  spec.measure == Measure::kQGramDice ||
+                  spec.measure == Measure::kExact)
+          << name << " compares " << FieldName(spec.field) << " with "
+          << MeasureName(spec.measure)
+          << ", which SimBatch runs unbatched. ROADMAP rule: a kernel comes "
+             "back only when a config uses its measure and a profile shows "
+             "its fallback cost.";
+    }
+  }
 }
 
 TEST(ConfigTest, ThresholdParameterPropagates) {

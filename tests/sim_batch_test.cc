@@ -1,9 +1,9 @@
 // SimBatch correctness: every entry point must be bit-identical to the
 // direct SimilarityFunction path (they share the AggregateWith arithmetic),
-// missing-value handling must mirror ComponentSimilarity exactly, the
-// measures without a batched kernel must return ComputeMeasure's bits,
-// threshold scoring must answer kPruned exactly below the cutoff, and a
-// plan over tables shared with other functions must score exactly as a
+// missing-value handling must mirror ComponentSimilarity exactly, every
+// measure but bigram Dice and exact agreement must return ComputeMeasure's
+// bits, threshold scoring must answer kPruned exactly below the cutoff, and
+// a plan over tables shared with other functions must score exactly as a
 // batch over its own tables.
 
 #include "tglink/similarity/sim_batch.h"
@@ -94,14 +94,43 @@ TEST(SimBatchTest, WorksForOmega1Too) {
 }
 
 TEST(SimBatchTest, FallbackMeasuresAreComputeMeasureBitForBit) {
-  // A one-component function per measure without a batched kernel: the
-  // aggregate of a pair with both values present is the component value
-  // itself (weight 1 over weight 1), so every entry point must return
-  // ComputeMeasure on the two field values, bit for bit.
-  const CensusDataset old_d = MakeCensus1871();
-  const CensusDataset new_d = MakeCensus1881();
+  // A one-component function per measure the plan runs through
+  // ComputeMeasure: the aggregate of a pair with both values present is
+  // the component value itself (weight 1 over weight 1), so every entry
+  // point must return ComputeMeasure on the two field values, bit for bit.
+  // The fixture gains values of 63 to 70 characters, near-equal and
+  // disjoint, so every measure is also checked on strings around and above
+  // one 64-bit word, where a bit-parallel kernel would switch paths.
+  CensusDataset old_d = MakeCensus1871();
+  CensusDataset new_d = MakeCensus1881();
+  const std::string a63(63, 'a');
+  const std::string a64(64, 'a');
+  const std::string a65(65, 'a');
+  std::string b64 = a64;
+  b64[10] = 'z';
+  b64[40] = 'q';
+  std::string b65 = a65;
+  b65[0] = 'z';
+  b65[64] = 'q';
+  const std::string disjoint(70, 'y');
+  old_d.AddHousehold(
+      "1871_long",
+      {MakeRecord("1871_l1", a64, a65, Sex::kMale, 30, Role::kHead, "mill",
+                  b64),
+       MakeRecord("1871_l2", a65, b64, Sex::kFemale, 28, Role::kWife, "mill",
+                  disjoint)});
+  new_d.AddHousehold(
+      "1881_long",
+      {MakeRecord("1881_l1", b64, b65, Sex::kMale, 40, Role::kHead, "mill",
+                  a63),
+       MakeRecord("1881_l2", a63, a64, Sex::kFemale, 38, Role::kWife, "mill",
+                  a65),
+       MakeRecord("1881_l3", disjoint, disjoint, Sex::kMale, 12, Role::kSon,
+                  "mill", b65)});
   for (const Measure measure :
-       {Measure::kMongeElkan, Measure::kDoubleMetaphone,
+       {Measure::kTrigramDice, Measure::kLevenshtein, Measure::kDamerau,
+        Measure::kJaro, Measure::kJaroWinkler, Measure::kSoundexEqual,
+        Measure::kMongeElkan, Measure::kDoubleMetaphone,
         Measure::kSmithWaterman, Measure::kLcsSubstring}) {
     for (const Field field :
          {Field::kFirstName, Field::kSurname, Field::kOccupation}) {
@@ -280,8 +309,10 @@ TEST(SimBatchTest, PlansOverSharedTablesEqualSelfBuiltBatches) {
   SetParallelThreadCount(1);
 }
 
-// A plan needs every field and signature its function reads; tables built
-// without them are a caller bug, caught in every build.
+// A plan needs every field and bigram profile its function reads; tables
+// built without them are a caller bug, caught in every build. Only Dice
+// has a per-value signature: a plan of any other measure over a field's
+// table needs nothing more, and equals ComputeMeasure.
 TEST(SimBatchDeathTest, PlanOverTablesBuiltWithoutItsFunctionAborts) {
   const CensusDataset old_d = MakeCensus1871();
   const CensusDataset new_d = MakeCensus1881();
@@ -295,14 +326,27 @@ TEST(SimBatchDeathTest, PlanOverTablesBuiltWithoutItsFunctionAborts) {
                                       1.0}},
                                     /*threshold=*/0.5);
   EXPECT_DEATH(SimBatch(surnames, tables), "hold no surname table");
-  const SimilarityFunction trigrams({{Field::kFirstName,
-                                      Measure::kTrigramDice, 1.0}},
-                                    /*threshold=*/0.5);
-  EXPECT_DEATH(SimBatch(trigrams, tables), "lack the");
-  const SimilarityFunction soundex({{Field::kFirstName,
-                                     Measure::kSoundexEqual, 1.0}},
-                                   /*threshold=*/0.5);
-  EXPECT_DEATH(SimBatch(soundex, tables), "lack the");
+  const SimilarityFunction exact_first_names({{Field::kFirstName,
+                                               Measure::kExact, 1.0}},
+                                             /*threshold=*/0.5);
+  const auto exact_tables = std::make_shared<const SimTables>(
+      std::initializer_list<const SimilarityFunction*>{&exact_first_names},
+      old_d, new_d);
+  EXPECT_DEATH(SimBatch(first_names, exact_tables), "lack the");
+  for (const Measure measure :
+       {Measure::kTrigramDice, Measure::kSoundexEqual}) {
+    const SimilarityFunction fn({{Field::kFirstName, measure, 1.0}},
+                                /*threshold=*/0.5);
+    const SimBatch plan(fn, tables);
+    for (RecordId o = 0; o < old_d.num_records(); ++o) {
+      for (RecordId n = 0; n < new_d.num_records(); ++n) {
+        EXPECT_EQ(plan.Aggregate(o, n),
+                  ComputeMeasure(measure, old_d.record(o).first_name,
+                                 new_d.record(n).first_name))
+            << MeasureName(measure) << " pair (" << o << "," << n << ")";
+      }
+    }
+  }
 }
 
 }  // namespace

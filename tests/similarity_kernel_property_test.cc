@@ -1,17 +1,16 @@
-// Differential verification of the batched similarity kernels against the
-// scalar reference measures (satellite of the batched-kernel tentpole; see
-// DESIGN.md §10):
+// Differential verification of the bigram Dice kernels and of SimBatch
+// against the scalar reference measures (see DESIGN.md §10):
 //
-//   * bit-identity: BatchMeasure(m, a, b) returns EXACTLY
-//     ComputeMeasure(m, a, b) — same bits, not approximately — over 50
-//     seeded random-byte corpora (non-ASCII bytes, embedded NULs, sentinel
-//     '#'/'$' characters, empties, and the 63/64/65-char Myers word-size
-//     boundary);
+//   * bit-identity: DiceProfileKernel over two BuildPaddedGramProfile
+//     profiles returns EXACTLY ComputeMeasure(kQGramDice, a, b) — same
+//     bits, not approximately — over 50 seeded random-byte corpora
+//     (non-ASCII bytes, embedded NULs, sentinel '#'/'$' characters and
+//     long near-equal strings);
 //   * aggregate identity: SimBatch reproduces fn.AggregateSimilarity
 //     bit-for-bit on full synthetic census pairs from every corruption
 //     preset, and AggregateWithThreshold keeps exactly the pairs whose
 //     exact aggregate reaches the cutoff;
-//   * memo isolation: the per-thread value-pair memo of the string kernels
+//   * memo isolation: the per-thread value-pair memo of the Dice plan
 //     never serves one batch's value to another, including a batch rebuilt
 //     in a destroyed batch's storage;
 //   * gram postings: the Dice intersection a posting walk accumulates equals
@@ -61,23 +60,15 @@ class SimilarityKernelPropertyTest : public ::testing::Test {
   void TearDown() override { SetParallelThreadCount(1); }
 };
 
-const std::vector<Measure>& BatchedMeasures() {
-  static const std::vector<Measure> measures = {
-      Measure::kExact,       Measure::kQGramDice,  Measure::kTrigramDice,
-      Measure::kLevenshtein, Measure::kDamerau,    Measure::kJaro,
-      Measure::kJaroWinkler, Measure::kSoundexEqual};
-  return measures;
-}
-
-/// One random corpus: empties, short names, arbitrary-byte strings (any
-/// value 0..255, so NULs, sentinels, and non-ASCII are all exercised), and
-/// strings pinned to the 63/64/65-char Myers boundary.
+/// One random corpus: short names, arbitrary-byte strings (any value
+/// 0..255, so NULs, sentinels, and non-ASCII are all exercised), and long
+/// strings of 63 to 65 chars with one random edit.
 std::vector<std::string> RandomCorpus(proptest::Case& c) {
-  std::vector<std::string> corpus = {"", "a", "smith", "ashworth"};
-  for (const size_t boundary : {size_t{63}, size_t{64}, size_t{65}}) {
-    std::string s(boundary, 'x');
-    // A couple of random edits so boundary pairs are near-but-not-equal.
-    s[c.rng().NextBounded(boundary)] =
+  std::vector<std::string> corpus = {"a", "smith", "ashworth"};
+  for (const size_t len : {size_t{63}, size_t{64}, size_t{65}}) {
+    std::string s(len, 'x');
+    // A random edit so long pairs are near-but-not-equal.
+    s[c.rng().NextBounded(len)] =
         static_cast<char>(c.rng().NextBounded(256));
     corpus.push_back(std::move(s));
   }
@@ -90,11 +81,10 @@ std::vector<std::string> RandomCorpus(proptest::Case& c) {
     corpus.push_back(std::move(s));
   }
   // Mutated copies make near-duplicates likely, which is where kernel bugs
-  // (off-by-one windows, transposition terms) actually hide.
+  // (repeated grams, off-by-one padding) actually hide.
   const size_t base = corpus.size();
   for (int i = 0; i < 4; ++i) {
     std::string s = corpus[c.rng().NextBounded(base)];
-    if (s.empty()) continue;
     s[c.rng().NextBounded(s.size())] =
         static_cast<char>(c.rng().NextBounded(256));
     corpus.push_back(std::move(s));
@@ -102,25 +92,29 @@ std::vector<std::string> RandomCorpus(proptest::Case& c) {
   return corpus;
 }
 
-// 50 corpora x all batched measures x all pairs: exact equality with the
-// scalar oracle.
+// 50 corpora x all pairs: the Dice of two padded bigram profiles equals
+// the scalar measure exactly. Values are non-empty, as in SimBatch, which
+// scores an empty value as missing and never merges its profile.
 TEST_F(SimilarityKernelPropertyTest, BitIdenticalToScalar) {
   proptest::Runner runner("simkernel.bit_identity", /*iterations=*/50);
   runner.Run([](proptest::Case& c) {
     const std::vector<std::string> corpus = RandomCorpus(c);
-    for (const Measure measure : BatchedMeasures()) {
-      ASSERT_TRUE(simkernel::HasBatchKernel(measure));
-      for (const std::string& a : corpus) {
-        for (const std::string& b : corpus) {
-          const double expected = ComputeMeasure(measure, a, b);
-          const double got = simkernel::BatchMeasure(measure, a, b);
-          c.ExpectTrue(got == expected,
-                       std::string(MeasureName(measure)) + "(" +
-                           std::to_string(a.size()) + "B, " +
-                           std::to_string(b.size()) + "B) batched " +
-                           std::to_string(got) + " != scalar " +
-                           std::to_string(expected));
-        }
+    std::vector<std::vector<uint32_t>> profiles(corpus.size());
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      simkernel::BuildPaddedGramProfile(corpus[i], &profiles[i]);
+    }
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      for (size_t j = 0; j < corpus.size(); ++j) {
+        const double expected =
+            ComputeMeasure(Measure::kQGramDice, corpus[i], corpus[j]);
+        const double got = simkernel::DiceProfileKernel(
+            profiles[i].data(), profiles[i].size(), profiles[j].data(),
+            profiles[j].size());
+        c.ExpectTrue(got == expected,
+                     "bigram Dice(" + std::to_string(corpus[i].size()) +
+                         "B, " + std::to_string(corpus[j].size()) +
+                         "B) kernel " + std::to_string(got) +
+                         " != scalar " + std::to_string(expected));
       }
     }
   });
@@ -675,9 +669,9 @@ TEST_F(SimilarityKernelPropertyTest, PostingWalkDiceMatchesMerge) {
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
 }
 
-// The same against the scalar measure, on padded q-gram profiles (q = 2
-// and 3) of strings over a two-letter alphabet, where repeated grams are
-// the rule ("abab", "aaaa").
+// The same against the scalar measure, on padded bigram profiles of
+// strings over a two-letter alphabet, where repeated grams are the rule
+// ("abab", "aaaa").
 TEST_F(SimilarityKernelPropertyTest, PostingWalkDiceMatchesScalarMeasure) {
   proptest::Runner runner("simkernel.posting_walk_scalar", /*iterations=*/30);
   runner.Run([](proptest::Case& c) {
@@ -686,18 +680,14 @@ TEST_F(SimilarityKernelPropertyTest, PostingWalkDiceMatchesScalarMeasure) {
       word.resize(1 + c.rng().NextBounded(12));
       for (char& ch : word) ch = c.rng().NextBounded(2) != 0 ? 'a' : 'b';
     }
-    for (const auto& [q, measure] :
-         {std::pair{2, Measure::kQGramDice},
-          std::pair{3, Measure::kTrigramDice}}) {
-      std::vector<std::vector<uint32_t>> profiles;
-      for (const std::string& word : words) {
-        profiles.emplace_back();
-        simkernel::BuildPaddedGramProfile(word, q, &profiles.back());
-      }
-      ExpectPostingsMatch(c, profiles, [&](uint32_t va, uint32_t vb) {
-        return ComputeMeasure(measure, words[va], words[vb]);
-      });
+    std::vector<std::vector<uint32_t>> profiles;
+    for (const std::string& word : words) {
+      profiles.emplace_back();
+      simkernel::BuildPaddedGramProfile(word, &profiles.back());
     }
+    ExpectPostingsMatch(c, profiles, [&](uint32_t va, uint32_t vb) {
+      return ComputeMeasure(Measure::kQGramDice, words[va], words[vb]);
+    });
   });
   EXPECT_TRUE(runner.AllPassed()) << runner.Report();
 }
@@ -710,27 +700,25 @@ TEST_F(SimilarityKernelPropertyTest, PostingCountsDoNotOverflow) {
   const std::string longest(70000, 'a');
   const std::string shorter(66000, 'a');
   const std::vector<std::string> words = {longest, shorter, "aab", "b"};
-  for (const int q : {2, 3}) {
-    std::vector<uint32_t> data;
-    std::vector<uint32_t> starts = {0};
-    for (const std::string& word : words) {
-      simkernel::BuildPaddedGramProfile(word, q, &data);
-      starts.push_back(static_cast<uint32_t>(data.size()));
-    }
-    const simkernel::GramPostings postings(
-        data, starts, std::vector<bool>(words.size(), true));
-    std::vector<uint32_t> common(words.size(), 0);
-    postings.Accumulate(0, common.data());
-    EXPECT_EQ(common[0], starts[1]) << "q=" << q;
-    EXPECT_EQ(common[1], starts[2] - starts[1]) << "q=" << q;
-    for (uint32_t vb = 0; vb < words.size(); ++vb) {
-      const uint32_t na = starts[1];
-      const uint32_t nb = starts[vb + 1] - starts[vb];
-      EXPECT_EQ(simkernel::DiceFromCommon(common[vb], na, nb),
-                simkernel::DiceProfileKernel(data.data(), na,
-                                             data.data() + starts[vb], nb))
-          << "q=" << q << " value " << vb;
-    }
+  std::vector<uint32_t> data;
+  std::vector<uint32_t> starts = {0};
+  for (const std::string& word : words) {
+    simkernel::BuildPaddedGramProfile(word, &data);
+    starts.push_back(static_cast<uint32_t>(data.size()));
+  }
+  const simkernel::GramPostings postings(
+      data, starts, std::vector<bool>(words.size(), true));
+  std::vector<uint32_t> common(words.size(), 0);
+  postings.Accumulate(0, common.data());
+  EXPECT_EQ(common[0], starts[1]);
+  EXPECT_EQ(common[1], starts[2] - starts[1]);
+  for (uint32_t vb = 0; vb < words.size(); ++vb) {
+    const uint32_t na = starts[1];
+    const uint32_t nb = starts[vb + 1] - starts[vb];
+    EXPECT_EQ(simkernel::DiceFromCommon(common[vb], na, nb),
+              simkernel::DiceProfileKernel(data.data(), na,
+                                           data.data() + starts[vb], nb))
+        << "value " << vb;
   }
 
   using testing_example::MakeRecord;
@@ -820,52 +808,21 @@ TEST_F(SimilarityKernelPropertyTest, BranchlessDiceMatchesThreeWayMerge) {
 // exact-size reserve per profile would reallocate (and copy the arena) on
 // every append; geometric growth reallocates O(log N) times.
 TEST_F(SimilarityKernelPropertyTest, GramArenaGrowsGeometrically) {
-  for (const int q : {2, 3}) {
-    std::vector<uint32_t> arena;
-    size_t reallocations = 0;
-    const uint32_t* data = arena.data();
-    constexpr int kValues = 5000;
-    for (int v = 0; v < kValues; ++v) {
-      simkernel::BuildPaddedGramProfile("value" + std::to_string(v), q,
-                                        &arena);
-      if (arena.data() != data) {
-        ++reallocations;
-        data = arena.data();
-      }
-    }
-    EXPECT_LE(reallocations, 2 * static_cast<size_t>(std::bit_width(
-                                     arena.size())))
-        << "q=" << q << ": " << reallocations << " reallocations for "
-        << kValues << " profiles, " << arena.size() << " grams";
-  }
-}
-
-// Deterministic Myers word-size boundary pins: 64-char patterns take the
-// bit-parallel path, 65-char pairs the one-row DP fallback; both must agree
-// with the scalar DP exactly, including at distance-0 and heavy-edit ends.
-TEST_F(SimilarityKernelPropertyTest, MyersBoundaryMatchesScalar) {
-  const std::string a63(63, 'a');
-  const std::string a64(64, 'a');
-  const std::string a65(65, 'a');
-  std::string b64 = a64;
-  b64[10] = 'z';
-  b64[40] = 'q';
-  std::string b65 = a65;
-  b65[0] = 'z';
-  b65[64] = 'q';
-  const std::string disjoint(70, 'y');
-  const std::vector<std::string> corpus = {a63, a64,      a65, b64,
-                                           b65, disjoint, ""};
-  for (const Measure measure : {Measure::kLevenshtein, Measure::kDamerau}) {
-    for (const std::string& x : corpus) {
-      for (const std::string& y : corpus) {
-        EXPECT_EQ(simkernel::BatchMeasure(measure, x, y),
-                  ComputeMeasure(measure, x, y))
-            << MeasureName(measure) << " lengths " << x.size() << "/"
-            << y.size();
-      }
+  std::vector<uint32_t> arena;
+  size_t reallocations = 0;
+  const uint32_t* data = arena.data();
+  constexpr int kValues = 5000;
+  for (int v = 0; v < kValues; ++v) {
+    simkernel::BuildPaddedGramProfile("value" + std::to_string(v), &arena);
+    if (arena.data() != data) {
+      ++reallocations;
+      data = arena.data();
     }
   }
+  EXPECT_LE(reallocations,
+            2 * static_cast<size_t>(std::bit_width(arena.size())))
+      << reallocations << " reallocations for " << kValues << " profiles, "
+      << arena.size() << " grams";
 }
 
 }  // namespace
